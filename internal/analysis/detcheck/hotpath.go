@@ -67,7 +67,9 @@ var approvedBigFiles = map[string]bool{
 
 // hotpathRoots name the entry points of the hot call graph, across
 // both packages: the scalar-multiplication and batch-verification
-// API in ec, and the field operations in fp.
+// API in ec, and the field operations in fp — among them the square
+// root that point decompression runs on every handshake and the
+// fixed-window exponentiation (pow) that it shares with Inv.
 var hotpathRoots = map[string]bool{
 	"ScalarMult":           true,
 	"ScalarBaseMult":       true,
@@ -79,9 +81,12 @@ var hotpathRoots = map[string]bool{
 	"Sqr":                  true,
 	"Add":                  true,
 	"Sub":                  true,
+	"Dbl":                  true,
 	"Neg":                  true,
 	"Inv":                  true,
 	"BatchInv":             true,
+	"Sqrt":                 true,
+	"pow":                  true,
 }
 
 func runHotpath(pass *analysis.Pass) error {

@@ -120,13 +120,20 @@ func (s *suite) deriveSessionKeys(premaster, salt []byte) (encKey, macKey []byte
 	return kdf.SessionKeys(premaster, salt)
 }
 
+// errSignScalar rejects a party private scalar outside [1, n−1].
+var errSignScalar = errors.New("core: private scalar out of range")
+
 // sign produces the ECDSA authentication signature of Algorithm 1 line
-// 2/4: dsign = sign(Prk, msg).
+// 2/4: dsign = sign(Prk, msg). It signs straight from the range-checked
+// scalar: signing never reads the public point, so deriving it the way
+// ecdsa.NewPrivateKey does (Q = d·G) would waste a base multiplication
+// on every signature. The base multiplication metered below is the
+// nonce's R = k·G.
 func (s *suite) sign(priv *big.Int, msg []byte) (ecdsa.Signature, error) {
-	key, err := ecdsa.NewPrivateKey(s.curve, priv)
-	if err != nil {
-		return ecdsa.Signature{}, err
+	if priv == nil || priv.Sign() <= 0 || priv.Cmp(s.curve.N) >= 0 {
+		return ecdsa.Signature{}, errSignScalar
 	}
+	key := ecdsa.PrivateKey{Curve: s.curve, D: priv}
 	s.m.record(PrimHashBytes, len(msg))
 	s.m.record(PrimMACBytes, 4*sha256.Size) // RFC 6979 nonce derivation
 	s.m.record(PrimECBaseMult, 1)

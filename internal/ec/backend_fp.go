@@ -72,6 +72,25 @@ func (c *Curve) fpToPoint(p *fpJac) Point {
 	return Point{X: f.ToBig(&x), Y: f.ToBig(&y)}
 }
 
+// rhsSqrtFP returns a square root of x³ + ax + b mod p for a reduced
+// x, on limb elements: the right-hand side in Horner form
+// (x² + a)·x + b, then fp.Field.Sqrt's single exponentiation. It
+// returns false when the right-hand side is a non-residue, i.e. x is
+// not the abscissa of a curve point. The prime must be ≡ 3 (mod 4).
+func (c *Curve) rhsSqrtFP(x *big.Int) (*big.Int, bool) {
+	f := c.fpF
+	var fx, rhs fp.Element
+	f.FromBig(&fx, x)
+	f.Sqr(&rhs, &fx)
+	f.Add(&rhs, &rhs, &c.fpA)
+	f.Mul(&rhs, &rhs, &fx)
+	f.Add(&rhs, &rhs, &c.fpB)
+	if !f.Sqrt(&rhs, &rhs) {
+		return nil, false
+	}
+	return f.ToBig(&rhs), true
+}
+
 // fpDouble sets p = 2p in place (dbl-2007-bl, with the a = −3 shortcut
 // used by all bundled curves).
 func (c *Curve) fpDouble(p *fpJac, s *fpScratch) {

@@ -248,6 +248,41 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
+// BenchmarkAdd and BenchmarkSub chain x ← x ± y with a random y, so
+// the reduction's carry is taken about half the time — the case a
+// branch on the carry mispredicts and the masked select does not.
+func BenchmarkAdd(b *testing.B) {
+	f, x, y := benchOperands(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Add(&x, &x, &y)
+	}
+}
+
+func BenchmarkSub(b *testing.B) {
+	f, x, y := benchOperands(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Sub(&x, &x, &y)
+	}
+}
+
+// benchOperands returns the P-256 field and two random elements.
+func benchOperands(b *testing.B) (*Field, Element, Element) {
+	p, _ := new(big.Int).SetString(testPrimes[0], 16)
+	f, err := New(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(17))
+	var x, y Element
+	f.FromBig(&x, new(big.Int).Rand(r, p))
+	f.FromBig(&y, new(big.Int).Rand(r, p))
+	return f, x, y
+}
+
 func BenchmarkInv(b *testing.B) {
 	p, _ := new(big.Int).SetString(testPrimes[0], 16)
 	f, err := New(p)

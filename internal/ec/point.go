@@ -163,20 +163,37 @@ func (c *Curve) DecodePoint(data []byte) (Point, error) {
 	return Point{}, fmt.Errorf("%w: unknown prefix 0x%02x", ErrInvalidPoint, data[0])
 }
 
-// liftX recovers y from x and the parity bit yBit, per SEC 1 §2.3.4.
+// liftX recovers y from a reduced x and the parity bit yBit, per SEC 1
+// §2.3.4. The square root runs on the fp backend when the prime allows
+// the one-exponentiation root (p ≡ 3 mod 4: P-256 and P-192); P-224
+// and the math/big oracle build take rhsSqrtBig. Both yield the same
+// root, so the parity fix-up below sees identical input either way.
 func (c *Curve) liftX(x *big.Int, yBit uint) (*big.Int, error) {
-	// rhs = x³ + ax + b mod p
-	rhs := modMul(modSqr(x, c.P), x, c.P)
-	rhs = modAdd(rhs, modMul(c.A, x, c.P), c.P)
-	rhs = modAdd(rhs, c.B, c.P)
-	y, err := modSqrt(rhs, c.P)
-	if err != nil {
+	var y *big.Int
+	var ok bool
+	if c.useFP() && c.P.Bit(1) == 1 {
+		y, ok = c.rhsSqrtFP(x)
+	} else {
+		y, ok = c.rhsSqrtBig(x)
+	}
+	if !ok {
 		return nil, fmt.Errorf("%w: x has no curve point", ErrInvalidPoint)
 	}
 	if y.Bit(0) != yBit {
 		y = modNeg(y, c.P)
 	}
 	return y, nil
+}
+
+// rhsSqrtBig returns a square root of x³ + ax + b mod p through
+// math/big, and false when there is none (the differential oracle of
+// rhsSqrtFP).
+func (c *Curve) rhsSqrtBig(x *big.Int) (*big.Int, bool) {
+	rhs := modMul(modSqr(x, c.P), x, c.P)
+	rhs = modAdd(rhs, modMul(c.A, x, c.P), c.P)
+	rhs = modAdd(rhs, c.B, c.P)
+	y, err := modSqrt(rhs, c.P)
+	return y, err == nil
 }
 
 // CompressedPointSize returns the byte length of a compressed point on c.

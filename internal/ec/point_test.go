@@ -2,6 +2,7 @@ package ec
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -141,73 +142,140 @@ func TestEncodingInfinity(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	c := P256()
-	g := c.Generator()
-	valid := c.EncodeUncompressed(g)
+	for _, c := range Curves() {
+		t.Run(c.Name, func(t *testing.T) {
+			g := c.Generator()
+			valid := c.EncodeUncompressed(g)
 
-	cases := map[string][]byte{
-		"empty":             {},
-		"bad prefix":        {0x05, 1, 2, 3},
-		"short":             valid[:10],
-		"long":              append(append([]byte{}, valid...), 0x00),
-		"infinity trailing": {0x00, 0x01},
-	}
-	for name, data := range cases {
-		if _, err := c.DecodePoint(data); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
-		}
-	}
+			cases := map[string][]byte{
+				"empty":             {},
+				"bad prefix":        {0x05, 1, 2, 3},
+				"short":             valid[:10],
+				"long":              append(append([]byte{}, valid...), 0x00),
+				"infinity trailing": {0x00, 0x01},
+			}
+			for name, data := range cases {
+				if _, err := c.DecodePoint(data); err == nil {
+					t.Errorf("%s: decode accepted malformed input", name)
+				}
+			}
 
-	// Off-curve uncompressed point.
-	offCurve := append([]byte{}, valid...)
-	offCurve[len(offCurve)-1] ^= 0x01
-	if _, err := c.DecodePoint(offCurve); err == nil {
-		t.Error("off-curve point accepted")
-	}
+			// Off-curve uncompressed point.
+			offCurve := append([]byte{}, valid...)
+			offCurve[len(offCurve)-1] ^= 0x01
+			if _, err := c.DecodePoint(offCurve); err == nil {
+				t.Error("off-curve point accepted")
+			}
 
-	// Compressed x with no square root. x = 5 on P-256: check whether
-	// it lifts; find an x that does not by scanning a few candidates.
-	found := false
-	for x := int64(1); x < 64 && !found; x++ {
-		cand := make([]byte, c.CompressedPointSize())
-		cand[0] = 0x02
-		big.NewInt(x).FillBytes(cand[1:])
-		if _, err := c.DecodePoint(cand); err != nil {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("expected at least one non-residue x in [1,64)")
-	}
+			// Compressed x with no square root: scan a few small x for
+			// one that does not lift, and require ErrInvalidPoint.
+			found := false
+			for x := int64(1); x < 64 && !found; x++ {
+				cand := make([]byte, c.CompressedPointSize())
+				cand[0] = 0x02
+				big.NewInt(x).FillBytes(cand[1:])
+				if _, err := c.DecodePoint(cand); err != nil {
+					if !errors.Is(err, ErrInvalidPoint) {
+						t.Fatalf("x=%d: non-residue error %v is not ErrInvalidPoint", x, err)
+					}
+					found = true
+				}
+			}
+			if !found {
+				t.Error("expected at least one non-residue x in [1,64)")
+			}
 
-	// Compressed x >= p must be rejected.
-	tooBig := make([]byte, c.CompressedPointSize())
-	tooBig[0] = 0x02
-	new(big.Int).Set(c.P).FillBytes(tooBig[1:])
-	if _, err := c.DecodePoint(tooBig); err == nil {
-		t.Error("compressed x >= p accepted")
+			// Compressed x >= p must be rejected.
+			tooBig := make([]byte, c.CompressedPointSize())
+			tooBig[0] = 0x02
+			new(big.Int).Set(c.P).FillBytes(tooBig[1:])
+			if _, err := c.DecodePoint(tooBig); err == nil {
+				t.Error("compressed x >= p accepted")
+			}
+		})
 	}
 }
 
 func TestCompressionParity(t *testing.T) {
 	// Both lifts of the same x must decode to distinct points that are
 	// negatives of each other.
-	c := P256()
-	g := c.Generator()
-	enc := c.EncodeCompressed(g)
-	encFlip := append([]byte{}, enc...)
-	encFlip[0] ^= 0x01
+	for _, c := range Curves() {
+		t.Run(c.Name, func(t *testing.T) {
+			g := c.Generator()
+			enc := c.EncodeCompressed(g)
+			encFlip := append([]byte{}, enc...)
+			encFlip[0] ^= 0x01
 
-	p1, err := c.DecodePoint(enc)
-	if err != nil {
-		t.Fatal(err)
+			p1, err := c.DecodePoint(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p1.Equal(g) {
+				t.Error("compressed generator did not decode to G")
+			}
+			p2, err := c.DecodePoint(encFlip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p2.Equal(c.Neg(p1)) {
+				t.Error("flipped parity did not decode to the negated point")
+			}
+		})
 	}
-	p2, err := c.DecodePoint(encFlip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p2.Equal(c.Neg(p1)) {
-		t.Error("flipped parity did not decode to the negated point")
+}
+
+// TestLiftXMatchesBig diffs point decompression against the math/big
+// square root for random x, both parity bits, on every curve: the fp
+// root (P-256 and P-192, p ≡ 3 mod 4) must equal rhsSqrtBig's bit for
+// bit, non-residues must fail on both, and liftX must agree with the
+// oracle's lift. Under -tags ec_purebig the fp root is still diffed
+// directly, so both CI legs run the comparison.
+func TestLiftXMatchesBig(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, c := range Curves() {
+		t.Run(c.Name, func(t *testing.T) {
+			xs := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(c.P, big.NewInt(1)), c.Gx}
+			for i := 0; i < 200; i++ {
+				xs = append(xs, new(big.Int).Rand(r, c.P))
+			}
+			residues, nonResidues := 0, 0
+			for _, x := range xs {
+				want, wantOK := c.rhsSqrtBig(x)
+				if wantOK {
+					residues++
+				} else {
+					nonResidues++
+				}
+				if c.P.Bit(1) == 1 {
+					got, ok := c.rhsSqrtFP(x)
+					if ok != wantOK || (ok && got.Cmp(want) != 0) {
+						t.Fatalf("x=%x: fp root (%v, %v), math/big (%v, %v)", x, got, ok, want, wantOK)
+					}
+				}
+				for yBit := uint(0); yBit < 2; yBit++ {
+					y, err := c.liftX(x, yBit)
+					if !wantOK {
+						if !errors.Is(err, ErrInvalidPoint) {
+							t.Fatalf("x=%x: non-residue lifted (%v, %v)", x, y, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("x=%x bit %d: %v", x, yBit, err)
+					}
+					wantY := want
+					if wantY.Bit(0) != yBit {
+						wantY = modNeg(wantY, c.P)
+					}
+					if y.Cmp(wantY) != 0 || !c.IsOnCurve(Point{X: x, Y: y}) {
+						t.Fatalf("x=%x bit %d: y = %x, want %x", x, yBit, y, wantY)
+					}
+				}
+			}
+			if residues == 0 || nonResidues == 0 {
+				t.Fatalf("sweep saw %d residues and %d non-residues, want both", residues, nonResidues)
+			}
+		})
 	}
 }
 
