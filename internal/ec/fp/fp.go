@@ -1,12 +1,18 @@
 // Package fp implements fixed-size prime-field arithmetic for the
 // elliptic-curve hot path: 4×64-bit limb elements held in Montgomery
-// form, with CIOS (coarsely integrated operand scanning) multiplication
-// and fully in-place, allocation-free operations.
+// form, with fully in-place, allocation-free operations.
 //
 // One Field instance is built per curve prime at package-ec init time.
 // All bundled primes (P-256, P-224, P-192) are odd and fit in four
-// 64-bit limbs, so a single generic implementation with R = 2^256
-// serves every curve; narrower primes simply carry zero top limbs.
+// 64-bit limbs, so one representation with R = 2^256 serves every
+// curve; narrower primes simply carry zero top limbs. Montgomery
+// reduction comes in two forms, picked once by New from the prime's
+// limbs. P-256's limbs let each reduction row fold in with shifts and
+// a single word multiplication, so its Mul and Sqr form the 512-bit
+// product and reduce it that way (redP256). Every other prime takes
+// the generic reduction: interleaved with the product in Mul (CIOS,
+// coarsely integrated operand scanning), after the square in Sqr
+// (SOS, separated operand scanning). Both forms return the same limbs.
 //
 // The kernels have no data-dependent branches: Add, Sub, Dbl, Neg and
 // the final reduction of Mul and Sqr select their result with a borrow
@@ -42,7 +48,14 @@ type Field struct {
 	pm2  [Limbs]uint64 // p − 2, the Fermat inversion exponent
 	sqrt [Limbs]uint64 // (p + 1)/4, the square-root exponent; zero unless p ≡ 3 (mod 4)
 	pBig *big.Int      // the modulus as big.Int (boundary conversions)
+	p256 bool          // p is the P-256 prime: Mul and Sqr reduce with redP256
 }
+
+// p256Limbs is the NIST P-256 prime 2^256 − 2^224 + 2^192 + 2^96 − 1 in
+// little-endian limbs. Its low limb is 2^64 − 1, so n0 = 1, and its
+// low two limbs together are 2^96 − 1: that is what lets redP256 fold
+// each reduction row in with shifts and a single multiplication.
+var p256Limbs = [Limbs]uint64{0xffffffffffffffff, 0x00000000ffffffff, 0, 0xffffffff00000001}
 
 // New builds the Montgomery context for an odd prime p < 2^256.
 func New(p *big.Int) (*Field, error) {
@@ -59,6 +72,7 @@ func New(p *big.Int) (*Field, error) {
 		inv *= 2 - f.p[0]*inv
 	}
 	f.n0 = -inv
+	f.p256 = f.p == p256Limbs
 
 	r := new(big.Int).Lsh(big.NewInt(1), 64*Limbs)
 	rModP := new(big.Int).Mod(r, p)
@@ -228,13 +242,19 @@ func madd2(a, b, c, d uint64) (uint64, uint64) {
 	return hi, lo
 }
 
-// Mul sets z = x·y·R⁻¹ mod p — Montgomery multiplication via the
-// textbook CIOS loop (Koç, Acar, Kaliski 1996), unrolled over the four
-// limbs of y with the running state, the modulus limbs and n0 held in
-// locals. With both inputs in Montgomery form the result is the
-// Montgomery form of the product. Aliasing among z, x, y is allowed.
-// No heap allocation.
+// Mul sets z = x·y·R⁻¹ mod p — Montgomery multiplication. With both
+// inputs in Montgomery form the result is the Montgomery form of the
+// product. On P-256 it forms the 512-bit product and folds it down
+// with redP256; every other prime takes the textbook CIOS loop (Koç,
+// Acar, Kaliski 1996), unrolled over the four limbs of y with the
+// running state, the modulus limbs and n0 held in locals. Aliasing
+// among z, x, y is allowed. No heap allocation.
 func (f *Field) Mul(z, x, y *Element) {
+	if f.p256 {
+		hi, r0, r1, r2, r3 := redP256(mul512(x, y))
+		f.reduce(z, hi, r0, r1, r2, r3)
+		return
+	}
 	p0, p1, p2, p3, n0 := f.p[0], f.p[1], f.p[2], f.p[3], f.n0
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	// t0..t3 is the running accumulator and t4/t5 the two overflow
@@ -309,21 +329,100 @@ func (f *Field) Mul(z, x, y *Element) {
 	f.reduce(z, t4, t0, t1, t2, t3)
 }
 
-// Sqr sets z = x²·R⁻¹ mod p — the dedicated Montgomery squaring.
-// Unlike Mul, the 2·Limbs-word full square is formed directly: the six
-// off-diagonal products x_i·x_j (i < j) are computed once and doubled
-// by a single carry-chain shift, then the four diagonal squares x_i²
-// are added in, saving ten of Mul's sixteen word multiplications.
-// The Montgomery reduction (four SOS steps over the 8-word square) is
-// fused onto the same accumulator. Aliasing z with x is allowed. No
-// heap allocation. Squarings dominate the doubling chains of every
-// scalar multiplication and every Fermat inversion, so this is the
-// single hottest word loop in the package.
+// Sqr sets z = x²·R⁻¹ mod p — the dedicated Montgomery squaring: the
+// 512-bit square from sqr512, then the reduction, redP256 on P-256 and
+// the generic SOS rows of redSOS on every other prime. Aliasing z with
+// x is allowed. No heap allocation. Squarings dominate the doubling
+// chains of every scalar multiplication and every Fermat inversion, so
+// this is the single hottest word loop in the package.
 func (f *Field) Sqr(z, x *Element) {
-	p0, p1, p2, p3, n0 := f.p[0], f.p[1], f.p[2], f.p[3], f.n0
+	t0, t1, t2, t3, t4, t5, t6, t7 := sqr512(x)
+	var hi, r0, r1, r2, r3 uint64
+	if f.p256 {
+		hi, r0, r1, r2, r3 = redP256(t0, t1, t2, t3, t4, t5, t6, t7)
+	} else {
+		hi, r0, r1, r2, r3 = f.redSOS(t0, t1, t2, t3, t4, t5, t6, t7)
+	}
+	f.reduce(z, hi, r0, r1, r2, r3)
+}
+
+// mul512 returns the full 512-bit product x·y as little-endian words
+// t0..t7, one row per limb of y. Each row forms its four 128-bit word
+// products first, then adds their low words and their high words
+// (one word higher) on two separate carry chains: two long chains
+// run faster than the short multiply-add chains of madd2.
+func mul512(x, y *Element) (t0, t1, t2, t3, t4, t5, t6, t7 uint64) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	var c uint64
+
+	yi := y[0]
+	h0, l0 := bits.Mul64(x0, yi)
+	h1, l1 := bits.Mul64(x1, yi)
+	h2, l2 := bits.Mul64(x2, yi)
+	h3, l3 := bits.Mul64(x3, yi)
+	t0 = l0
+	t1, c = bits.Add64(h0, l1, 0)
+	t2, c = bits.Add64(h1, l2, c)
+	t3, c = bits.Add64(h2, l3, c)
+	t4 = h3 + c // a high word is at most 2^64 − 2, the carry absorbs
+
+	// Rows 1..3. The top word of each row cannot wrap: after row i the
+	// sum is x·(y_i..y_0) < 2^(64(i+5)), exactly what t0..t(i+4) hold.
+	yi = y[1]
+	h0, l0 = bits.Mul64(x0, yi)
+	h1, l1 = bits.Mul64(x1, yi)
+	h2, l2 = bits.Mul64(x2, yi)
+	h3, l3 = bits.Mul64(x3, yi)
+	t1, c = bits.Add64(t1, l0, 0)
+	t2, c = bits.Add64(t2, l1, c)
+	t3, c = bits.Add64(t3, l2, c)
+	t4, c = bits.Add64(t4, l3, c)
+	t5 = c
+	t2, c = bits.Add64(t2, h0, 0)
+	t3, c = bits.Add64(t3, h1, c)
+	t4, c = bits.Add64(t4, h2, c)
+	t5 += h3 + c
+
+	yi = y[2]
+	h0, l0 = bits.Mul64(x0, yi)
+	h1, l1 = bits.Mul64(x1, yi)
+	h2, l2 = bits.Mul64(x2, yi)
+	h3, l3 = bits.Mul64(x3, yi)
+	t2, c = bits.Add64(t2, l0, 0)
+	t3, c = bits.Add64(t3, l1, c)
+	t4, c = bits.Add64(t4, l2, c)
+	t5, c = bits.Add64(t5, l3, c)
+	t6 = c
+	t3, c = bits.Add64(t3, h0, 0)
+	t4, c = bits.Add64(t4, h1, c)
+	t5, c = bits.Add64(t5, h2, c)
+	t6 += h3 + c
+
+	yi = y[3]
+	h0, l0 = bits.Mul64(x0, yi)
+	h1, l1 = bits.Mul64(x1, yi)
+	h2, l2 = bits.Mul64(x2, yi)
+	h3, l3 = bits.Mul64(x3, yi)
+	t3, c = bits.Add64(t3, l0, 0)
+	t4, c = bits.Add64(t4, l1, c)
+	t5, c = bits.Add64(t5, l2, c)
+	t6, c = bits.Add64(t6, l3, c)
+	t7 = c
+	t4, c = bits.Add64(t4, h0, 0)
+	t5, c = bits.Add64(t5, h1, c)
+	t6, c = bits.Add64(t6, h2, c)
+	t7 += h3 + c
+	return
+}
+
+// sqr512 returns the full 512-bit square x² as little-endian words
+// t0..t7. The six off-diagonal products x_i·x_j (i < j) are computed
+// once and doubled by a single carry-chain shift, then the four
+// diagonal squares x_i² are added in: ten word multiplications where
+// mul512 spends sixteen.
+func sqr512(x *Element) (t0, t1, t2, t3, t4, t5, t6, t7 uint64) {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 
-	// --- full square t0..t7 = x² ---
 	// Off-diagonal half first: t = Σ_{i<j} x_i·x_j·2^(64(i+j)).
 	p01h, p01l := bits.Mul64(x0, x1)
 	p02h, p02l := bits.Mul64(x0, x2)
@@ -332,7 +431,7 @@ func (f *Field) Sqr(z, x *Element) {
 	p13h, p13l := bits.Mul64(x1, x3)
 	p23h, p23l := bits.Mul64(x2, x3)
 
-	var t0, t1, t2, t3, t4, t5, t6, t7, c uint64
+	var c uint64
 	t1 = p01l
 	t2, c = bits.Add64(p01h, p02l, 0)
 	t3, c = bits.Add64(p02h, p03l, c)
@@ -373,13 +472,20 @@ func (f *Field) Sqr(z, x *Element) {
 	t5, c = bits.Add64(t5, d2h, c)
 	t6, c = bits.Add64(t6, d3l, c)
 	t7 += d3h + c // exact: the total is x² < 2^512
+	return
+}
 
-	// --- Montgomery reduction (SOS): four rows of m_i·p folded in.
-	// Row i adds m_i·p at word i and leaves its carry-out pending one
-	// word above its last, where row i+1 absorbs it with its own; the
-	// running value stays < p·(p + 2^256) < 2^513, so the last row's
-	// carry (hi) is a single overflow bit beyond t7.
-	var hi uint64
+// redSOS is the generic Montgomery reduction (SOS) of the 512-bit
+// t = t7..t0 < p·2^256: four rows of m_i·p folded in, m_i = t_i·n0,
+// each a 4×1 word product (five multiplications a row with m_i). It
+// returns (t + m·p)/2^256 < 2p as an overflow bit hi and four words,
+// for reduce to finish. Row i adds m_i·p at word i and leaves its
+// carry-out pending one word above its last, where row i+1 absorbs it
+// with its own; the running value stays below t + 2^256·p < 2^513, so
+// the last row's carry is a single bit beyond t7.
+func (f *Field) redSOS(t0, t1, t2, t3, t4, t5, t6, t7 uint64) (hi, r0, r1, r2, r3 uint64) {
+	p0, p1, p2, p3, n0 := f.p[0], f.p[1], f.p[2], f.p[3], f.n0
+	var c uint64
 	m := t0 * n0
 	c, _ = madd1(m, p0, t0)
 	c, t1 = madd2(m, p1, t1, c)
@@ -407,10 +513,49 @@ func (f *Field) Sqr(z, x *Element) {
 	c, t5 = madd2(m, p2, t5, c)
 	c, t6 = madd2(m, p3, t6, c)
 	t7, hi = bits.Add64(t7, c, hi)
+	return hi, t4, t5, t6, t7
+}
 
-	// Result is t4..t7 (+ overflow bit) < 2p; one masked subtraction,
-	// as in Mul.
-	f.reduce(z, hi, t4, t5, t6, t7)
+// redP256 is the Montgomery reduction of the 512-bit t = t7..t0 <
+// p·2^256 for the P-256 prime, with the same result as redSOS but one
+// multiplication a row (Gueron and Krasnov, "Fast prime field
+// elliptic-curve cryptography with 256-bit primes", J. Cryptogr. Eng.
+// 2015). With n0 = 1 the row factor is m = t_i itself, and since
+// p = (2^96 − 1) + p3·2^192, adding m·p at word i cancels t_i exactly
+// (t_i − m = 0, no borrow) and leaves m·2^96 — m<<32 at word i+1 and
+// m>>32 at word i+2 — plus the 128-bit m·p3 at words i+3..i+4, all on
+// one carry chain. The carry-out of row i is pending at word i+5,
+// where row i+1 ends: it rides on the high word of m·p3, which is at
+// most 2^64 − 2 and so cannot wrap. Returns (t + m·p)/2^256 < 2p as
+// an overflow bit hi and four words, for reduce to finish.
+func redP256(t0, t1, t2, t3, t4, t5, t6, t7 uint64) (hi, r0, r1, r2, r3 uint64) {
+	const p3 = 0xffffffff00000001
+	var c, h, l uint64
+
+	t1, c = bits.Add64(t1, t0<<32, 0)
+	t2, c = bits.Add64(t2, t0>>32, c)
+	h, l = bits.Mul64(t0, p3)
+	t3, c = bits.Add64(t3, l, c)
+	t4, hi = bits.Add64(t4, h, c)
+
+	t2, c = bits.Add64(t2, t1<<32, 0)
+	t3, c = bits.Add64(t3, t1>>32, c)
+	h, l = bits.Mul64(t1, p3)
+	t4, c = bits.Add64(t4, l, c)
+	t5, hi = bits.Add64(t5, h+hi, c)
+
+	t3, c = bits.Add64(t3, t2<<32, 0)
+	t4, c = bits.Add64(t4, t2>>32, c)
+	h, l = bits.Mul64(t2, p3)
+	t5, c = bits.Add64(t5, l, c)
+	t6, hi = bits.Add64(t6, h+hi, c)
+
+	t4, c = bits.Add64(t4, t3<<32, 0)
+	t5, c = bits.Add64(t5, t3>>32, c)
+	h, l = bits.Mul64(t3, p3)
+	t6, c = bits.Add64(t6, l, c)
+	t7, hi = bits.Add64(t7, h+hi, c)
+	return hi, t4, t5, t6, t7
 }
 
 // BatchInv sets dst[i] = xs[i]⁻¹ mod p for every i, amortizing one

@@ -232,27 +232,38 @@ func TestEqualIsZero(t *testing.T) {
 	}
 }
 
+// benchPrimes names the curve primes the kernel benchmarks table over
+// (the first three testPrimes).
+var benchPrimes = []string{"P-256", "P-224", "P-192"}
+
+// benchPerPrime runs body as one sub-benchmark per curve prime, on two
+// random elements of that field. Random operands keep every carry and
+// select of the kernels taken about as often as the point formulas
+// take them.
+func benchPerPrime(b *testing.B, body func(b *testing.B, f *Field, x, y Element)) {
+	for i, name := range benchPrimes {
+		b.Run(name, func(b *testing.B) {
+			f, x, y := benchOperands(b, testPrimes[i])
+			b.ReportAllocs()
+			b.ResetTimer()
+			body(b, f, x, y)
+		})
+	}
+}
+
 func BenchmarkMul(b *testing.B) {
-	p, _ := new(big.Int).SetString(testPrimes[0], 16)
-	f, err := New(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var x, y Element
-	f.FromBig(&x, big.NewInt(0xdeadbeef))
-	f.FromBig(&y, new(big.Int).Sub(p, big.NewInt(12345)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Mul(&x, &x, &y)
-	}
+	benchPerPrime(b, func(b *testing.B, f *Field, x, y Element) {
+		for i := 0; i < b.N; i++ {
+			f.Mul(&x, &x, &y)
+		}
+	})
 }
 
 // BenchmarkAdd and BenchmarkSub chain x ← x ± y with a random y, so
 // the reduction's carry is taken about half the time — the case a
 // branch on the carry mispredicts and the masked select does not.
 func BenchmarkAdd(b *testing.B) {
-	f, x, y := benchOperands(b)
+	f, x, y := benchOperands(b, testPrimes[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -261,7 +272,7 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkSub(b *testing.B) {
-	f, x, y := benchOperands(b)
+	f, x, y := benchOperands(b, testPrimes[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -269,9 +280,10 @@ func BenchmarkSub(b *testing.B) {
 	}
 }
 
-// benchOperands returns the P-256 field and two random elements.
-func benchOperands(b *testing.B) (*Field, Element, Element) {
-	p, _ := new(big.Int).SetString(testPrimes[0], 16)
+// benchOperands returns the field of the prime hex and two random
+// elements of it.
+func benchOperands(b *testing.B, hex string) (*Field, Element, Element) {
+	p, _ := new(big.Int).SetString(hex, 16)
 	f, err := New(p)
 	if err != nil {
 		b.Fatal(err)
@@ -284,16 +296,9 @@ func benchOperands(b *testing.B) (*Field, Element, Element) {
 }
 
 func BenchmarkInv(b *testing.B) {
-	p, _ := new(big.Int).SetString(testPrimes[0], 16)
-	f, err := New(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var x Element
-	f.FromBig(&x, big.NewInt(0xdeadbeef))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Inv(&x, &x)
-	}
+	benchPerPrime(b, func(b *testing.B, f *Field, x, _ Element) {
+		for i := 0; i < b.N; i++ {
+			f.Inv(&x, &x)
+		}
+	})
 }
