@@ -246,6 +246,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cantp -fuzz FuzzFlowControlParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -fuzz FuzzMessageTrailer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ec/fp -fuzz FuzzFieldOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -fuzz FuzzSTSEngine -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .

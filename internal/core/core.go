@@ -260,7 +260,6 @@ const (
 	macSize   = 32 // HMAC-SHA-256 tags
 	helloSize = 32 // PORAMB hello payload
 	ackSize   = 1
-	pointSize = 64 // raw X‖Y ephemeral point, "XG(64)" in Table II
 	sigSize   = 64 // raw r‖s ECDSA signature
 )
 

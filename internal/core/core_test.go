@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -251,8 +252,8 @@ func TestCrossCANetworksRejectEachOther(t *testing.T) {
 	a, _ := net1.Provision("alice")
 	mallory, _ := net2.Provision("bob") // claims to be bob, signed by a rogue CA
 
-	if _, err := NewSTS(OptNone).Run(a, mallory); err == nil {
-		t.Error("STS accepted a certificate from a foreign CA")
+	if _, err := NewSTS(OptNone).Run(a, mallory); !errors.Is(err, ErrHandshakeAuth) {
+		t.Errorf("STS against a foreign CA's certificate: %v, want ErrHandshakeAuth", err)
 	}
 	if _, err := NewSECDSA(false).Run(a, mallory); err == nil {
 		t.Error("S-ECDSA accepted a certificate from a foreign CA")
@@ -274,8 +275,8 @@ func TestImpersonationWithoutPrivateKeyFails(t *testing.T) {
 	}
 	forged := b.Clone()
 	forged.Priv = evil.Priv // certificate bob, key mallory
-	if _, err := NewSTS(OptNone).Run(a, forged); err == nil {
-		t.Error("STS accepted a certificate/key mismatch")
+	if _, err := NewSTS(OptNone).Run(a, forged); !errors.Is(err, ErrHandshakeAuth) {
+		t.Errorf("STS with a certificate/key mismatch: %v, want ErrHandshakeAuth", err)
 	}
 	if _, err := NewSECDSA(false).Run(a, forged); err == nil {
 		t.Error("S-ECDSA accepted a certificate/key mismatch")

@@ -10,12 +10,14 @@ import (
 	"repro/internal/ecqv"
 )
 
-// Message-driven STS engine. Unlike STS.Run (which executes both
-// parties in-process for experiments), the Initiator and Responder
-// here are incremental state machines that consume and produce wire
-// bytes — the form a deployment embeds behind a real network stack.
-// The live CAN-FD integration tests drive these over the full
-// canbus/cantp/transport substrate.
+// Message-driven STS engine: the one implementation of the STS
+// protocol. The Initiator and Responder are incremental state machines
+// that consume and produce wire bytes — the form a deployment embeds
+// behind a real network stack. Every STS run goes through them: the
+// fleet and the live CAN-FD integration tests carry their messages
+// over the canbus/cantp/transport substrate, while STS.Run — behind the
+// paper artifacts, the security analysis and ecqvsts.Establish —
+// carries them in memory.
 
 // HandshakeError wraps protocol violations detected by the engine.
 var (
@@ -55,17 +57,23 @@ func (e *engineCommon) SessionKey() ([]byte, error) {
 // Trace returns the primitive-level execution record (own side only).
 func (e *engineCommon) Trace() *Trace { return e.trace }
 
-func newEngineCommon(party *Party, role PartyRole, opt STSOptimization) (*engineCommon, error) {
+// checkEngineParty rejects a party without certificate credentials.
+func checkEngineParty(party *Party) error {
 	if party == nil || party.Cert == nil || party.Priv == nil {
-		return nil, errors.New("core: engine party not provisioned")
+		return errors.New("core: engine party not provisioned")
 	}
-	trace := &Trace{}
-	return &engineCommon{
+	return nil
+}
+
+// newEngineCommon builds one provisioned role's state, recording into
+// trace.
+func newEngineCommon(party *Party, role PartyRole, opt STSOptimization, trace *Trace) engineCommon {
+	return engineCommon{
 		party: party,
 		opt:   opt,
 		trace: trace,
 		suite: newSuite(party.Curve, trace.meterFor(role), party.Rand, party.KeyCache()),
-	}, nil
+	}
 }
 
 // deriveKeys computes the session keys from the premaster and the two
@@ -135,11 +143,16 @@ type Initiator struct {
 
 // NewInitiator builds the A-side state machine.
 func NewInitiator(party *Party, opt STSOptimization) (*Initiator, error) {
-	c, err := newEngineCommon(party, RoleA, opt)
-	if err != nil {
+	if err := checkEngineParty(party); err != nil {
 		return nil, err
 	}
-	return &Initiator{engineCommon: *c}, nil
+	return newInitiator(party, opt, &Trace{}), nil
+}
+
+// newInitiator builds an Initiator for a provisioned party, recording
+// into trace; STS.Run shares one trace between both roles.
+func newInitiator(party *Party, opt STSOptimization, trace *Trace) *Initiator {
+	return &Initiator{engineCommon: newEngineCommon(party, RoleA, opt, trace)}
 }
 
 // Start emits A1.
@@ -234,16 +247,21 @@ func (i *Initiator) Handle(data []byte) (reply []byte, done bool, err error) {
 type Responder struct {
 	engineCommon
 	state int // 0 = new, 1 = sent B1 (awaiting A2), 2 = done
-	qA    ecPointHolder
+	qA    ec.Point
 }
 
 // NewResponder builds the B-side state machine.
 func NewResponder(party *Party, opt STSOptimization) (*Responder, error) {
-	c, err := newEngineCommon(party, RoleB, opt)
-	if err != nil {
+	if err := checkEngineParty(party); err != nil {
 		return nil, err
 	}
-	return &Responder{engineCommon: *c}, nil
+	return newResponder(party, opt, &Trace{}), nil
+}
+
+// newResponder builds a Responder for a provisioned party, recording
+// into trace.
+func newResponder(party *Party, opt STSOptimization, trace *Trace) *Responder {
+	return &Responder{engineCommon: newEngineCommon(party, RoleB, opt, trace)}
 }
 
 // Handle consumes a peer message and returns the reply. done reports
@@ -280,11 +298,9 @@ func (r *Responder) Handle(data []byte) (reply []byte, done bool, err error) {
 		}
 		if r.opt != OptNone {
 			r.suite.enter(PhaseOp2PubKey)
-			q, err := r.extractPeer(msg.Get("Cert"), r.peerID)
-			if err != nil {
+			if r.qA, err = r.extractPeer(msg.Get("Cert"), r.peerID); err != nil {
 				return nil, false, err
 			}
-			r.qA.set(q)
 		}
 
 		r.suite.enter(PhaseOp3)
@@ -303,16 +319,14 @@ func (r *Responder) Handle(data []byte) (reply []byte, done bool, err error) {
 		return enc, false, err
 
 	case r.state == 1 && msg.Label == "A2":
-		if !r.qA.ok {
+		if r.opt == OptNone {
 			r.suite.enter(PhaseOp2PubKey)
-			q, err := r.extractPeer(msg.Get("Cert"), r.peerID)
-			if err != nil {
+			if r.qA, err = r.extractPeer(msg.Get("Cert"), r.peerID); err != nil {
 				return nil, false, err
 			}
-			r.qA.set(q)
 		}
 		r.suite.enter(PhaseOp4)
-		if err := r.verifyResp("A->B", msg.Get("Resp"), r.qA.point, r.peerXG, r.xg); err != nil {
+		if err := r.verifyResp("A->B", msg.Get("Resp"), r.qA, r.peerXG, r.xg); err != nil {
 			return nil, false, err
 		}
 		out := WireMessage{From: RoleB, Label: "B2", Field: []Field{{"ACK", []byte{0x06}}}}

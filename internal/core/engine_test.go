@@ -83,9 +83,6 @@ func TestEngineHandshake(t *testing.T) {
 			// Engine trace covers all four phases.
 			for _, tr := range []*Trace{init.Trace(), resp.Trace()} {
 				agg := tr.Aggregate()
-				for _, role := range []PartyRole{RoleA, RoleB} {
-					_ = role
-				}
 				found := 0
 				for _, ph := range Phases() {
 					for _, role := range []PartyRole{RoleA, RoleB} {
@@ -99,31 +96,6 @@ func TestEngineHandshake(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestEngineMatchesRun(t *testing.T) {
-	// The state-machine handshake and the monolithic Run must be the
-	// same protocol: message count, sizes and key-block length.
-	a, b := newPair(t, 22)
-	res, err := NewSTS(OptNone).Run(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	init, _ := NewInitiator(a, OptNone)
-	resp, _ := NewResponder(b, OptNone)
-	keyA, _, wire := driveHandshake(t, init, resp)
-
-	if len(wire) != len(res.Transcript) {
-		t.Fatalf("engine %d messages, Run %d", len(wire), len(res.Transcript))
-	}
-	for i, m := range wire {
-		if len(m)-1 != res.Transcript[i].Len() {
-			t.Errorf("step %d: engine %d B, Run %d B", i, len(m)-1, res.Transcript[i].Len())
-		}
-	}
-	if len(keyA) != len(res.KeyA) {
-		t.Errorf("key block sizes differ: %d vs %d", len(keyA), len(res.KeyA))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/ec"
-	"repro/internal/ecdsa"
 	"repro/internal/ecqv"
 )
 
@@ -73,26 +72,18 @@ func (p *STS) Optimization() STSOptimization { return p.opt }
 // comparison.
 func (p *STS) Dynamic() bool { return true }
 
-// Spec implements Protocol with the Table II wire layout.
+// Spec implements Protocol with the Table II wire layout: the wire
+// codec's STS layout on the paper's P-256.
 func (p *STS) Spec() []StepSpec {
-	if p.opt == OptNone {
-		return []StepSpec{
-			{Label: "A1", Fields: []FieldSpec{{"ID", ecqv.IDSize}, {"XG", pointSize}}},
-			{Label: "B1", Fields: []FieldSpec{{"ID", ecqv.IDSize}, {"Cert", 101}, {"XG", pointSize}, {"Resp", sigSize}}},
-			{Label: "A2", Fields: []FieldSpec{{"Cert", 101}, {"Resp", sigSize}}},
-			{Label: "B2", Fields: []FieldSpec{{"ACK", ackSize}}},
-		}
+	spec := make([]StepSpec, 0, 4)
+	for _, label := range []string{"A1", "B1", "A2", "B2"} {
+		spec = append(spec, StepSpec{Label: label, Fields: stsLayout(ec.P256(), p.opt, label)})
 	}
-	// Optimized variants front-load the certificate; totals unchanged.
-	return []StepSpec{
-		{Label: "A1", Fields: []FieldSpec{{"ID", ecqv.IDSize}, {"Cert", 101}, {"XG", pointSize}}},
-		{Label: "B1", Fields: []FieldSpec{{"ID", ecqv.IDSize}, {"Cert", 101}, {"XG", pointSize}, {"Resp", sigSize}}},
-		{Label: "A2", Fields: []FieldSpec{{"Resp", sigSize}}},
-		{Label: "B2", Fields: []FieldSpec{{"ACK", ackSize}}},
-	}
+	return spec
 }
 
-// Run implements Protocol. Message flow (Fig. 2):
+// Run implements Protocol. It drives an Initiator for a and a
+// Responder for b through the message flow of Fig. 2 in memory:
 //
 //	A → B : ID_A, XG_A                    (plus Cert_A when optimized)
 //	B → A : ID_B, Cert_B, XG_B, Resp_B
@@ -100,214 +91,54 @@ func (p *STS) Spec() []StepSpec {
 //	B → A : ACK
 //
 // with Resp_X = encrypt(KS, sign(Prk_X, XG_X ‖ XG_Y)) per Algorithm 1
-// and verification per Algorithm 2.
+// and verification per Algorithm 2. Every step runs inside the engine
+// a deployment embeds; Run only carries the wire bytes between the two
+// roles and decodes each into the transcript. Both engines record into
+// one Trace, so A's and B's events interleave in execution order. An
+// engine error is returned wrapped with the failing role
+// ("sts: A: ...").
 func (p *STS) Run(a, b *Party) (*Result, error) {
 	if err := checkParties(a, b, true, false); err != nil {
 		return nil, err
 	}
-	curve := a.Curve
 	trace := &Trace{}
-	sa := newSuite(curve, trace.meterFor(RoleA), a.Rand, a.KeyCache())
-	sb := newSuite(curve, trace.meterFor(RoleB), b.Rand, b.KeyCache())
-	res := &Result{Protocol: p.Name(), Trace: trace}
+	init, resp := newInitiator(a, p.opt, trace), newResponder(b, p.opt, trace)
 
-	// --- A, Op1: ephemeral request point (equation (2)).
-	sa.enter(PhaseOp1)
-	xA, xgA, err := sa.ephemeral()
+	a1, err := init.Start()
 	if err != nil {
-		return nil, fmt.Errorf("sts: A ephemeral: %w", err)
-	}
-	a1 := WireMessage{From: RoleA, Label: "A1"}
-	if p.opt == OptNone {
-		a1.Field = []Field{
-			{"ID", a.ID[:]},
-			{"XG", encodePointRaw(curve, xgA)},
-		}
-	} else {
-		// Optimized request: certificate front-loaded (§IV-C).
-		a1.Field = []Field{
-			{"ID", a.ID[:]},
-			{"Cert", a.Cert.Encode()},
-			{"XG", encodePointRaw(curve, xgA)},
-		}
-	}
-	res.Transcript = append(res.Transcript, a1)
-
-	// --- B processes A1.
-	rxXGA, err := decodePointRaw(curve, a1.Get("XG"))
-	if err != nil {
-		return nil, fmt.Errorf("sts: B: request point: %w", err)
-	}
-	sb.enter(PhaseOp1)
-	xB, xgB, err := sb.ephemeral()
-	if err != nil {
-		return nil, fmt.Errorf("sts: B ephemeral: %w", err)
-	}
-
-	sb.enter(PhaseOp2Premaster)
-	// Premaster KPM = X_B · XG_A (equation (3)); KS = KDF(KPM, salt)
-	// (equation (4)) with the session's ephemeral points as salt.
-	pmB, err := sb.dh(xB, rxXGA)
-	if err != nil {
-		return nil, fmt.Errorf("sts: B premaster: %w", err)
-	}
-	salt := append(encodePointRaw(curve, rxXGA), encodePointRaw(curve, xgB)...)
-	encB, macB, err := sb.deriveSessionKeys(pmB, salt)
-	if err != nil {
-		return nil, err
-	}
-	// Under the optimized variants B already has Cert_A and completes
-	// its full Op2 (public-key derivation) here, overlapping A's Op2.
-	var qA ecPointHolder
-	if p.opt != OptNone {
-		certA, err := ecqv.Decode(a1.Get("Cert"))
-		if err != nil {
-			return nil, fmt.Errorf("sts: B: peer certificate: %w", err)
-		}
-		if err := checkCertificate(certA, a.ID); err != nil {
-			return nil, fmt.Errorf("sts: B: %w", err)
-		}
-		sb.enter(PhaseOp2PubKey)
-		q, err := sb.extractPublicKey(certA, b.CAPub)
-		if err != nil {
-			return nil, fmt.Errorf("sts: B: extract Q_A: %w", err)
-		}
-		qA.set(q)
-	}
-
-	// B, Op3: authentication response (Algorithm 1, responder branch:
-	// dsign ← sign(Prk_B, XG_B ‖ XG_A)).
-	sb.enter(PhaseOp3)
-	authB := append(encodePointRaw(curve, xgB), encodePointRaw(curve, rxXGA)...)
-	dsignB, err := sb.sign(b.Priv, authB)
-	if err != nil {
-		return nil, fmt.Errorf("sts: B sign: %w", err)
-	}
-	respB, err := sb.sealResp(encB, macB, "B->A", dsignB.EncodeRaw(curve))
-	if err != nil {
-		return nil, err
-	}
-	b1 := WireMessage{From: RoleB, Label: "B1", Field: []Field{
-		{"ID", b.ID[:]},
-		{"Cert", b.Cert.Encode()},
-		{"XG", encodePointRaw(curve, xgB)},
-		{"Resp", respB},
-	}}
-	res.Transcript = append(res.Transcript, b1)
-
-	// --- A processes B1: Op2 (derive Q_B, premaster, KS) then Op4
-	// (decrypt + verify Resp_B per Algorithm 2).
-	rxXGB, err := decodePointRaw(curve, b1.Get("XG"))
-	if err != nil {
-		return nil, fmt.Errorf("sts: A: response point: %w", err)
-	}
-	certB, err := ecqv.Decode(b1.Get("Cert"))
-	if err != nil {
-		return nil, fmt.Errorf("sts: A: peer certificate: %w", err)
-	}
-	if err := checkCertificate(certB, b.ID); err != nil {
 		return nil, fmt.Errorf("sts: A: %w", err)
 	}
-	sa.enter(PhaseOp2PubKey)
-	qB, err := sa.extractPublicKey(certB, a.CAPub)
+	b1, _, err := resp.Handle(a1)
 	if err != nil {
-		return nil, fmt.Errorf("sts: A: extract Q_B: %w", err)
+		return nil, fmt.Errorf("sts: B: %w", err)
 	}
-	sa.enter(PhaseOp2Premaster)
-	pmA, err := sa.dh(xA, rxXGB)
+	a2, _, err := init.Handle(b1)
 	if err != nil {
-		return nil, fmt.Errorf("sts: A premaster: %w", err)
+		return nil, fmt.Errorf("sts: A: %w", err)
 	}
-	saltA := append(encodePointRaw(curve, xgA), encodePointRaw(curve, rxXGB)...)
-	encA, macA, err := sa.deriveSessionKeys(pmA, saltA)
+	b2, _, err := resp.Handle(a2)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sts: B: %w", err)
+	}
+	if _, _, err := init.Handle(b2); err != nil {
+		return nil, fmt.Errorf("sts: A: %w", err)
 	}
 
-	sa.enter(PhaseOp4)
-	sa.m.record(PrimAESBytes, len(b1.Get("Resp")))
-	dsignBraw, err := sa.openResp(encA, macA, "B->A", b1.Get("Resp"))
-	if err != nil {
-		return nil, err
-	}
-	sigB, err := ecdsa.DecodeRaw(curve, dsignBraw)
-	if err != nil {
-		return nil, fmt.Errorf("sts: A: responder signature garbled (wrong session key?): %w", err)
-	}
-	wantAuthB := append(encodePointRaw(curve, rxXGB), encodePointRaw(curve, xgA)...)
-	if !sa.verify(qB, wantAuthB, sigB) {
-		return nil, errors.New("sts: A: responder authentication failed")
-	}
-
-	// A, Op3: initiator authentication response
-	// (dsign ← sign(Prk_A, XG_A ‖ XG_B)).
-	sa.enter(PhaseOp3)
-	authA := append(encodePointRaw(curve, xgA), encodePointRaw(curve, rxXGB)...)
-	dsignA, err := sa.sign(a.Priv, authA)
-	if err != nil {
-		return nil, fmt.Errorf("sts: A sign: %w", err)
-	}
-	respA, err := sa.sealResp(encA, macA, "A->B", dsignA.EncodeRaw(curve))
-	if err != nil {
-		return nil, err
-	}
-	a2 := WireMessage{From: RoleA, Label: "A2"}
-	if p.opt == OptNone {
-		a2.Field = []Field{{"Cert", a.Cert.Encode()}, {"Resp", respA}}
-	} else {
-		a2.Field = []Field{{"Resp", respA}}
-	}
-	res.Transcript = append(res.Transcript, a2)
-
-	// --- B processes A2: complete Op2 if not yet done, then Op4.
-	if p.opt == OptNone {
-		certA, err := ecqv.Decode(a2.Get("Cert"))
+	res := &Result{Protocol: p.Name(), Trace: trace}
+	for _, wire := range [][]byte{a1, b1, a2, b2} {
+		msg, err := DecodeSTSMessage(a.Curve, p.opt, wire)
 		if err != nil {
-			return nil, fmt.Errorf("sts: B: peer certificate: %w", err)
+			return nil, err
 		}
-		if err := checkCertificate(certA, a.ID); err != nil {
-			return nil, fmt.Errorf("sts: B: %w", err)
-		}
-		sb.enter(PhaseOp2PubKey)
-		q, err := sb.extractPublicKey(certA, b.CAPub)
-		if err != nil {
-			return nil, fmt.Errorf("sts: B: extract Q_A: %w", err)
-		}
-		qA.set(q)
+		res.Transcript = append(res.Transcript, msg)
 	}
-	sb.enter(PhaseOp4)
-	sb.m.record(PrimAESBytes, len(a2.Get("Resp")))
-	dsignAraw, err := sb.openResp(encB, macB, "A->B", a2.Get("Resp"))
-	if err != nil {
-		return nil, err
+	if res.KeyA, err = init.SessionKey(); err != nil {
+		return nil, fmt.Errorf("sts: A: %w", err)
 	}
-	sigA, err := ecdsa.DecodeRaw(curve, dsignAraw)
-	if err != nil {
-		return nil, fmt.Errorf("sts: B: initiator signature garbled (wrong session key?): %w", err)
+	if res.KeyB, err = resp.SessionKey(); err != nil {
+		return nil, fmt.Errorf("sts: B: %w", err)
 	}
-	wantAuthA := append(encodePointRaw(curve, rxXGA), encodePointRaw(curve, xgB)...)
-	if !sb.verify(qA.point, wantAuthA, sigA) {
-		return nil, errors.New("sts: B: initiator authentication failed")
-	}
-
-	b2 := WireMessage{From: RoleB, Label: "B2", Field: []Field{{"ACK", []byte{0x06}}}}
-	res.Transcript = append(res.Transcript, b2)
-
-	res.KeyA = append(append([]byte(nil), encA...), macA...)
-	res.KeyB = append(append([]byte(nil), encB...), macB...)
 	return res, nil
-}
-
-// ecPointHolder defers the availability of a reconstructed key between
-// protocol variants.
-type ecPointHolder struct {
-	point ec.Point
-	ok    bool
-}
-
-func (h *ecPointHolder) set(p ec.Point) {
-	h.point = p
-	h.ok = true
 }
 
 // checkCertificate applies the relying-party certificate policy: the

@@ -35,27 +35,30 @@ func StepLabel(code byte) (label string, ok bool) {
 }
 
 // stsLayout returns the field layout of an STS step for a curve and
-// optimization level. It must agree with STS.Spec.
-func stsLayout(curve *ec.Curve, opt STSOptimization, label string) ([]FieldSpec, error) {
+// optimization level — the one statement of the Table II layout, which
+// STS.Spec reads on P-256. The optimized variants front-load Cert_A
+// into A1; the totals are unchanged. It returns nil for a label
+// outside the protocol.
+func stsLayout(curve *ec.Curve, opt STSOptimization, label string) []FieldSpec {
 	certSize := ecqv.EncodedSize(curve)
 	ecSize := 2 * curve.ByteLen()
 	switch label {
 	case "A1":
 		if opt == OptNone {
-			return []FieldSpec{{"ID", ecqv.IDSize}, {"XG", ecSize}}, nil
+			return []FieldSpec{{"ID", ecqv.IDSize}, {"XG", ecSize}}
 		}
-		return []FieldSpec{{"ID", ecqv.IDSize}, {"Cert", certSize}, {"XG", ecSize}}, nil
+		return []FieldSpec{{"ID", ecqv.IDSize}, {"Cert", certSize}, {"XG", ecSize}}
 	case "B1":
-		return []FieldSpec{{"ID", ecqv.IDSize}, {"Cert", certSize}, {"XG", ecSize}, {"Resp", ecSize}}, nil
+		return []FieldSpec{{"ID", ecqv.IDSize}, {"Cert", certSize}, {"XG", ecSize}, {"Resp", ecSize}}
 	case "A2":
 		if opt == OptNone {
-			return []FieldSpec{{"Cert", certSize}, {"Resp", ecSize}}, nil
+			return []FieldSpec{{"Cert", certSize}, {"Resp", ecSize}}
 		}
-		return []FieldSpec{{"Resp", ecSize}}, nil
+		return []FieldSpec{{"Resp", ecSize}}
 	case "B2":
-		return []FieldSpec{{"ACK", ackSize}}, nil
+		return []FieldSpec{{"ACK", ackSize}}
 	}
-	return nil, fmt.Errorf("core: unknown STS step %q", label)
+	return nil
 }
 
 // EncodeSTSMessage serializes a transcript message to wire bytes.
@@ -84,10 +87,7 @@ func DecodeSTSMessage(curve *ec.Curve, opt STSOptimization, data []byte) (WireMe
 	if !ok {
 		return WireMessage{}, fmt.Errorf("%w: unknown step code %#x", ErrWireFormat, data[0])
 	}
-	layout, err := stsLayout(curve, opt, label)
-	if err != nil {
-		return WireMessage{}, err
-	}
+	layout := stsLayout(curve, opt, label)
 	want := 1
 	for _, f := range layout {
 		want += f.Size

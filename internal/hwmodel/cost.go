@@ -1,6 +1,8 @@
 package hwmodel
 
 import (
+	"slices"
+
 	"repro/internal/core"
 )
 
@@ -56,11 +58,18 @@ func (m *CostModel) EventUnits(e core.Event) float64 {
 	return 0
 }
 
-// PhaseUnits prices an aggregated phase count map.
+// PhaseUnits prices an aggregated phase count map. It sums in
+// ascending primitive order, so the float64 result does not depend on
+// map iteration order.
 func (m *CostModel) PhaseUnits(counts map[core.Primitive]int) float64 {
+	prims := make([]core.Primitive, 0, len(counts))
+	for prim := range counts {
+		prims = append(prims, prim)
+	}
+	slices.Sort(prims)
 	total := 0.0
-	for prim, n := range counts {
-		total += m.EventUnits(core.Event{Prim: prim, N: n})
+	for _, prim := range prims {
+		total += m.EventUnits(core.Event{Prim: prim, N: counts[prim]})
 	}
 	return total
 }

@@ -101,14 +101,15 @@ func (m *Model) traceTotalUnits(t *core.Trace) float64 {
 
 // PhaseMS returns the per-party, per-base-phase times of a trace on a
 // device, in milliseconds — the quantities plotted in Fig. 3. Sub-
-// phases (Op2a/Op2b) are folded into Op2.
+// phases (Op2a/Op2b) are folded into Op2, in core.RawPhases order.
 func (m *Model) PhaseMS(t *core.Trace, dev Device) map[core.PartyRole]map[core.Phase]float64 {
-	units := m.Cost.TraceUnits(t)
 	out := map[core.PartyRole]map[core.Phase]float64{}
-	for role, byPhase := range units {
+	for role, byPhase := range m.RawPhaseMS(t, dev) {
 		out[role] = map[core.Phase]float64{}
-		for phase, u := range byPhase {
-			out[role][phase.Base()] += u * dev.PointMulMS
+		for _, phase := range core.RawPhases() {
+			if ms, ok := byPhase[phase]; ok {
+				out[role][phase.Base()] += ms
+			}
 		}
 	}
 	return out
@@ -130,16 +131,16 @@ func (m *Model) RawPhaseMS(t *core.Trace, dev Device) map[core.PartyRole]map[cor
 
 // SequentialMS evaluates equation (5): the conventional protocol time
 // is the sum of both devices' operation times (the exchange is a
-// strict ping-pong, nothing overlaps).
+// strict ping-pong, nothing overlaps). It sums A's phases, then B's,
+// each in core.RawPhases order.
 func (m *Model) SequentialMS(t *core.Trace, devA, devB Device) float64 {
 	pa := m.RawPhaseMS(t, devA)[core.RoleA]
 	pb := m.RawPhaseMS(t, devB)[core.RoleB]
 	total := 0.0
-	for _, v := range pa {
-		total += v
-	}
-	for _, v := range pb {
-		total += v
+	for _, byPhase := range []map[core.Phase]float64{pa, pb} {
+		for _, phase := range core.RawPhases() {
+			total += byPhase[phase]
+		}
 	}
 	return total
 }

@@ -327,3 +327,59 @@ func TestCostModelUnknownPrimitive(t *testing.T) {
 		t.Errorf("unknown primitive priced at %f", u)
 	}
 }
+
+// modelFingerprint flattens every float64 the model reports — the
+// calibrated device costs, Table I, and each protocol's sequential,
+// per-phase and per-raw-phase times on every device — into IEEE-754
+// bit patterns, in a fixed order.
+func modelFingerprint(t *testing.T, m *Model) []uint64 {
+	t.Helper()
+	table, err := m.Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bits []uint64
+	add := func(v float64) { bits = append(bits, math.Float64bits(v)) }
+	for _, dev := range m.Devices() {
+		add(dev.PointMulMS)
+		for _, p := range core.Protocols() {
+			trace, err := m.ReferenceTrace(p.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(table[p.Name()][dev.Name])
+			add(m.SequentialMS(trace, dev, dev))
+			base, raw := m.PhaseMS(trace, dev), m.RawPhaseMS(trace, dev)
+			for _, role := range []core.PartyRole{core.RoleA, core.RoleB} {
+				for _, ph := range core.Phases() {
+					add(base[role][ph])
+				}
+				for _, ph := range core.RawPhases() {
+					add(raw[role][ph])
+				}
+			}
+		}
+	}
+	return bits
+}
+
+func TestModelBitReproducible(t *testing.T) {
+	// The model adds float64s per phase and per party. Go randomises
+	// map iteration order, so a sum taken while ranging over a map
+	// changes its low bits from call to call; every sum must run in a
+	// fixed order. Freshly built models must then agree to the bit on
+	// every value they report.
+	want := modelFingerprint(t, newModel(t))
+	for i := 0; i < 40; i++ {
+		got := modelFingerprint(t, newModel(t))
+		if len(got) != len(want) {
+			t.Fatalf("build %d: %d values, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("build %d: value %d is %v, first build %v",
+					i, j, math.Float64frombits(got[j]), math.Float64frombits(want[j]))
+			}
+		}
+	}
+}
