@@ -77,11 +77,14 @@ bench-compare:
 # allocation budgets on the fp backend (used by CI; fails on regression
 # into per-digit heap allocation). The ScalarMult and VerifyBatch
 # gates ride together: both guard the same fixed-limb no-alloc
-# contract, one per-op and one per-batched-item.
+# contract, one per-op and one per-batched-item. The Seal+Open gate
+# guards the record layer's one-key-schedule-per-session contract: a
+# return to per-record key derivation triples its allocations.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestScalarMultAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
+	$(GO) test -run='TestSealOpenAllocBudget' -v ./internal/session/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs Mul(x, x), Montgomery-
@@ -247,6 +250,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -fuzz FuzzMessageTrailer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ec/fp -fuzz FuzzFieldOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzSTSEngine -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/session -fuzz FuzzChannelOpen -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .
@@ -266,7 +270,7 @@ vet:
 # missing contract). Zero dependencies — a go/ast walk.
 DOCCHECK_PKGS := ./internal/scenario ./internal/canbus ./internal/security \
 	./internal/transport ./internal/fleet ./internal/cantp ./internal/conc \
-	./internal/detrand ./internal/ec ./internal/ecdsa
+	./internal/detrand ./internal/ec ./internal/ecdsa ./internal/session
 doccheck:
 	$(GO) run ./cmd/doccheck $(DOCCHECK_PKGS)
 

@@ -18,9 +18,31 @@
 // caller back through a fresh KD run (a new STS handshake). That keeps
 // the separation the paper draws between the communication session
 // (this package) and the key-derivation protocol (internal/core).
+//
+// # Record construction
+//
+// The KD key block is enc(16) ‖ mac(32). NewPair derives one record key
+// per session, HKDF-SHA-256(enc, salt = nil, info =
+// "session-record-stream", 16 bytes), so records never share keystream
+// with the STS Resp messages, which encrypt under enc itself, and
+// expands it once into an AES-128 block cipher. Each record is then
+//
+//	header = seq(8, big-endian) ‖ dir(1)
+//	ct     = AES-128-CTR(record key, IV = header ‖ 0⁷, plaintext)
+//	tag    = HMAC-SHA-256(mac, "session-record" ‖ header ‖ ct)[:16]
+//
+// The CTR counter runs in the IV's seven zero low bytes, so it cannot
+// carry into the direction byte before 2⁶⁰ bytes of one record.
+//
+// A Channel is not safe for concurrent use: its sequence and replay
+// state belong to one goroutine at a time. The two channels of a pair
+// may run on different goroutines; they share only the read-only
+// cipher and MAC key.
 package session
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -92,11 +114,12 @@ const tagSize = 16
 const Overhead = recordHeader + tagSize
 
 // Channel is one endpoint's view of an established communication
-// session.
+// session. A Channel is not safe for concurrent use; the two channels
+// of a pair may run on different goroutines.
 type Channel struct {
-	dir     Direction // the direction this endpoint sends in
-	encKey  []byte
-	macKey  []byte
+	dir     Direction    // the direction this endpoint sends in
+	block   cipher.Block // AES-128 under the record key, shared by the pair
+	macKey  []byte       // shared by the pair
 	policy  Policy
 	started time.Time
 	now     func() time.Time
@@ -112,18 +135,28 @@ type Channel struct {
 }
 
 // NewPair derives both endpoints of a session from a KD key block
-// (enc ‖ mac, as produced by the protocols in internal/core). The
-// policy applies to both directions.
+// (enc ‖ mac, as produced by the protocols in internal/core): the
+// record key and its AES key schedule once, shared by both channels
+// (see the package comment). The policy applies to both directions.
 func NewPair(keyBlock []byte, policy Policy) (*Channel, *Channel, error) {
 	if len(keyBlock) != kdf.SessionKeySize+kdf.MACKeySize {
 		return nil, nil, fmt.Errorf("session: key block size %d, want %d",
 			len(keyBlock), kdf.SessionKeySize+kdf.MACKeySize)
 	}
+	recordKey, err := kdf.HKDF(keyBlock[:kdf.SessionKeySize], nil, []byte("session-record-stream"), kdf.SessionKeySize)
+	if err != nil {
+		return nil, nil, fmt.Errorf("session: record key: %w", err)
+	}
+	block, err := aes.NewCipher(recordKey)
+	if err != nil {
+		return nil, nil, fmt.Errorf("session: record cipher: %w", err)
+	}
+	macKey := append([]byte(nil), keyBlock[kdf.SessionKeySize:]...)
 	mk := func(dir Direction) *Channel {
 		return &Channel{
 			dir:     dir,
-			encKey:  append([]byte(nil), keyBlock[:kdf.SessionKeySize]...),
-			macKey:  append([]byte(nil), keyBlock[kdf.SessionKeySize:]...),
+			block:   block,
+			macKey:  macKey,
 			policy:  policy,
 			started: time.Now(),
 			now:     time.Now,
@@ -157,25 +190,22 @@ func (c *Channel) NeedsRekey() bool { return c.expired() }
 
 // Seal protects one application record:
 //
-//	seq(8) ‖ dir(1) ‖ CTR(encKey, nonce=f(seq,dir), plaintext) ‖ tag(16)
+//	seq(8) ‖ dir(1) ‖ AES-128-CTR(record key, IV = seq ‖ dir ‖ 0⁷, plaintext) ‖ tag(16)
 //
-// The sequence number is bound into both the keystream nonce and the
-// tag, so records cannot be reordered, truncated or replayed.
+// where tag is HMAC-SHA-256(mac, "session-record" ‖ seq ‖ dir ‖ ct)
+// truncated to 16 bytes. The header is bound into both the IV and the
+// tag, so records cannot be reordered, reflected, truncated or
+// replayed. Plaintexts of any length are accepted.
 func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 	if c.expired() {
 		return nil, ErrRekeyRequired
 	}
-	seq := c.sendSeq
-	out := make([]byte, recordHeader+len(plaintext)+tagSize)
-	binary.BigEndian.PutUint64(out[:8], seq)
+	body := recordHeader + len(plaintext)
+	out := make([]byte, body+tagSize)
+	binary.BigEndian.PutUint64(out[:8], c.sendSeq)
 	out[8] = byte(c.dir)
-
-	stream := c.keystream(seq, c.dir, len(plaintext))
-	for i, p := range plaintext {
-		out[recordHeader+i] = p ^ stream[i]
-	}
-	tag := c.tag(out[:recordHeader+len(plaintext)])
-	copy(out[recordHeader+len(plaintext):], tag)
+	c.crypt(out[recordHeader:body], plaintext, out[:recordHeader])
+	copy(out[body:], c.tag(out[:body]))
 
 	c.sendSeq++
 	return out, nil
@@ -209,12 +239,8 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 		return nil, err
 	}
 
-	ct := record[recordHeader : len(record)-tagSize]
-	stream := c.keystream(seq, dir, len(ct))
-	pt := make([]byte, len(ct))
-	for i, b := range ct {
-		pt[i] = b ^ stream[i]
-	}
+	pt := make([]byte, len(body)-recordHeader)
+	c.crypt(pt, body[recordHeader:], body[:recordHeader])
 	c.acceptSeq(seq)
 	return pt, nil
 }
@@ -283,22 +309,16 @@ func (c *Channel) acceptSeq(seq uint64) {
 	}
 }
 
-// keystream derives the CTR keystream for (seq, dir) — unique per
-// record because seq never repeats within a key's lifetime. Empty
+// crypt XORs src with the keystream of the record whose header is hdr
+// into dst: AES-128-CTR under the record key with IV = hdr ‖ 0⁷. Empty
 // records (keep-alives) need no keystream.
-func (c *Channel) keystream(seq uint64, dir Direction, n int) []byte {
-	if n == 0 {
-		return nil
+func (c *Channel) crypt(dst, src, hdr []byte) {
+	if len(src) == 0 {
+		return
 	}
-	var iv [12]byte
-	binary.BigEndian.PutUint64(iv[:8], seq)
-	iv[8] = byte(dir)
-	out, err := kdf.HKDF(c.encKey, iv[:], []byte("session-record-stream"), n)
-	if err != nil {
-		// n is bounded by record sizes ≪ the HKDF limit; unreachable.
-		panic(err)
-	}
-	return out
+	var iv [aes.BlockSize]byte
+	copy(iv[:], hdr)
+	cipher.NewCTR(c.block, iv[:]).XORKeyStream(dst, src)
 }
 
 // tag computes the truncated record MAC.

@@ -2,7 +2,15 @@ package session
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -196,6 +204,180 @@ func TestUnlimitedPolicy(t *testing.T) {
 func TestNewPairValidation(t *testing.T) {
 	if _, _, err := NewPair(make([]byte, 10), DefaultPolicy); err == nil {
 		t.Error("short key block accepted")
+	}
+}
+
+// TestLargeRecordRoundTrip covers records past 8,160 B, the output
+// bound of one HKDF expansion, up to 64 KiB.
+func TestLargeRecordRoundTrip(t *testing.T) {
+	a, b := newPair(t, DefaultPolicy)
+	for _, n := range []int{8161, 64 << 10} {
+		msg := make([]byte, n)
+		for i := range msg {
+			msg[i] = byte(i * 31)
+		}
+		rec, err := a.Seal(msg)
+		if err != nil {
+			t.Fatalf("%d B: %v", n, err)
+		}
+		if len(rec) != n+Overhead {
+			t.Fatalf("%d B: record size %d", n, len(rec))
+		}
+		got, err := b.Open(rec)
+		if err != nil {
+			t.Fatalf("%d B: %v", n, err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("%d B: round trip failed", n)
+		}
+		if _, err := b.Open(rec); !errors.Is(err, ErrReplay) {
+			t.Errorf("%d B: replay accepted: %v", n, err)
+		}
+	}
+}
+
+// referenceRecord builds the record a channel sending in dir must seal
+// for (seq, plaintext), straight from the KD key block and the
+// construction in the package comment, with the standard library
+// only: the record key is HKDF-SHA-256 written out as its two HMACs
+// (RFC 5869, empty salt, one output block).
+func referenceRecord(t *testing.T, keyBlock []byte, dir Direction, seq uint64, plaintext []byte) []byte {
+	t.Helper()
+	mac := func(key []byte, parts ...[]byte) []byte {
+		m := hmac.New(sha256.New, key)
+		for _, p := range parts {
+			m.Write(p)
+		}
+		return m.Sum(nil)
+	}
+	prk := mac(make([]byte, sha256.Size), keyBlock[:16])
+	block, err := aes.NewCipher(mac(prk, []byte("session-record-stream"), []byte{1})[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, 9, 9+len(plaintext)+16)
+	binary.BigEndian.PutUint64(rec, seq)
+	rec[8] = byte(dir)
+	iv := make([]byte, aes.BlockSize)
+	copy(iv, rec)
+	ct := make([]byte, len(plaintext))
+	cipher.NewCTR(block, iv).XORKeyStream(ct, plaintext)
+	rec = append(rec, ct...)
+	return append(rec, mac(keyBlock[16:], []byte("session-record"), rec)[:16]...)
+}
+
+// TestSealMatchesReference requires Seal to produce exactly the
+// independently built reference record, in both directions, at seq 0
+// and above 2³², for payloads around the AES block size.
+func TestSealMatchesReference(t *testing.T) {
+	kb := testKeyBlock()
+	a, b := newPair(t, Policy{})
+	for _, ch := range []*Channel{a, b} {
+		for _, seq := range []uint64{0, 1<<32 + 5} {
+			for _, n := range []int{0, 1, 15, 16, 17, 64, 512} {
+				msg := make([]byte, n)
+				for i := range msg {
+					msg[i] = byte(i*7 + n)
+				}
+				ch.sendSeq = seq
+				rec, err := ch.Seal(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceRecord(t, kb, ch.dir, seq, msg); !bytes.Equal(rec, want) {
+					t.Errorf("dir %#x seq %d %d B:\n got %x\nwant %x", byte(ch.dir), seq, n, rec, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRecordPinned pins one full record for the fixed test key block,
+// so any change to the record format has to be made deliberately.
+func TestRecordPinned(t *testing.T) {
+	a, _ := newPair(t, Policy{})
+	a.sendSeq = 0x0102030405060708
+	rec, err := a.Seal([]byte("pinned record: 17"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "01020304050607080176904cdb541175c8a53d056c0c5d1df8a2b54d2d76aee027bee1e95e6252db9e76"
+	if got := hex.EncodeToString(rec); got != want {
+		t.Errorf("record changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestPairChannelsConcurrent runs each channel of a pair on its own
+// goroutine: both seal at the same time, then each opens the other's
+// records. The two channels share one AES block and MAC key, which
+// must stay read-only; run it under go test -race -count=10. (A single
+// Channel is not shared: its sequence state is not safe for concurrent
+// use.)
+func TestPairChannelsConcurrent(t *testing.T) {
+	a, b := newPair(t, Policy{})
+	chans := [2]*Channel{a, b}
+	msg := func(i, j int) []byte { return bytes.Repeat([]byte{byte(i), byte(j)}, j) }
+	const records = 64
+	var sealed [2][][]byte
+	both := func(f func(i int) error) {
+		var wg sync.WaitGroup
+		for i := range chans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := f(i); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	both(func(i int) error {
+		for j := 0; j < records; j++ {
+			rec, err := chans[i].Seal(msg(i, j))
+			if err != nil {
+				return err
+			}
+			sealed[i] = append(sealed[i], rec)
+		}
+		return nil
+	})
+	both(func(i int) error {
+		for j, rec := range sealed[1-i] {
+			got, err := chans[i].Open(rec)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, msg(1-i, j)) {
+				return fmt.Errorf("channel %d: record %d corrupted", i, j)
+			}
+		}
+		return nil
+	})
+}
+
+// sealOpenAllocBudget is the heap-allocation ceiling of one 64 B
+// Seal+Open, enforced by CI next to the EC budgets: the record and
+// plaintext buffers, one CTR stream per side and the two HMAC
+// computations. A regression to per-record key derivation (62 allocs)
+// fails it.
+const sealOpenAllocBudget = 24
+
+func TestSealOpenAllocBudget(t *testing.T) {
+	a, b := newPair(t, Policy{})
+	payload := make([]byte, 64)
+	got := testing.AllocsPerRun(100, func() {
+		rec, err := a.Seal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Open(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("64 B Seal+Open: %.0f allocs (budget %d)", got, sealOpenAllocBudget)
+	if got > sealOpenAllocBudget {
+		t.Fatalf("64 B Seal+Open allocates %.0f, budget %d", got, sealOpenAllocBudget)
 	}
 }
 
