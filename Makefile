@@ -79,12 +79,16 @@ bench-compare:
 # gates ride together: both guard the same fixed-limb no-alloc
 # contract, one per-op and one per-batched-item. The Seal+Open gate
 # guards the record layer's one-key-schedule-per-session contract: a
-# return to per-record key derivation triples its allocations.
+# return to per-record key derivation triples its allocations. The
+# Deliver gate guards the CAN fabric's one-allocation broadcast and
+# non-reallocating receive queues: a return to a payload copy per
+# receiver multiplies its allocations several times over.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestScalarMultAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestSealOpenAllocBudget' -v ./internal/session/
+	$(GO) test -run='TestDeliverAllocBudget' -v ./internal/transport/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs Mul(x, x), Montgomery-

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -55,14 +56,21 @@ type Stats struct {
 	RxOverflow int           // deliveries lost to full receive queues
 }
 
-// Node is a bus endpoint with a bounded receive queue.
+// Node is a bus endpoint with a bounded receive queue. It is safe for
+// concurrent use. The queue's depth is mirrored in an atomic word, so
+// a Receive that finds the queue empty and every Pending call return
+// without taking the node's lock — the common case for a pump polling
+// idle endpoints. Every received frame carries private payload bytes:
+// no other receiver, and not the sender, can see or change them.
 type Node struct {
 	bus     *Bus
 	name    string
 	monitor bool
 
+	depth atomic.Int32 // rx.len(), stored under mu after every change
+
 	mu       sync.Mutex
-	rx       []Frame
+	rx       fifo[Frame]
 	rxLimit  int
 	overflow int
 }
@@ -272,25 +280,31 @@ func (n *Node) send(f Frame) (sendResult, error) {
 		delivered = f.Data
 	}
 
+	// One allocation backs every receiver's copy. Each copy's capacity
+	// ends at its own length, so no receiver can see or append into
+	// another's bytes. A tap gets a private copy instead: it may keep
+	// frames indefinitely and must not pin the shared buffer.
+	size := len(delivered)
+	buf := make([]byte, copies*res.candidates*size)
+	off := 0
 	for c := 0; c < copies; c++ {
 		for _, peer := range b.nodes {
 			if peer == n {
 				continue
 			}
-			out := Frame{
-				ID:       f.ID,
-				Extended: f.Extended,
-				BRS:      f.BRS,
-				Data:     append([]byte(nil), delivered...),
-			}
+			out := Frame{ID: f.ID, Extended: f.Extended, BRS: f.BRS}
 			if peer.monitor {
 				// Monitor taps observe without participating: their
 				// unbounded queues take every copy, and no delivery
 				// counter moves — a tapped bus measures identically to
 				// an untapped one.
+				out.Data = append([]byte(nil), delivered...)
 				peer.enqueue(out)
 				continue
 			}
+			out.Data = buf[off : off+size : off+size]
+			copy(out.Data, delivered)
+			off += size
 			if peer.enqueue(out) {
 				b.stats.Broadcast++
 				res.accepted++
@@ -308,32 +322,33 @@ func (n *Node) send(f Frame) (sendResult, error) {
 func (n *Node) enqueue(f Frame) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.rxLimit > 0 && len(n.rx) >= n.rxLimit {
+	if n.rxLimit > 0 && n.rx.len() >= n.rxLimit {
 		n.overflow++
 		return false
 	}
-	n.rx = append(n.rx, f)
+	n.rx.push(f)
+	n.depth.Store(int32(n.rx.len()))
 	return true
 }
 
-// Receive pops the oldest pending frame, if any.
+// Receive pops the oldest pending frame, if any. On an empty queue it
+// returns without taking the node's lock.
 func (n *Node) Receive() (Frame, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.rx) == 0 {
+	if n.depth.Load() == 0 {
 		return Frame{}, false
 	}
-	f := n.rx[0]
-	n.rx = n.rx[1:]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.rx.len() == 0 {
+		return Frame{}, false
+	}
+	f := n.rx.pop()
+	n.depth.Store(int32(n.rx.len()))
 	return f, true
 }
 
-// Pending returns the number of queued frames.
-func (n *Node) Pending() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.rx)
-}
+// Pending returns the number of queued frames. It takes no lock.
+func (n *Node) Pending() int { return int(n.depth.Load()) }
 
 // SetRxLimit overrides this node's receive-queue bound (≤ 0 means
 // unbounded — useful for measurement taps that must never lose).

@@ -1,6 +1,8 @@
 package canbus
 
 import (
+	"bytes"
+	"math/bits"
 	"testing"
 	"testing/quick"
 	"time"
@@ -196,6 +198,78 @@ func TestBusReceiveOrdering(t *testing.T) {
 	}
 	if _, ok := b.Receive(); ok {
 		t.Error("phantom frame")
+	}
+}
+
+// TestReceiverCopiesArePrivate: every delivered copy owns its bytes.
+// With duplication and corruption forced, three receivers get two
+// copies each and a tap one more; scribbling over one copy, and
+// appending to it, leaves every other copy and the sender's slice as
+// they were.
+func TestReceiverCopiesArePrivate(t *testing.T) {
+	bus := NewBus(PrototypeRates)
+	bus.Impair(Impairment{Seed: 3, Duplicate: 1, Corrupt: 1})
+	src := bus.Attach("src")
+	rxs := []*Node{bus.Attach("r0"), bus.Attach("r1"), bus.Attach("r2")}
+	tap := bus.Tap("tap")
+	sent := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	orig := bytes.Clone(sent)
+	if _, err := src.Send(Frame{ID: 0x123, Data: sent}); err != nil {
+		t.Fatal(err)
+	}
+	drain := func(n *Node, want int) [][]byte {
+		var out [][]byte
+		for {
+			f, ok := n.Receive()
+			if !ok {
+				break
+			}
+			out = append(out, f.Data)
+		}
+		if len(out) != want {
+			t.Fatalf("%s received %d copies, want %d", n.Name(), len(out), want)
+		}
+		return out
+	}
+	copies := make([][][]byte, len(rxs))
+	for i, n := range rxs {
+		copies[i] = drain(n, 2)
+		for _, c := range copies[i] {
+			if len(c) != cap(c) {
+				t.Errorf("%s: copy has len %d but cap %d", n.Name(), len(c), cap(c))
+			}
+		}
+	}
+	tapped := drain(tap, 2)
+
+	want := bytes.Clone(copies[0][0])
+	flipped := 0
+	for i := range want {
+		flipped += bits.OnesCount8(want[i] ^ orig[i])
+	}
+	if flipped != 1 {
+		t.Fatalf("delivered payload differs from the sent one in %d bits, want 1", flipped)
+	}
+
+	victim := copies[0][0]
+	for i := range victim {
+		victim[i] = 0xFF
+	}
+	if grown := append(victim, 0xAA, 0xAA, 0xAA, 0xAA); len(grown) != len(want)+4 {
+		t.Fatalf("append grew the copy to %d bytes", len(grown))
+	}
+
+	if !bytes.Equal(sent, orig) {
+		t.Errorf("sender's slice changed to %x", sent)
+	}
+	others := append([][]byte{copies[0][1]}, tapped...)
+	for _, cs := range copies[1:] {
+		others = append(others, cs...)
+	}
+	for i, c := range others {
+		if !bytes.Equal(c, want) {
+			t.Errorf("copy %d reads %x after another receiver's copy was overwritten, want %x", i, c, want)
+		}
 	}
 }
 

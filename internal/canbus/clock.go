@@ -1,7 +1,7 @@
 package canbus
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -11,11 +11,15 @@ import (
 // this logical clock, which keeps impaired-network runs exactly
 // reproducible under a fixed seed regardless of host scheduling.
 //
+// The time is one atomic word: Now is a load and every method is safe
+// for concurrent use without a lock. The clock is monotone — no call
+// ever moves it backwards, and concurrent Advance calls all take
+// effect.
+//
 // A nil *Clock is a valid "no timekeeping" clock: every method is a
 // cheap no-op returning zero, so the lossless fast path pays nothing.
 type Clock struct {
-	mu  sync.Mutex
-	now time.Duration
+	now atomic.Int64 // simulated nanoseconds
 }
 
 // NewClock returns a clock at time zero.
@@ -26,9 +30,7 @@ func (c *Clock) Now() time.Duration {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
+	return time.Duration(c.now.Load())
 }
 
 // Advance moves the clock forward by d (ignored when non-positive) and
@@ -37,12 +39,10 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d > 0 {
-		c.now += d
+	if d <= 0 {
+		return time.Duration(c.now.Load())
 	}
-	return c.now
+	return time.Duration(c.now.Add(int64(d)))
 }
 
 // AdvanceTo moves the clock forward to t; a t in the past is a no-op
@@ -51,10 +51,13 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
+	for {
+		cur := c.now.Load()
+		if int64(t) <= cur {
+			return time.Duration(cur)
+		}
+		if c.now.CompareAndSwap(cur, int64(t)) {
+			return t
+		}
 	}
-	return c.now
 }

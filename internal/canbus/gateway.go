@@ -135,7 +135,7 @@ type gatedFrame struct {
 // CAN frames are near-constant size.
 type egressFlow struct {
 	key   flowKey
-	queue []gatedFrame
+	queue fifo[gatedFrame]
 	vnext time.Duration
 	fin   uint64
 }
@@ -187,7 +187,7 @@ func (p *gatewayPort) flow(f Frame) *egressFlow {
 func (p *gatewayPort) backlog(f Frame) *egressFlow {
 	k := flowKey{id: f.ID, ext: f.Extended}
 	for _, fl := range p.flows {
-		if fl.key == k && len(fl.queue) > 0 {
+		if fl.key == k && fl.queue.len() > 0 {
 			return fl
 		}
 	}
@@ -282,7 +282,7 @@ func (g *Gateway) EgressBacklog(bus *Bus) int {
 		if p.bus == bus {
 			n := 0
 			for _, fl := range p.flows {
-				n += len(fl.queue)
+				n += fl.queue.len()
 			}
 			return n
 		}
@@ -391,7 +391,7 @@ func (g *Gateway) emit(p *gatewayPort, f Frame, latency time.Duration) {
 		return
 	}
 	fl := p.flow(f)
-	if p.policy.limited() && p.policy.Queue > 0 && len(fl.queue) >= p.policy.Queue {
+	if p.policy.limited() && p.policy.Queue > 0 && fl.queue.len() >= p.policy.Queue {
 		g.stats.EgressDropped++
 		return
 	}
@@ -406,7 +406,7 @@ func (g *Gateway) emit(p *gatewayPort, f Frame, latency time.Duration) {
 		// release time instead (nextTx), so due stays pure eligibility.
 		fl.vnext = due + p.policy.gap()
 	}
-	fl.queue = append(fl.queue, gatedFrame{frame: f, due: due})
+	fl.queue.push(gatedFrame{frame: f, due: due})
 	g.stats.EgressQueued++
 }
 
@@ -433,7 +433,7 @@ func (g *Gateway) drainEgress(p *gatewayPort) int {
 		}
 		var best *egressFlow
 		for _, fl := range p.flows {
-			if len(fl.queue) == 0 || fl.queue[0].due > now {
+			if fl.queue.len() == 0 || fl.queue.front().due > now {
 				continue
 			}
 			if best == nil || p.serveBefore(fl, best) {
@@ -443,8 +443,7 @@ func (g *Gateway) drainEgress(p *gatewayPort) int {
 		if best == nil {
 			return sent
 		}
-		f := best.queue[0].frame
-		best.queue = best.queue[1:]
+		f := best.queue.pop().frame
 		if p.shared() {
 			s := p.vtime
 			if best.fin > s {
@@ -481,8 +480,8 @@ func (p *gatewayPort) serveBefore(a, b *egressFlow) bool {
 		if af != bf {
 			return af < bf
 		}
-	} else if a.queue[0].due != b.queue[0].due {
-		return a.queue[0].due < b.queue[0].due
+	} else if ad, bd := a.queue.front().due, b.queue.front().due; ad != bd {
+		return ad < bd
 	}
 	if a.key.id != b.key.id {
 		return a.key.id < b.key.id
@@ -522,10 +521,10 @@ func (g *Gateway) NextDeadline() time.Duration {
 			continue
 		}
 		for _, fl := range p.flows {
-			if len(fl.queue) == 0 {
+			if fl.queue.len() == 0 {
 				continue
 			}
-			due := fl.queue[0].due
+			due := fl.queue.front().due
 			if p.shared() && p.nextTx > due {
 				// The shared port cannot transmit before its next rate
 				// slot, whatever the frame's own eligibility.

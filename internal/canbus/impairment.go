@@ -1,6 +1,7 @@
 package canbus
 
 import (
+	"encoding/binary"
 	"time"
 
 	"repro/internal/detrand"
@@ -148,18 +149,16 @@ func (s *impairState) frameKey(f *Frame, occ uint64) uint64 {
 	h = detrand.Mix64(h ^ s.cfg.BusID)
 	h = detrand.Mix64(h ^ wireID(f))
 	h = detrand.Mix64(h ^ occ)
-	var chunk uint64
-	var nb uint
-	for _, b := range f.Data {
-		chunk |= uint64(b) << nb
-		nb += 8
-		if nb == 64 {
-			h = detrand.Mix64(h ^ chunk)
-			chunk, nb = 0, 0
-		}
+	// The payload is absorbed in little-endian 8-byte words, byte i at
+	// bit 8·(i mod 8); a short tail is zero-padded to a last word.
+	data := f.Data
+	for ; len(data) >= 8; data = data[8:] {
+		h = detrand.Mix64(h ^ binary.LittleEndian.Uint64(data))
 	}
-	if nb > 0 {
-		h = detrand.Mix64(h ^ chunk)
+	if len(data) > 0 {
+		var tail [8]byte
+		copy(tail[:], data)
+		h = detrand.Mix64(h ^ binary.LittleEndian.Uint64(tail[:]))
 	}
 	return detrand.Mix64(h ^ uint64(len(f.Data)))
 }

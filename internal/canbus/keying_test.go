@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/detrand"
 )
 
 // faultSig names one fault decision independently of when it happened:
@@ -250,5 +252,58 @@ func TestImpairmentRearmResets(t *testing.T) {
 	}
 	if len(first) == 0 {
 		t.Fatal("no faults fired")
+	}
+}
+
+// frameKeyBytewise is the reference frame key: the payload absorbed
+// one byte at a time into little-endian 64-bit chunks.
+func frameKeyBytewise(cfg Impairment, f *Frame, occ uint64) uint64 {
+	h := cfg.Seed ^ detrand.Golden
+	h = detrand.Mix64(h ^ cfg.BusID)
+	h = detrand.Mix64(h ^ wireID(f))
+	h = detrand.Mix64(h ^ occ)
+	var chunk uint64
+	var nb uint
+	for _, b := range f.Data {
+		chunk |= uint64(b) << nb
+		nb += 8
+		if nb == 64 {
+			h = detrand.Mix64(h ^ chunk)
+			chunk, nb = 0, 0
+		}
+	}
+	if nb > 0 {
+		h = detrand.Mix64(h ^ chunk)
+	}
+	return detrand.Mix64(h ^ uint64(len(f.Data)))
+}
+
+// TestFrameKeyMatchesBytewise pins frameKey to the byte-at-a-time
+// reference for every payload length up to 64, both identifier
+// formats, small and huge occurrence indices, and two seeds on two
+// buses: every fault decision of a seeded run depends on these keys.
+func TestFrameKeyMatchesBytewise(t *testing.T) {
+	payload := make([]byte, MaxDataLen)
+	for i := range payload {
+		payload[i] = byte(0x5A + 37*i)
+	}
+	ids := []Frame{{ID: 0x7E5}, {ID: 0x1ABCDEF, Extended: true}}
+	for _, seed := range []uint64{42, 0xDEADBEEFCAFE} {
+		for _, busID := range []uint64{0, 3} {
+			cfg := Impairment{Seed: seed, BusID: busID}
+			s := newImpairState(cfg)
+			for _, id := range ids {
+				for n := 0; n <= MaxDataLen; n++ {
+					f := id
+					f.Data = payload[:n]
+					for _, occ := range []uint64{0, 1, 1<<32 + 3} {
+						if got, want := s.frameKey(&f, occ), frameKeyBytewise(cfg, &f, occ); got != want {
+							t.Fatalf("seed %#x bus %d id %#x ext %v len %d occ %d: key %#x, want %#x",
+								seed, busID, f.ID, f.Extended, n, occ, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

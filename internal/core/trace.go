@@ -29,7 +29,9 @@ const (
 	PrimRandScalar
 	// PrimHashBytes is SHA-256 over N bytes.
 	PrimHashBytes
-	// PrimMACBytes is HMAC-SHA-256 or AES-CMAC over N bytes.
+	// PrimMACBytes is HMAC-SHA-256 over N bytes, the only MAC the
+	// suites compute; the hardware model prices MAC bytes the same
+	// whatever the algorithm.
 	PrimMACBytes
 	// PrimAESBytes is AES-128 encryption/decryption of N bytes.
 	PrimAESBytes

@@ -65,9 +65,9 @@ func HKDF(ikm, salt, info []byte, length int) ([]byte, error) {
 }
 
 // CounterKDF implements the NIST SP 800-108 counter-mode KDF:
-// K(i) = HMAC(key, [i]₃₂ ‖ label ‖ 0x00 ‖ context ‖ [L]₃₂). It is
-// provided as the alternative KDF family used by several of the
-// compared protocols (bear-ssl style) and by the CMAC-keyed schemes.
+// K(i) = HMAC(key, [i]₃₂ ‖ label ‖ 0x00 ‖ context ‖ [L]₃₂), the
+// HMAC-based alternative to HKDF. Every protocol in this module
+// derives its keys with HKDF (SessionKeys); nothing here calls it.
 func CounterKDF(key, label, context []byte, length int) ([]byte, error) {
 	if length <= 0 {
 		return nil, errors.New("kdf: non-positive output length")
