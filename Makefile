@@ -75,9 +75,10 @@ bench-compare:
 
 # Scalar-mult ablation with allocation counts plus the hard per-op
 # allocation budgets on the fp backend (used by CI; fails on regression
-# into per-digit heap allocation). The ScalarMult and VerifyBatch
-# gates ride together: both guard the same fixed-limb no-alloc
-# contract, one per-op and one per-batched-item. The Seal+Open gate
+# into per-digit heap allocation). The ScalarMult, VerifyBatch and
+# VerifyDigest gates ride together: all guard the same fixed-limb
+# no-alloc contract, per op, per batched item and per cached-key
+# verification (even and odd u2 alike). The Seal+Open gate
 # guards the record layer's one-key-schedule-per-session contract: a
 # return to per-record key derivation triples its allocations. The
 # Deliver gate guards the CAN fabric's one-allocation broadcast and
@@ -87,6 +88,7 @@ bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestScalarMultAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
+	$(GO) test -run='TestVerifyDigestAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestSealOpenAllocBudget' -v ./internal/session/
 	$(GO) test -run='TestDeliverAllocBudget' -v ./internal/transport/
 
@@ -243,16 +245,21 @@ bench-scenarios:
 		-segments 3 -parallelism 8 -stream \
 		-bench BENCH_scenarios.json >/dev/null
 
-# Brief fuzzing of the protocol parsers and of the field kernels
-# against math/big (committed corpora under testdata/fuzz replay in
+# Brief fuzzing of the protocol parsers, of the field kernels against
+# math/big and of point multiplication against math/big and
+# crypto/elliptic (committed corpora under testdata/fuzz replay in
 # every plain `go test` run; this target digs further — used by CI
-# with a short budget, locally run longer).
+# with a short budget, locally run longer). One FuzzPointMult input
+# costs a dozen math/big point multiplications, so the default minute
+# of minimization per new input would use up the whole budget; ten
+# executions bound it.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/cantp -fuzz FuzzReceiverPush -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cantp -fuzz FuzzFlowControlParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -fuzz FuzzMessageTrailer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ec/fp -fuzz FuzzFieldOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ec -fuzz FuzzPointMult -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/core -fuzz FuzzSTSEngine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -fuzz FuzzChannelOpen -fuzztime $(FUZZTIME)
 

@@ -12,8 +12,8 @@ import (
 
 // KeyCache memoizes the per-peer public-key work of repeated session
 // establishments: the ECQV public-key extraction (one ScalarMult + Add
-// per certificate) and the precomputed odd-multiples table that ECDSA
-// verification multiplies against. A device that re-keys against the
+// per certificate) and the precomputed ec.MultTable (a signed comb)
+// that ECDSA verification multiplies against. A device that re-keys against the
 // same static peer — the fleet steady state — pays the extraction and
 // the table build once per peer instead of once per handshake.
 //
@@ -149,8 +149,7 @@ func (kc *KeyCache) ExtractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec
 }
 
 // Verifier returns an ECDSA verification key for q with its
-// odd-multiples table precomputed, building and caching it on first
-// use. The returned key is shared and must be treated as immutable.
+// ec.MultTable precomputed, building and caching it on first use. The returned key is shared and must be treated as immutable.
 func (kc *KeyCache) Verifier(c *ec.Curve, q ec.Point) *ecdsa.PublicKey {
 	fp := pointFingerprint(c, q)
 	kc.mu.RLock()

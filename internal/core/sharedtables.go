@@ -12,7 +12,7 @@ import (
 // handshakes; this cache deduplicates them across parties. The keys
 // that matter are fleet-static — the CA key and the gateway/initiator
 // key every responder of an EstablishAll wave verifies against — so
-// without sharing, N parties build N identical odd-multiples tables.
+// without sharing, N parties build N identical ec.MultTable combs.
 // With it, one party builds and everyone else adopts.
 //
 // Reads are lock-free: the table map is immutable and swapped whole

@@ -153,7 +153,7 @@ func (s *suite) verify(q ec.Point, msg []byte, sig ecdsa.Signature) bool {
 	s.m.record(PrimModInverse, 1)
 	s.m.record(PrimECCombinedMult, 1)
 	if s.cache != nil {
-		pub := s.cache.Verifier(s.curve, q) // precomputed odd-multiples table
+		pub := s.cache.Verifier(s.curve, q) // precomputed ec.MultTable
 		digest := sha256.Sum256(msg)
 		return s.cache.verifyWave(pub, digest[:], sig)
 	}

@@ -26,9 +26,12 @@ type fpJac struct {
 }
 
 // fpAffine is an affine point over fp elements, used for precomputed
-// tables (mixed addition). Tables never contain the point at infinity:
-// on cofactor-1 curves every finite multiple of a finite point is
-// finite.
+// tables (mixed addition). No table holds the point at infinity: every
+// entry is c·P for a finite P of prime order n and a coefficient c
+// that is nonzero mod n — j·32^w for the fixed-base comb, and
+// ±1 ± 2^d ± 2^{2d} + 2^{3d}, nonzero and below n, for MultTable's
+// signed comb. Sums met while walking a table can still double or
+// cancel; fpAddAffine handles both.
 type fpAffine struct {
 	x, y fp.Element
 }
@@ -91,65 +94,48 @@ func (c *Curve) rhsSqrtFP(x *big.Int) (*big.Int, bool) {
 	return f.ToBig(&rhs), true
 }
 
-// fpDouble sets p = 2p in place (dbl-2007-bl, with the a = −3 shortcut
-// used by all bundled curves).
+// fpDouble sets p = 2p in place: dbl-2001-b, 3M + 5S. It takes the
+// a = −3 shortcut α = 3(X − Z²)(X + Z²) unconditionally; newCurve
+// admits no other curve.
+//
+//	δ = Z², γ = Y², β = X·γ, α = 3(X − δ)(X + δ)
+//	X3 = α² − 8β, Z3 = (Y + Z)² − γ − δ, Y3 = α(4β − X3) − 8γ²
 func (c *Curve) fpDouble(p *fpJac, s *fpScratch) {
 	f := c.fpF
 	if f.IsZero(&p.z) || f.IsZero(&p.y) {
 		c.fpSetInfinity(p)
 		return
 	}
-	xx, yy, yyyy, zz := &s.t[0], &s.t[1], &s.t[2], &s.t[3]
-	sS, m, tmp := &s.t[4], &s.t[5], &s.t[6]
-	x3, y3, z3 := &s.t[7], &s.t[8], &s.t[9]
+	delta, gamma, beta, alpha, tmp := &s.t[0], &s.t[1], &s.t[2], &s.t[3], &s.t[4]
 
-	f.Sqr(xx, &p.x)
-	f.Sqr(yy, &p.y)
-	f.Sqr(yyyy, yy)
-	f.Sqr(zz, &p.z)
+	f.Sqr(delta, &p.z)
+	f.Sqr(gamma, &p.y)
+	f.Mul(beta, &p.x, gamma)
+	f.Sub(alpha, &p.x, delta)
+	f.Add(tmp, &p.x, delta)
+	f.Mul(alpha, alpha, tmp)
+	f.Dbl(tmp, alpha)
+	f.Add(alpha, tmp, alpha)
 
-	// S = 2·((X+YY)² − XX − YYYY)
-	f.Add(sS, &p.x, yy)
-	f.Sqr(sS, sS)
-	f.Sub(sS, sS, xx)
-	f.Sub(sS, sS, yyyy)
-	f.Dbl(sS, sS)
-
-	// M = 3·XX + a·ZZ² ; for a = −3: M = 3·(X−ZZ)(X+ZZ)
-	if c.aIsMinus3 {
-		f.Sub(m, &p.x, zz)
-		f.Add(tmp, &p.x, zz)
-		f.Mul(m, m, tmp)
-		f.Dbl(tmp, m)
-		f.Add(m, tmp, m)
-	} else {
-		f.Dbl(m, xx)
-		f.Add(m, m, xx)
-		f.Sqr(tmp, zz)
-		f.Mul(tmp, tmp, &c.fpA)
-		f.Add(m, m, tmp)
-	}
-
-	// X' = M² − 2S
-	f.Sqr(x3, m)
-	f.Dbl(tmp, sS)
-	f.Sub(x3, x3, tmp)
-
-	// Y' = M·(S − X') − 8·YYYY
-	f.Sub(tmp, sS, x3)
-	f.Mul(y3, m, tmp)
-	f.Dbl(yyyy, yyyy)
-	f.Dbl(yyyy, yyyy)
-	f.Dbl(yyyy, yyyy)
-	f.Sub(y3, y3, yyyy)
-
-	// Z' = (Y+Z)² − YY − ZZ
+	// Z3 first: it is the last reader of Y and Z.
 	f.Add(tmp, &p.y, &p.z)
-	f.Sqr(z3, tmp)
-	f.Sub(z3, z3, yy)
-	f.Sub(z3, z3, zz)
+	f.Sqr(&p.z, tmp)
+	f.Sub(&p.z, &p.z, gamma)
+	f.Sub(&p.z, &p.z, delta)
 
-	p.x, p.y, p.z = *x3, *y3, *z3
+	f.Dbl(beta, beta)
+	f.Dbl(beta, beta) // 4β
+	f.Dbl(tmp, beta)  // 8β
+	f.Sqr(&p.x, alpha)
+	f.Sub(&p.x, &p.x, tmp)
+
+	f.Sub(tmp, beta, &p.x)
+	f.Mul(&p.y, alpha, tmp)
+	f.Sqr(gamma, gamma)
+	f.Dbl(gamma, gamma)
+	f.Dbl(gamma, gamma)
+	f.Dbl(gamma, gamma) // 8γ²
+	f.Sub(&p.y, &p.y, gamma)
 }
 
 // fpAddJac sets p = p + q (or p − q when neg) in place, add-2007-bl.
@@ -312,17 +298,25 @@ func (c *Curve) fpBatchToAffine(pts []fpJac, out []fpAffine) {
 
 // --- scalar recoding (allocation-free) ---
 
-// scalarLimbs decomposes a reduced scalar (< 2^256) into five
-// little-endian limbs without heap allocation; the fifth limb absorbs
-// wNAF carries.
-func scalarLimbs(k *big.Int, limbs *[5]uint64) {
+// scalarLimbs decomposes a reduced scalar (< 2^256) into four
+// little-endian limbs without heap allocation.
+func scalarLimbs(k *big.Int, limbs *[4]uint64) {
 	var kb [32]byte
 	k.FillBytes(kb[:])
 	limbs[0] = binary.BigEndian.Uint64(kb[24:32])
 	limbs[1] = binary.BigEndian.Uint64(kb[16:24])
 	limbs[2] = binary.BigEndian.Uint64(kb[8:16])
 	limbs[3] = binary.BigEndian.Uint64(kb[0:8])
-	limbs[4] = 0
+}
+
+// limbBits returns the width bits of l starting at bit.
+func limbBits(l *[4]uint64, bit int, width uint) uint64 {
+	i, sh := bit>>6, uint(bit&63)
+	v := l[i] >> sh
+	if sh+width > 64 && i+1 < len(l) {
+		v |= l[i+1] << (64 - sh)
+	}
+	return v & (1<<width - 1)
 }
 
 func limbsZero(l *[5]uint64) bool {
@@ -352,9 +346,11 @@ func limbsShr1(l *[5]uint64) {
 // wnafFixed computes the width-w NAF of a reduced scalar into a
 // caller-provided buffer (least significant digit first), performing
 // no heap allocation. Digits are odd in (−2^(w−1), 2^(w−1)) or zero.
+// A fifth limb absorbs the recoding's carries.
 func wnafFixed(k *big.Int, w uint, buf []int8) []int8 {
-	var limbs [5]uint64
-	scalarLimbs(k, &limbs)
+	var kl [4]uint64
+	scalarLimbs(k, &kl)
+	limbs := [5]uint64{kl[0], kl[1], kl[2], kl[3], 0}
 	mod := uint64(1) << w
 	half := mod >> 1
 	digits := buf[:0]
@@ -376,58 +372,90 @@ func wnafFixed(k *big.Int, w uint, buf []int8) []int8 {
 	return digits
 }
 
-// --- fixed-base comb table ---
+// --- fixed-base comb table: signed 5-bit windows ---
 
-// combWindow is the fixed-base window width in bits: the scalar is cut
-// into 4-bit nibbles and k·G is the sum of one precomputed table entry
-// per nonzero nibble — no doublings at all in the evaluation loop.
-const combWindow = 4
+// baseWindowBits is the fixed-base window width. A window's signed
+// digit lies in [−15, 16], so a row holds the 16 multiples
+// j·32^w·G, j = 1..16, and a negative digit negates an entry.
+const baseWindowBits = 5
 
-// combRow holds the 15 nonzero multiples i·(16^w)·G of one window.
-type combRow [15]fpAffine
+// maxBaseWindows bounds Curve.baseWindows for a 256-bit order.
+const maxBaseWindows = (256 + baseWindowBits) / baseWindowBits
 
-// combRows lazily builds the fixed-base comb: for every 4-bit window w
-// of the scalar, the affine points i·16^w·G, i = 1..15. ~64 rows on
-// P-256 (60 KiB), built once per curve with a single batched inversion.
+// combRow holds the 16 multiples j·32^w·G, j = 1..16, of one window.
+type combRow [16]fpAffine
+
+// combRows lazily builds the fixed-base comb: for each of the
+// baseWindows signed windows w, the affine points j·32^w·G,
+// j = 1..16. 52 rows on P-256 (52 KiB), built once per curve with a
+// single batched inversion.
 func (c *Curve) combRows() []combRow {
 	c.combOnce.Do(func() {
-		windows := (c.N.BitLen() + combWindow - 1) / combWindow
-		jacs := make([]fpJac, windows*15)
-		var base, cur fpJac
+		const width = len(combRow{})
+		windows := c.baseWindows
+		jacs := make([]fpJac, windows*width)
+		var base fpJac
 		var s fpScratch
 		c.fpFromAffinePoint(&base, c.Generator())
 		for w := 0; w < windows; w++ {
-			cur = base
-			jacs[w*15] = cur
-			for i := 1; i < 15; i++ {
-				c.fpAddJac(&cur, &base, false, &s)
-				jacs[w*15+i] = cur
+			row := jacs[w*width : (w+1)*width]
+			row[0] = base
+			row[1] = base
+			c.fpDouble(&row[1], &s)
+			for j := 2; j < width; j++ {
+				row[j] = row[j-1]
+				c.fpAddJac(&row[j], &base, false, &s)
 			}
-			for d := 0; d < combWindow; d++ {
-				c.fpDouble(&base, &s)
-			}
+			base = row[width-1] // 16·32^w·G
+			c.fpDouble(&base, &s)
 		}
 		flat := make([]fpAffine, len(jacs))
 		c.fpBatchToAffine(jacs, flat)
 		rows := make([]combRow, windows)
-		for w := 0; w < windows; w++ {
-			copy(rows[w][:], flat[w*15:(w+1)*15])
+		for w := range rows {
+			copy(rows[w][:], flat[w*width:(w+1)*width])
 		}
 		c.comb = rows
 	})
 	return c.comb
 }
 
-// combAccumulate adds k·G into acc via the comb table (mixed
-// additions only). k must be reduced mod N.
+// baseDigits recodes a reduced scalar k into signed 5-bit window
+// digits, least significant first, writing into a caller buffer
+// without heap allocation. Right to left, r = the window's bits plus
+// the carry; r > 16 becomes the digit r − 32 with a carry of 1. Every
+// digit lies in [−15, 16] and Σ digit_w·32^w = k: k < 2^bitlen(n) and
+// 5·windows > bitlen(n) leave the top window's bits at most 15, so it
+// never carries out.
+func baseDigits(k *[4]uint64, windows int, buf []int8) []int8 {
+	const half = 1 << (baseWindowBits - 1)
+	digits := buf[:windows]
+	carry := 0
+	for w := range digits {
+		r := int(limbBits(k, baseWindowBits*w, baseWindowBits)) + carry
+		carry = 0
+		if r > half {
+			r -= 2 * half
+			carry = 1
+		}
+		digits[w] = int8(r)
+	}
+	return digits
+}
+
+// combAccumulate adds k·G into acc via the comb table: one mixed
+// addition per nonzero window digit, at most baseWindows of them, and
+// no doublings. k must be reduced mod N.
 func (c *Curve) combAccumulate(acc *fpJac, k *big.Int, s *fpScratch) {
 	rows := c.combRows()
-	var limbs [5]uint64
-	scalarLimbs(k, &limbs)
-	for w := range rows {
-		nib := (limbs[w/16] >> (4 * uint(w%16))) & 0xf
-		if nib != 0 {
-			c.fpAddAffine(acc, &rows[w][nib-1], false, s)
+	var kl [4]uint64
+	scalarLimbs(k, &kl)
+	var buf [maxBaseWindows]int8
+	for w, d := range baseDigits(&kl, len(rows), buf[:]) {
+		if d > 0 {
+			c.fpAddAffine(acc, &rows[w][d-1], false, s)
+		} else if d < 0 {
+			c.fpAddAffine(acc, &rows[w][-d-1], true, s)
 		}
 	}
 }

@@ -11,8 +11,8 @@
 // The implementation is a research/simulation substrate: it is
 // algorithmically faithful but NOT constant time and must not be used
 // to protect real traffic. The fp field kernels select without
-// branching, but the point arithmetic here branches on wNAF digits,
-// table indices and the infinity and doubling cases.
+// branching, but the point arithmetic here branches on wNAF and comb
+// digits, table indices and the infinity and doubling cases.
 package ec
 
 import (
@@ -44,8 +44,9 @@ type Curve struct {
 	baseOnce  sync.Once
 	baseTable []Point
 
-	// aIsMinus3 records whether a ≡ −3 (mod p), enabling the faster
-	// doubling formula used by the NIST curves.
+	// aIsMinus3 records whether a ≡ −3 (mod p). newCurve admits no
+	// other curve: the fp doubling takes the a = −3 formula
+	// unconditionally (the math/big oracle keeps its general branch).
 	aIsMinus3 bool
 
 	// fpF is the fixed-limb Montgomery field context of the default
@@ -55,8 +56,21 @@ type Curve struct {
 	fpF      *fp.Field
 	fpA, fpB fp.Element
 
+	// nLimbs is N in little-endian limbs, for the limb-only scalar
+	// recodings of the fp backend (the signed comb negates even
+	// scalars as n − k).
+	nLimbs [4]uint64
+
+	// combSpacing is the tooth spacing d = ⌈bitlen(N)/4⌉ of MultTable's
+	// signed comb: 64 on P-256, 56 on P-224, 48 on P-192.
+	combSpacing int
+
+	// baseWindows is the number W = ⌈(bitlen(N)+1)/5⌉ of signed 5-bit
+	// windows of the fixed-base comb: 52, 45 and 39.
+	baseWindows int
+
 	// comb is the lazily built fixed-base comb table for ScalarBaseMult
-	// (one row of 15 affine points per 4-bit scalar window).
+	// (one row of 16 affine points per signed 5-bit scalar window).
 	combOnce sync.Once
 	comb     []combRow
 }
@@ -101,6 +115,12 @@ func newCurve(name string, p, a, b, gx, gy, n string, h, bits int) *Curve {
 	c.byteLen = (bits + 7) / 8
 	aPlus3 := new(big.Int).Add(c.A, big.NewInt(3))
 	c.aIsMinus3 = aPlus3.Cmp(c.P) == 0
+	if !c.aIsMinus3 {
+		panic("ec: curve " + name + " does not have a = -3")
+	}
+	scalarLimbs(c.N, &c.nLimbs)
+	c.combSpacing = (c.N.BitLen() + 3) / 4
+	c.baseWindows = (c.N.BitLen() + baseWindowBits) / baseWindowBits
 	if f, err := fp.New(c.P); err == nil {
 		c.fpF = f
 		f.FromBig(&c.fpA, c.A)

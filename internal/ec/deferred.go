@@ -141,8 +141,9 @@ func (t *MultTable) CombinedMultDeferred(u1, u2 *big.Int) DeferredPoint {
 	}
 	if t.fpTab != nil {
 		var s fpScratch
-		c.fpSetInfinity(&d.fp)
-		t.wnafAccumulateAffine(&d.fp, u2r, &s)
+		var kl [4]uint64
+		scalarLimbs(u2r, &kl)
+		t.fpMult(&d.fp, &kl, &s)
 		if u1r.Sign() != 0 {
 			c.combAccumulate(&d.fp, u1r, &s)
 		}

@@ -165,8 +165,8 @@ func TestBatchNormalize(t *testing.T) {
 }
 
 // BenchmarkMultTableBuild measures the cost the SharedTableCache
-// amortizes away fleet-wide: one odd-multiples precomputation plus one
-// shared-inversion affine conversion.
+// amortizes away fleet-wide: the signed comb's 3d doublings and ten
+// additions plus one shared-inversion affine conversion.
 func BenchmarkMultTableBuild(b *testing.B) {
 	c := P256()
 	q := c.ScalarBaseMult(big.NewInt(0x5eed))

@@ -200,10 +200,10 @@ func BenchmarkSqrViaMul(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchInv measures Montgomery's trick at the batch sizes the
-// EC layer actually uses (8 = wNAF odd multiples, 15 = comb rows,
-// 64 = the acceptance-criteria size) against BenchmarkInvSequential's
-// per-element Fermat baseline.
+// BenchmarkBatchInv measures Montgomery's trick against
+// BenchmarkInvSequential's per-element Fermat baseline at batch size
+// 8 (one MultTable comb) and at 15 and 64, the other sizes of the
+// batch_ops trajectory in BENCH_ec_backend.json.
 func BenchmarkBatchInv(b *testing.B) {
 	p, _ := new(big.Int).SetString(testPrimes[0], 16)
 	f, err := New(p)

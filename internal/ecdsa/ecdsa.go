@@ -33,18 +33,21 @@ type PublicKey struct {
 	Curve *ec.Curve
 	Q     ec.Point
 
-	// table is the optional precomputed odd-multiples table for Q,
-	// installed by Precompute. It turns every verification's
-	// CombinedMult into mixed additions against a shared cache —
+	// table is the optional precomputed signed comb for Q (an
+	// ec.MultTable), installed by Precompute. It cuts every
+	// verification's u2·Q chain from a full-length wNAF to a quarter
+	// of the doublings plus mixed additions against the cached table —
 	// worthwhile whenever the same key verifies more than once (fleet
 	// rekeys, group key distribution).
 	table *ec.MultTable
 }
 
 // Precompute builds and attaches the scalar-multiplication table for
-// Q, returning the key for chaining. Call it once at construction
-// time; a PublicKey must not be shared concurrently while Precompute
-// runs.
+// Q (ec.NewMultTable's signed comb), returning the key for chaining.
+// The build costs about a ScalarMult's worth of doublings, which the
+// first verification against the table earns back. Call it once at
+// construction time; a PublicKey must not be shared concurrently while
+// Precompute runs.
 func (p *PublicKey) Precompute() *PublicKey {
 	if p.table == nil && !p.Q.IsInfinity() {
 		p.table = p.Curve.NewMultTable(p.Q)

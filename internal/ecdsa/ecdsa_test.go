@@ -288,3 +288,59 @@ func TestQuickSignVerify(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// verifyDigestAllocBudget is the heap-allocation ceiling of one
+// VerifyDigest against a Precompute'd P-256 key — the KeyCache-served
+// verification of every rekey against a static peer — enforced by CI
+// next to the ScalarMult gate. The point arithmetic is allocation-free;
+// what remains is big.Int boundary work (digest, w, u1, u2, scalar
+// reduction, coordinate conversion), the same for even and odd u2.
+const verifyDigestAllocBudget = 40
+
+func TestVerifyDigestAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget needs steady-state measurement")
+	}
+	if !ec.UsesFPBackend() {
+		t.Skip("built with -tags ec_purebig: the math/big oracle allocates freely by design")
+	}
+	if raceEnabled {
+		t.Skip("built with -race: sync.Pool drops math/big's scratch at random, so counts vary")
+	}
+	c := ec.P256()
+	key, err := GenerateKey(c, newDetRand(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := key.Public().Precompute()
+	// u2 = r·s⁻¹ mod n picks the signed comb's even (n − u2, negated)
+	// or odd branch; sign digests until both parities are covered.
+	var sigs [2]Signature
+	var digests [2][]byte
+	for i, found := 0, 0; found < 2; i++ {
+		digest := sha256.Sum256([]byte{byte(i)})
+		sig, err := key.SignDigest(digest[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		u2 := new(big.Int).ModInverse(sig.S, c.N)
+		u2.Mul(u2, sig.R).Mod(u2, c.N)
+		if p := u2.Bit(0); digests[p] == nil {
+			sigs[p], digests[p] = sig, digest[:]
+			found++
+		}
+	}
+	for parity, name := range []string{"even u2", "odd u2"} {
+		verify := func() {
+			if !pub.VerifyDigest(digests[parity], sigs[parity]) {
+				t.Fatal("valid signature rejected")
+			}
+		}
+		verify() // warm the comb tables outside the measurement
+		got := testing.AllocsPerRun(20, verify)
+		t.Logf("VerifyDigest, %s: %.0f allocs/op (budget %d)", name, got, verifyDigestAllocBudget)
+		if got > verifyDigestAllocBudget {
+			t.Errorf("VerifyDigest, %s: %.0f allocs/op, budget %d", name, got, verifyDigestAllocBudget)
+		}
+	}
+}

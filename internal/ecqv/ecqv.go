@@ -338,10 +338,12 @@ func ExtractPublicKey(cert *Certificate, caPub ec.Point) (ec.Point, error) {
 	return q, nil
 }
 
-// SelfIssue provisions the CA itself with an ECQV certificate chain of
-// depth one (the CA certifies a device in a single hop; hierarchical
-// chains are out of the paper's scope). Exposed for completeness of
-// the CA lifecycle in examples.
+// SelfCertificate returns the CA's own certificate: serial 0, subject
+// and issuer both the CA's ID, and the CA public key Q_CA published
+// directly as PubRecon. It is a degenerate trust-anchor record, not an
+// implicit certificate, because chains are one hop deep: the CA
+// certifies each device itself, and hierarchical chains are out of the
+// paper's scope. Exposed for completeness of the CA lifecycle.
 func (ca *CA) SelfCertificate(params IssueParams) (*Certificate, error) {
 	cert := &Certificate{
 		Curve:     ca.Curve,

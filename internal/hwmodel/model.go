@@ -2,9 +2,9 @@ package hwmodel
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/detrand"
 	"repro/internal/ec"
 )
 
@@ -20,17 +20,6 @@ type Model struct {
 	referenceTraces map[string]*core.Trace
 }
 
-// deterministicReader adapts math/rand for reproducible reference
-// traces.
-type deterministicReader struct{ r *rand.Rand }
-
-func (d *deterministicReader) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
 // New builds the calibrated model: it provisions a reference device
 // pair, runs every protocol once to obtain reference traces, and sets
 // each device's point-multiplication cost so the modelled S-ECDSA time
@@ -38,8 +27,7 @@ func (d *deterministicReader) Read(p []byte) (int, error) {
 func New() (*Model, error) {
 	m := &Model{Cost: DefaultCostModel(), referenceTraces: map[string]*core.Trace{}}
 
-	rng := &deterministicReader{r: rand.New(rand.NewSource(42))}
-	net, err := core.NewNetwork(ec.P256(), rng)
+	net, err := core.NewNetwork(ec.P256(), detrand.NewReader(42))
 	if err != nil {
 		return nil, fmt.Errorf("hwmodel: calibration network: %w", err)
 	}
