@@ -281,7 +281,8 @@ vet:
 # missing contract). Zero dependencies — a go/ast walk.
 DOCCHECK_PKGS := ./internal/scenario ./internal/canbus ./internal/security \
 	./internal/transport ./internal/fleet ./internal/cantp ./internal/conc \
-	./internal/detrand ./internal/ec ./internal/ecdsa ./internal/session
+	./internal/detrand ./internal/ec ./internal/ecdsa ./internal/session \
+	./internal/core ./internal/group ./internal/prototype
 doccheck:
 	$(GO) run ./cmd/doccheck $(DOCCHECK_PKGS)
 

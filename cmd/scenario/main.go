@@ -158,7 +158,7 @@ func run(args []string, stdout io.Writer) error {
 	if *tracePath != "" {
 		err = writeFile(*tracePath, func(f *os.File) error {
 			var rerr error
-			res, timing, rerr = scenario.RunTracedWith(s, f, opts)
+			res, timing, rerr = scenario.RunWith(s, opts, scenario.NewTraceSink(f))
 			return rerr
 		})
 	} else {

@@ -3,23 +3,15 @@ package ecqvsts
 import (
 	"bytes"
 	"errors"
-	"math/rand"
+	"io"
 	"testing"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/session"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 func enrollPair(t *testing.T, seed int64) (*Device, *Device) {
 	t.Helper()

@@ -2,21 +2,14 @@ package aead
 
 import (
 	"bytes"
-	"math/rand"
+	"io"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/detrand"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 func testKeys() (enc, mac []byte) {
 	enc = make([]byte, 16)

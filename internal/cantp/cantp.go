@@ -60,12 +60,13 @@ var (
 	ErrLengthInvalid = errors.New("cantp: length field invalid")
 )
 
-// Segment splits msg into ISO-TP frame payloads. The first returned
-// payload is a SingleFrame when the whole message fits, otherwise a
-// FirstFrame followed by ConsecutiveFrames. FlowControl frames are
-// inserted by the receiving side (see Reassembler.FlowControlNeeded);
-// Segment produces only the sender's data frames.
-func Segment(msg []byte) ([][]byte, error) {
+// segment splits msg into ISO-TP frame payloads for Sender. The first
+// returned payload is a SingleFrame when the whole message fits,
+// otherwise a FirstFrame followed by ConsecutiveFrames. FlowControl
+// frames are inserted by the receiving side (see
+// reassembler.flowControlNeeded); segment produces only the sender's
+// data frames.
+func segment(msg []byte) ([][]byte, error) {
 	if len(msg) > MaxMessageLen {
 		return nil, ErrTooLong
 	}
@@ -121,9 +122,10 @@ func ParseFlowControl(data []byte) (FlowStatus, byte, byte, error) {
 	return status, data[1], data[2], nil
 }
 
-// Reassembler rebuilds one message from a frame sequence. A zero value
-// is ready for a new message.
-type Reassembler struct {
+// reassembler rebuilds one message from a frame sequence; Receiver
+// wraps it with timers and flow control. A zero value is ready for a
+// new message.
+type reassembler struct {
 	buf       []byte
 	want      int
 	nextSeq   byte
@@ -131,25 +133,22 @@ type Reassembler struct {
 	needsFlow bool
 }
 
-// Reset discards any partial state.
-func (r *Reassembler) Reset() { *r = Reassembler{} }
+// reset discards any partial state.
+func (r *reassembler) reset() { *r = reassembler{} }
 
-// Active reports whether a multi-frame transfer is in progress.
-func (r *Reassembler) Active() bool { return r.active }
-
-// FlowControlNeeded reports whether the caller should send a
+// flowControlNeeded reports whether the caller should send a
 // FlowControl(Continue) to the peer (set after a FirstFrame), and
 // clears the flag.
-func (r *Reassembler) FlowControlNeeded() bool {
+func (r *reassembler) flowControlNeeded() bool {
 	need := r.needsFlow
 	r.needsFlow = false
 	return need
 }
 
-// Push feeds one received frame payload. It returns the completed
+// push feeds one received frame payload. It returns the completed
 // message when the final frame arrives, or nil while the transfer is
-// still in progress.
-func (r *Reassembler) Push(data []byte) ([]byte, error) {
+// still in progress (r.active).
+func (r *reassembler) push(data []byte) ([]byte, error) {
 	if len(data) == 0 {
 		return nil, ErrBadPCI
 	}
@@ -203,14 +202,14 @@ func (r *Reassembler) Push(data []byte) ([]byte, error) {
 		}
 		seq := data[0] & 0x0F
 		if seq != r.nextSeq {
-			r.Reset()
+			r.reset()
 			return nil, fmt.Errorf("%w: got %d", ErrBadSequence, seq)
 		}
 		r.nextSeq = (r.nextSeq + 1) & 0x0F
 		r.buf = append(r.buf, data[1:]...)
 		if len(r.buf) >= r.want {
 			msg := r.buf[:r.want]
-			r.Reset()
+			r.reset()
 			return msg, nil
 		}
 		return nil, nil
@@ -223,8 +222,9 @@ func (r *Reassembler) Push(data []byte) ([]byte, error) {
 	return nil, fmt.Errorf("%w: PCI type %#x", ErrBadPCI, data[0]>>4)
 }
 
-// FrameCount returns how many data frames Segment will produce for a
-// message of length n, plus whether a FlowControl exchange occurs.
+// FrameCount returns how many data frames a Sender transmits for a
+// message of length n on a lossless link, plus whether a FlowControl
+// exchange occurs.
 // Used by the overhead accounting of Table II and the Fig. 7 timeline.
 func FrameCount(n int) (dataFrames int, flowControl bool, err error) {
 	if n > MaxMessageLen {

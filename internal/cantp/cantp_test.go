@@ -15,12 +15,12 @@ func testMsg(n int) []byte {
 	return msg
 }
 
-// reassemble pushes a frame sequence through a fresh Reassembler.
+// reassemble pushes a frame sequence through a fresh reassembler.
 func reassemble(t *testing.T, frames [][]byte) ([]byte, error) {
 	t.Helper()
-	var r Reassembler
+	var r reassembler
 	for i, f := range frames {
-		msg, err := r.Push(f)
+		msg, err := r.push(f)
 		if err != nil {
 			return nil, err
 		}
@@ -38,7 +38,7 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 	sizes := []int{1, 7, 8, 61, 62, 63, 64, 100, 127, 200, 491, 1024, 4095}
 	for _, n := range sizes {
 		msg := testMsg(n)
-		frames, err := Segment(msg)
+		frames, err := segment(msg)
 		if err != nil {
 			t.Fatalf("size %d: %v", n, err)
 		}
@@ -66,7 +66,7 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 
 func TestSegmentBoundaries(t *testing.T) {
 	// ≤ 62 bytes: exactly one single frame.
-	frames, err := Segment(testMsg(maxSingle))
+	frames, err := segment(testMsg(maxSingle))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSegmentBoundaries(t *testing.T) {
 		t.Errorf("%d-byte message used %d frames", maxSingle, len(frames))
 	}
 	// 63 bytes: FF + 1 CF.
-	frames, err = Segment(testMsg(maxSingle + 1))
+	frames, err = segment(testMsg(maxSingle + 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +82,17 @@ func TestSegmentBoundaries(t *testing.T) {
 		t.Errorf("%d-byte message used %d frames, want 2", maxSingle+1, len(frames))
 	}
 	// Over the 12-bit limit.
-	if _, err := Segment(testMsg(MaxMessageLen + 1)); err == nil {
+	if _, err := segment(testMsg(MaxMessageLen + 1)); err == nil {
 		t.Error("oversize message accepted")
 	}
 	// Empty message: legal SF with length 0? ISO-TP requires ≥ 1 byte;
-	// Segment emits it but Push rejects length 0 — assert the pair.
-	frames, err = Segment(nil)
+	// segment emits it but push rejects length 0 — assert the pair.
+	frames, err = segment(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Reassembler
-	if _, err := r.Push(frames[0]); err == nil {
+	var r reassembler
+	if _, err := r.push(frames[0]); err == nil {
 		t.Error("zero-length single frame accepted by reassembler")
 	}
 }
@@ -101,7 +101,7 @@ func TestSequenceNumberWrap(t *testing.T) {
 	// > 15 consecutive frames force the 4-bit sequence number to wrap.
 	n := (frameLen - 2) + 20*(frameLen-1) // FF + 20 CFs
 	msg := testMsg(n)
-	frames, err := Segment(msg)
+	frames, err := segment(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,75 +126,75 @@ func TestSequenceNumberWrap(t *testing.T) {
 
 func TestReassemblerErrors(t *testing.T) {
 	msg := testMsg(200)
-	frames, _ := Segment(msg)
+	frames, _ := segment(msg)
 
 	t.Run("bad sequence", func(t *testing.T) {
-		var r Reassembler
-		if _, err := r.Push(frames[0]); err != nil {
+		var r reassembler
+		if _, err := r.push(frames[0]); err != nil {
 			t.Fatal(err)
 		}
-		r.FlowControlNeeded()
+		r.flowControlNeeded()
 		// Skip frames[1], push frames[2].
-		if _, err := r.Push(frames[2]); !errors.Is(err, ErrBadSequence) {
+		if _, err := r.push(frames[2]); !errors.Is(err, ErrBadSequence) {
 			t.Errorf("got %v, want ErrBadSequence", err)
 		}
-		if r.Active() {
+		if r.active {
 			t.Error("reassembler still active after sequence error")
 		}
 	})
 
 	t.Run("CF without FF", func(t *testing.T) {
-		var r Reassembler
-		if _, err := r.Push(frames[1]); !errors.Is(err, ErrUnexpected) {
+		var r reassembler
+		if _, err := r.push(frames[1]); !errors.Is(err, ErrUnexpected) {
 			t.Errorf("got %v, want ErrUnexpected", err)
 		}
 	})
 
 	t.Run("second FF mid-transfer", func(t *testing.T) {
-		var r Reassembler
-		r.Push(frames[0])
-		if _, err := r.Push(frames[0]); !errors.Is(err, ErrUnexpected) {
+		var r reassembler
+		r.push(frames[0])
+		if _, err := r.push(frames[0]); !errors.Is(err, ErrUnexpected) {
 			t.Errorf("got %v, want ErrUnexpected", err)
 		}
 	})
 
 	t.Run("SF mid-transfer", func(t *testing.T) {
-		var r Reassembler
-		r.Push(frames[0])
-		sf, _ := Segment(testMsg(10))
-		if _, err := r.Push(sf[0]); !errors.Is(err, ErrUnexpected) {
+		var r reassembler
+		r.push(frames[0])
+		sf, _ := segment(testMsg(10))
+		if _, err := r.push(sf[0]); !errors.Is(err, ErrUnexpected) {
 			t.Errorf("got %v, want ErrUnexpected", err)
 		}
 	})
 
 	t.Run("empty frame", func(t *testing.T) {
-		var r Reassembler
-		if _, err := r.Push(nil); !errors.Is(err, ErrBadPCI) {
+		var r reassembler
+		if _, err := r.push(nil); !errors.Is(err, ErrBadPCI) {
 			t.Errorf("got %v, want ErrBadPCI", err)
 		}
 	})
 
 	t.Run("FF too short", func(t *testing.T) {
-		var r Reassembler
-		if _, err := r.Push([]byte{pciFirst << 4}); !errors.Is(err, ErrBadPCI) {
+		var r reassembler
+		if _, err := r.push([]byte{pciFirst << 4}); !errors.Is(err, ErrBadPCI) {
 			t.Errorf("got %v, want ErrBadPCI", err)
 		}
 	})
 
 	t.Run("FF length fits single frame", func(t *testing.T) {
-		var r Reassembler
+		var r reassembler
 		// A FirstFrame declaring 10 bytes is bogus (must be > 62).
 		ff := make([]byte, frameLen)
 		ff[0] = pciFirst << 4
 		ff[1] = 10
-		if _, err := r.Push(ff); !errors.Is(err, ErrLengthInvalid) {
+		if _, err := r.push(ff); !errors.Is(err, ErrLengthInvalid) {
 			t.Errorf("got %v, want ErrLengthInvalid", err)
 		}
 	})
 
 	t.Run("flow control on data path", func(t *testing.T) {
-		var r Reassembler
-		if _, err := r.Push(FlowControlFrame(FlowContinue, 0, 0)); !errors.Is(err, ErrUnexpected) {
+		var r reassembler
+		if _, err := r.push(FlowControlFrame(FlowContinue, 0, 0)); !errors.Is(err, ErrUnexpected) {
 			t.Errorf("got %v, want ErrUnexpected", err)
 		}
 	})
@@ -202,9 +202,9 @@ func TestReassemblerErrors(t *testing.T) {
 
 func TestClassicSingleFrame(t *testing.T) {
 	// Classic (non-escape) SF: low nibble carries the length.
-	var r Reassembler
+	var r reassembler
 	classic := []byte{0x03, 0xAA, 0xBB, 0xCC}
-	msg, err := r.Push(classic)
+	msg, err := r.push(classic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestClassicSingleFrame(t *testing.T) {
 		t.Errorf("classic SF decoded to %x", msg)
 	}
 	// Declared length beyond the frame.
-	if _, err := r.Push([]byte{0x05, 1, 2}); !errors.Is(err, ErrLengthInvalid) {
+	if _, err := r.push([]byte{0x05, 1, 2}); !errors.Is(err, ErrLengthInvalid) {
 		t.Errorf("got %v, want ErrLengthInvalid", err)
 	}
 }
@@ -245,20 +245,20 @@ func TestFlowControlRoundTrip(t *testing.T) {
 
 func TestFlowControlNeededFlag(t *testing.T) {
 	msg := testMsg(100)
-	frames, _ := Segment(msg)
-	var r Reassembler
-	r.Push(frames[0])
-	if !r.FlowControlNeeded() {
+	frames, _ := segment(msg)
+	var r reassembler
+	r.push(frames[0])
+	if !r.flowControlNeeded() {
 		t.Error("no flow control requested after FF")
 	}
-	if r.FlowControlNeeded() {
+	if r.flowControlNeeded() {
 		t.Error("flag not cleared")
 	}
 	// SF transfers never need flow control.
-	var r2 Reassembler
-	sf, _ := Segment(testMsg(10))
-	r2.Push(sf[0])
-	if r2.FlowControlNeeded() {
+	var r2 reassembler
+	sf, _ := segment(testMsg(10))
+	r2.push(sf[0])
+	if r2.flowControlNeeded() {
 		t.Error("flow control requested for single frame")
 	}
 }
@@ -278,18 +278,18 @@ func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed uint16) bool {
 		n := int(seed)%MaxMessageLen + 1
 		msg := testMsg(n)
-		frames, err := Segment(msg)
+		frames, err := segment(msg)
 		if err != nil {
 			return false
 		}
-		var r Reassembler
+		var r reassembler
 		var got []byte
 		for _, fr := range frames {
-			m, err := r.Push(fr)
+			m, err := r.push(fr)
 			if err != nil {
 				return false
 			}
-			r.FlowControlNeeded()
+			r.flowControlNeeded()
 			if m != nil {
 				got = m
 			}

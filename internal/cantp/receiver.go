@@ -44,7 +44,7 @@ type ReceiverStats struct {
 // transfer.
 var ErrReceiveTimeout = errors.New("cantp: consecutive frame timeout, transfer abandoned")
 
-// Receiver is the timer-aware reassembly side: a Reassembler plus
+// Receiver is the timer-aware reassembly side: a reassembler plus
 // N_Cr supervision, BlockSize/STmin flow control, duplicate
 // ConsecutiveFrame rejection, restart-on-FirstFrame and capacity
 // refusal. Like Sender it is a pure state machine on simulated time:
@@ -52,7 +52,7 @@ var ErrReceiveTimeout = errors.New("cantp: consecutive frame timeout, transfer a
 type Receiver struct {
 	cfg ReceiverConfig
 
-	r         Reassembler
+	r         reassembler
 	deadline  time.Duration // N_Cr expiry; 0 when idle
 	lastSeq   byte          // sequence number of the last accepted CF
 	haveCF    bool          // lastSeq is valid
@@ -76,7 +76,7 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 }
 
 // Active reports whether a multi-frame transfer is in progress.
-func (rx *Receiver) Active() bool { return rx.r.Active() }
+func (rx *Receiver) Active() bool { return rx.r.active }
 
 // Stats returns the reassembly counters.
 func (rx *Receiver) Stats() ReceiverStats { return rx.stats }
@@ -85,7 +85,7 @@ func (rx *Receiver) Stats() ReceiverStats { return rx.stats }
 // in-progress transfer or the due time of an owed FlowControl. 0 means
 // no timer is armed.
 func (rx *Receiver) Deadline() time.Duration {
-	if !rx.r.Active() {
+	if !rx.r.active {
 		return 0
 	}
 	if rx.fcPending && (rx.fcDue < rx.deadline || rx.deadline == 0) {
@@ -99,7 +99,7 @@ func (rx *Receiver) Deadline() time.Duration {
 // transmit; when N_Cr has lapsed it abandons the partial transfer and
 // returns ErrReceiveTimeout.
 func (rx *Receiver) Expire(now time.Duration) ([]byte, error) {
-	if !rx.r.Active() {
+	if !rx.r.active {
 		return nil, nil
 	}
 	if rx.fcPending && now >= rx.fcDue {
@@ -128,7 +128,7 @@ func (rx *Receiver) nextChainFC(now time.Duration) []byte {
 }
 
 func (rx *Receiver) reset() {
-	rx.r.Reset()
+	rx.r.reset()
 	rx.deadline = 0
 	rx.haveCF = false
 	rx.cfInBlock = 0
@@ -144,7 +144,7 @@ func (rx *Receiver) reset() {
 func (rx *Receiver) Push(data []byte, now time.Duration) (msg []byte, fc []byte, err error) {
 	// A deadline that lapsed before this frame arrived voids the
 	// partial transfer first — the frame is then judged fresh.
-	if rx.r.Active() && rx.deadline > 0 && now >= rx.deadline && !rx.fcPending {
+	if rx.r.active && rx.deadline > 0 && now >= rx.deadline && !rx.fcPending {
 		rx.reset()
 		rx.stats.Abandoned++
 	}
@@ -164,13 +164,13 @@ func (rx *Receiver) Push(data []byte, now time.Duration) (msg []byte, fc []byte,
 		}
 		// A FirstFrame during an active transfer is the sender
 		// restarting after an N_Bs expiry: abandon and re-accept.
-		if rx.r.Active() {
+		if rx.r.active {
 			rx.reset()
 			rx.stats.Restarts++
 		}
 
 	case pciConsec:
-		if rx.r.Active() && rx.haveCF && data[0]&0x0F == rx.lastSeq {
+		if rx.r.active && rx.haveCF && data[0]&0x0F == rx.lastSeq {
 			// Retransmitted duplicate of the last accepted CF (an
 			// impaired bus delivering twice): ignore it, restarting
 			// N_Cr from this sighting.
@@ -180,14 +180,14 @@ func (rx *Receiver) Push(data []byte, now time.Duration) (msg []byte, fc []byte,
 		}
 	}
 
-	complete, err := rx.r.Push(data)
+	complete, err := rx.r.push(data)
 	if err != nil {
-		// The embedded Reassembler already reset itself on sequence
+		// The embedded reassembler already reset itself on sequence
 		// errors; every other error leaves its state untouched.
 		return nil, nil, err
 	}
 
-	if rx.r.FlowControlNeeded() {
+	if rx.r.flowControlNeeded() {
 		// FirstFrame accepted: arm N_Cr, then either open a Wait
 		// chain or clear the sender immediately.
 		rx.deadline = now + rx.cfg.Timeouts.NCr
@@ -206,7 +206,7 @@ func (rx *Receiver) Push(data []byte, now time.Duration) (msg []byte, fc []byte,
 		return complete, nil, nil
 	}
 
-	if rx.r.Active() && data[0]>>4 == pciConsec {
+	if rx.r.active && data[0]>>4 == pciConsec {
 		rx.lastSeq = data[0] & 0x0F
 		rx.haveCF = true
 		rx.deadline = now + rx.cfg.Timeouts.NCr

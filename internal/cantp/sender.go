@@ -6,14 +6,13 @@ import (
 	"time"
 )
 
-// ISO 15765-2 error handling: the perfect lockstep bus of the original
-// prototype never lost a frame, so Segment/Reassembler could assume
-// every FlowControl arrives and every ConsecutiveFrame lands in order.
-// Impaired, gateway-bridged segments break both assumptions. Sender
-// (this file) and Receiver (receiver.go) are the timer-aware halves of
-// the protocol: all deadlines run on the harness's simulated clock
-// (expressed as time.Duration since epoch), never on the host clock,
-// so timeout behaviour is exactly reproducible.
+// ISO 15765-2 error handling: on impaired, gateway-bridged segments a
+// FlowControl can be lost and a ConsecutiveFrame can go missing or
+// arrive twice. Sender (this file) and Receiver (receiver.go) are the
+// timer-aware halves of the protocol, over the unexported segment and
+// reassembler in cantp.go: all deadlines run on the harness's
+// simulated clock (expressed as time.Duration since epoch), never on
+// the host clock, so timeout behaviour is exactly reproducible.
 
 // Timeouts are the ISO 15765-2 §9.8 timing parameters, on the
 // simulated clock.
@@ -138,7 +137,7 @@ func NewSender(cfg SenderConfig, msg []byte, now time.Duration) (*Sender, error)
 	if cfg.Backoff < 1 {
 		cfg.Backoff = 1
 	}
-	frames, err := Segment(msg)
+	frames, err := segment(msg)
 	if err != nil {
 		return nil, err
 	}

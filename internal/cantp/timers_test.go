@@ -268,7 +268,7 @@ func TestFlowControlOverflowAborts(t *testing.T) {
 
 func TestReceiverDuplicateConsecutiveFrameIgnored(t *testing.T) {
 	msg := testMsg(300)
-	frames, _ := Segment(msg)
+	frames, _ := segment(msg)
 	rx := NewReceiver(ReceiverConfig{})
 	now := time.Duration(0)
 	var got []byte
@@ -324,7 +324,7 @@ func TestReceiverCorruptedFirstFrameLength(t *testing.T) {
 
 	// The clean retransmission is then accepted normally.
 	msg := testMsg(200)
-	frames, _ := Segment(msg)
+	frames, _ := segment(msg)
 	if _, fc, err := rx.Push(frames[0], 0); err != nil || fc == nil {
 		t.Fatalf("clean FF refused after corrupted ones: %v", err)
 	}
@@ -332,7 +332,7 @@ func TestReceiverCorruptedFirstFrameLength(t *testing.T) {
 
 func TestReceiverNCrTimeoutAbandons(t *testing.T) {
 	msg := testMsg(300)
-	frames, _ := Segment(msg)
+	frames, _ := segment(msg)
 	rx := NewReceiver(ReceiverConfig{})
 	if _, _, err := rx.Push(frames[0], 0); err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestReceiverNCrTimeoutAbandons(t *testing.T) {
 
 func TestReceiverRestartOnDuplicateFirstFrame(t *testing.T) {
 	msg := testMsg(300)
-	frames, _ := Segment(msg)
+	frames, _ := segment(msg)
 	rx := NewReceiver(ReceiverConfig{})
 	rx.Push(frames[0], 0)
 	rx.Push(frames[1], 0)

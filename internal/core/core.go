@@ -45,6 +45,7 @@ const (
 	RoleB
 )
 
+// String returns the role's transcript letter, "A" or "B".
 func (r PartyRole) String() string {
 	if r == RoleA {
 		return "A"

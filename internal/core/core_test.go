@@ -3,22 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
-	"math/rand"
+	"io"
 	"testing"
 
+	"repro/internal/detrand"
 	"repro/internal/ec"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 // newPair provisions two parties on a fresh network for tests.
 func newPair(t *testing.T, seed int64) (*Party, *Party) {

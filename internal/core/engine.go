@@ -13,11 +13,12 @@ import (
 // Message-driven STS engine: the one implementation of the STS
 // protocol. The Initiator and Responder are incremental state machines
 // that consume and produce wire bytes — the form a deployment embeds
-// behind a real network stack. Every STS run goes through them: the
-// fleet and the live CAN-FD integration tests carry their messages
-// over the canbus/cantp/transport substrate, while STS.Run — behind the
-// paper artifacts, the security analysis and ecqvsts.Establish —
-// carries them in memory.
+// behind a real network stack. Exchange is the one driver of their
+// message order, and every STS run goes through it: fleet and the live
+// CAN-FD integration tests carry the messages over the
+// canbus/cantp/transport substrate, while STS.Run — behind the paper
+// artifacts, the security analysis and ecqvsts.Establish — and group's
+// pairwise handshakes carry them in memory.
 
 // HandshakeError wraps protocol violations detected by the engine.
 var (
@@ -336,4 +337,48 @@ func (r *Responder) Handle(data []byte) (reply []byte, done bool, err error) {
 		return enc, true, err
 	}
 	return nil, false, fmt.Errorf("%w: %s in state %d", ErrHandshakeState, msg.Label, r.state)
+}
+
+// Exchange runs one STS handshake between init and resp in the message
+// order of Fig. 2: A1, B1, A2, B2. carry moves each message to the
+// other role (toB is true for A1 and A2) and returns the bytes that
+// arrive there; a nil carry hands them over in memory. An engine error
+// comes back wrapped with the failing role ("sts: A: ..."), a carry
+// error unchanged. On success both engines hold the session key.
+func Exchange(init *Initiator, resp *Responder, carry func(msg []byte, toB bool) ([]byte, error)) error {
+	if carry == nil {
+		carry = func(msg []byte, _ bool) ([]byte, error) { return msg, nil }
+	}
+	a1, err := init.Start()
+	if err != nil {
+		return fmt.Errorf("sts: A: %w", err)
+	}
+	if a1, err = carry(a1, true); err != nil {
+		return err
+	}
+	b1, _, err := resp.Handle(a1)
+	if err != nil {
+		return fmt.Errorf("sts: B: %w", err)
+	}
+	if b1, err = carry(b1, false); err != nil {
+		return err
+	}
+	a2, _, err := init.Handle(b1)
+	if err != nil {
+		return fmt.Errorf("sts: A: %w", err)
+	}
+	if a2, err = carry(a2, true); err != nil {
+		return err
+	}
+	b2, _, err := resp.Handle(a2)
+	if err != nil {
+		return fmt.Errorf("sts: B: %w", err)
+	}
+	if b2, err = carry(b2, false); err != nil {
+		return err
+	}
+	if _, _, err := init.Handle(b2); err != nil {
+		return fmt.Errorf("sts: A: %w", err)
+	}
+	return nil
 }

@@ -3,45 +3,25 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ec"
 )
 
-// driveHandshake runs the two state machines to completion, returning
-// both key blocks and the exchanged messages.
+// driveHandshake runs the two state machines to completion with
+// Exchange, returning both key blocks and the exchanged messages.
 func driveHandshake(t *testing.T, init *Initiator, resp *Responder) ([]byte, []byte, [][]byte) {
 	t.Helper()
 	var wire [][]byte
-
-	msg, err := init.Start()
+	err := Exchange(init, resp, func(msg []byte, _ bool) ([]byte, error) {
+		wire = append(wire, msg)
+		return msg, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire = append(wire, msg)
-
-	for i := 0; i < 8; i++ {
-		reply, _, err := resp.Handle(msg)
-		if err != nil {
-			t.Fatalf("responder: %v", err)
-		}
-		if reply == nil {
-			break
-		}
-		wire = append(wire, reply)
-
-		next, doneA, err := init.Handle(reply)
-		if err != nil {
-			t.Fatalf("initiator: %v", err)
-		}
-		if doneA && next == nil {
-			break
-		}
-		wire = append(wire, next)
-		msg = next
-	}
-
 	keyA, err := init.SessionKey()
 	if err != nil {
 		t.Fatalf("initiator key: %v", err)
@@ -51,6 +31,87 @@ func driveHandshake(t *testing.T, init *Initiator, resp *Responder) ([]byte, []b
 		t.Fatalf("responder key: %v", err)
 	}
 	return keyA, keyB, wire
+}
+
+// TestExchange pins the one driver's contract: the carry sees A1, B1,
+// A2, B2 in order, toward B for A1 and A2, and in the bytes STS.Run
+// records; carry errors come back unchanged, and engine errors come
+// back wrapped with the role.
+func TestExchange(t *testing.T) {
+	engines := func(t *testing.T, opt STSOptimization) (*Initiator, *Responder) {
+		a, b := newPair(t, 20)
+		init, err := NewInitiator(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := NewResponder(b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return init, resp
+	}
+	for _, opt := range []STSOptimization{OptNone, OptI, OptII} {
+		t.Run(opt.String(), func(t *testing.T) {
+			init, resp := engines(t, opt)
+			keyA, keyB, wire := driveHandshake(t, init, resp)
+			if !bytes.Equal(keyA, keyB) {
+				t.Fatal("engine key mismatch")
+			}
+			// An identically seeded pair through STS.Run records the
+			// same bytes and keys.
+			a, b := newPair(t, 20)
+			res, err := NewSTS(opt).Run(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.KeyA, keyA) {
+				t.Error("Exchange and STS.Run derived different keys")
+			}
+			codes := []byte{wireA1, wireB1, wireA2, wireB2}
+			if len(wire) != len(codes) || len(res.Transcript) != len(codes) {
+				t.Fatalf("%d carried, %d recorded messages, want 4", len(wire), len(res.Transcript))
+			}
+			for i, msg := range wire {
+				rec, err := EncodeSTSMessage(res.Transcript[i])
+				if msg[0] != codes[i] || err != nil || !bytes.Equal(rec, msg) {
+					t.Errorf("message %d: code %#x, differs from STS.Run's transcript (%v)", i, msg[0], err)
+				}
+			}
+
+			errCarry := errors.New("carrier down")
+			for k := 1; k <= 4; k++ {
+				init, resp := engines(t, opt)
+				n := 0
+				err := Exchange(init, resp, func(msg []byte, toB bool) ([]byte, error) {
+					if n++; toB != (n%2 == 1) {
+						t.Errorf("message %d carried with toB=%v", n, toB)
+					}
+					if n == k {
+						return nil, errCarry
+					}
+					return msg, nil
+				})
+				if err != errCarry { // unchanged, not wrapped
+					t.Errorf("carry failing on message %d: got %v", k, err)
+				}
+				if _, err := init.SessionKey(); err == nil {
+					t.Errorf("carry failing on message %d: initiator holds a key", k)
+				}
+			}
+
+			init, resp = engines(t, opt)
+			err = Exchange(init, resp, func(msg []byte, _ bool) ([]byte, error) {
+				if msg[0] == wireB1 {
+					msg = append([]byte(nil), msg...)
+					msg[1+16+50] ^= 0x01 // inside Cert_B
+				}
+				return msg, nil
+			})
+			if !errors.Is(err, ErrHandshakeAuth) || !strings.HasPrefix(err.Error(), "sts: A: ") {
+				t.Errorf("tampered Cert_B: got %v, want sts: A: wrapping ErrHandshakeAuth", err)
+			}
+		})
+	}
 }
 
 func TestEngineHandshake(t *testing.T) {

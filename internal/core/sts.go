@@ -26,6 +26,8 @@ const (
 	OptII
 )
 
+// String returns the variant's short name: "none", "opt. I" or
+// "opt. II".
 func (o STSOptimization) String() string {
 	switch o {
 	case OptI:
@@ -92,10 +94,10 @@ func (p *STS) Spec() []StepSpec {
 //
 // with Resp_X = encrypt(KS, sign(Prk_X, XG_X ‖ XG_Y)) per Algorithm 1
 // and verification per Algorithm 2. Every step runs inside the engine
-// a deployment embeds; Run only carries the wire bytes between the two
-// roles and decodes each into the transcript. Both engines record into
-// one Trace, so A's and B's events interleave in execution order. An
-// engine error is returned wrapped with the failing role
+// a deployment embeds; Run drives them with Exchange, whose carry
+// decodes each wire message into the transcript. Both engines record
+// into one Trace, so A's and B's events interleave in execution order.
+// An engine error is returned wrapped with the failing role
 // ("sts: A: ...").
 func (p *STS) Run(a, b *Party) (*Result, error) {
 	if err := checkParties(a, b, true, false); err != nil {
@@ -103,34 +105,17 @@ func (p *STS) Run(a, b *Party) (*Result, error) {
 	}
 	trace := &Trace{}
 	init, resp := newInitiator(a, p.opt, trace), newResponder(b, p.opt, trace)
-
-	a1, err := init.Start()
-	if err != nil {
-		return nil, fmt.Errorf("sts: A: %w", err)
-	}
-	b1, _, err := resp.Handle(a1)
-	if err != nil {
-		return nil, fmt.Errorf("sts: B: %w", err)
-	}
-	a2, _, err := init.Handle(b1)
-	if err != nil {
-		return nil, fmt.Errorf("sts: A: %w", err)
-	}
-	b2, _, err := resp.Handle(a2)
-	if err != nil {
-		return nil, fmt.Errorf("sts: B: %w", err)
-	}
-	if _, _, err := init.Handle(b2); err != nil {
-		return nil, fmt.Errorf("sts: A: %w", err)
-	}
-
 	res := &Result{Protocol: p.Name(), Trace: trace}
-	for _, wire := range [][]byte{a1, b1, a2, b2} {
+	err := Exchange(init, resp, func(wire []byte, _ bool) ([]byte, error) {
 		msg, err := DecodeSTSMessage(a.Curve, p.opt, wire)
 		if err != nil {
 			return nil, err
 		}
 		res.Transcript = append(res.Transcript, msg)
+		return wire, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if res.KeyA, err = init.SessionKey(); err != nil {
 		return nil, fmt.Errorf("sts: A: %w", err)

@@ -57,6 +57,7 @@ var primitiveNames = map[Primitive]string{
 	PrimRandBytes:      "rand-bytes",
 }
 
+// String returns the primitive's trace name, such as "kdf".
 func (p Primitive) String() string {
 	if s, ok := primitiveNames[p]; ok {
 		return s

@@ -3,28 +3,18 @@ package ec
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/detrand"
 )
 
-// deterministicRand adapts math/rand for reproducible scalar draws in
-// tests; it implements io.Reader.
-type deterministicRand struct{ r *rand.Rand }
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
-func newDetRand(seed int64) *deterministicRand {
-	return &deterministicRand{r: rand.New(rand.NewSource(seed))}
-}
-
-func (d *deterministicRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
-
-func randPoint(t *testing.T, c *Curve, rng *deterministicRand) Point {
+func randPoint(t *testing.T, c *Curve, rng io.Reader) Point {
 	t.Helper()
 	k, err := c.RandomScalar(rng)
 	if err != nil {

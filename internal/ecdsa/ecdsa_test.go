@@ -4,24 +4,16 @@ import (
 	stdecdsa "crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
+	"io"
 	"math/big"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/detrand"
 	"repro/internal/ec"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 func TestSignVerifyRoundTrip(t *testing.T) {
 	rng := newDetRand(1)

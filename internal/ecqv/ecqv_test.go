@@ -1,26 +1,18 @@
 package ecqv
 
 import (
+	"io"
 	"math/big"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/ec"
 	"repro/internal/ecdsa"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 func defaultParams() IssueParams {
 	return IssueParams{
@@ -32,7 +24,7 @@ func defaultParams() IssueParams {
 
 // issueOne runs a complete issuance for tests and returns the device's
 // reconstructed key material.
-func issueOne(t *testing.T, curve *ec.Curve, rng *detRand, id string) (*CA, *Certificate, *big.Int, ec.Point) {
+func issueOne(t *testing.T, curve *ec.Curve, rng io.Reader, id string) (*CA, *Certificate, *big.Int, ec.Point) {
 	t.Helper()
 	ca, err := NewCA(curve, NewID("test-ca"), rng)
 	if err != nil {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,8 +9,8 @@ import (
 
 // Carrier runs the wire exchange of one handshake attempt between the
 // local initiator engine and the peer's responder engine. The default
-// carrier is the in-process lockstep loop the Manager has always used;
-// a NetCarrier instead pushes every handshake byte through the
+// carrier hands the messages over in memory (core.Exchange with a nil
+// carry); a NetCarrier instead pushes every handshake byte through the
 // impaired multi-segment CAN simulation, where an attempt can fail and
 // the Manager's retry policy takes over.
 type Carrier interface {
@@ -22,37 +21,11 @@ type Carrier interface {
 // NetCarrier over that peer's endpoint pair.
 type CarrierFactory func(peer *core.Party) (Carrier, error)
 
-// maxHandshakeHops bounds the message exchange of one attempt; STS
-// needs four messages, so eight hops is generous for every
-// optimisation variant.
-const maxHandshakeHops = 8
-
 // directCarrier is the lossless in-process exchange.
 type directCarrier struct{}
 
 func (directCarrier) Exchange(init *core.Initiator, resp *core.Responder) error {
-	msg, err := init.Start()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < maxHandshakeHops; i++ {
-		reply, _, err := resp.Handle(msg)
-		if err != nil {
-			return fmt.Errorf("fleet: responder: %w", err)
-		}
-		if reply == nil {
-			return nil
-		}
-		next, done, err := init.Handle(reply)
-		if err != nil {
-			return fmt.Errorf("fleet: initiator: %w", err)
-		}
-		if done {
-			return nil
-		}
-		msg = next
-	}
-	return errors.New("fleet: handshake did not converge")
+	return core.Exchange(init, resp, nil)
 }
 
 // HandshakeCommCode tags handshake traffic on the session transport.
@@ -89,42 +62,23 @@ func (c *NetCarrier) Exchange(init *core.Initiator, resp *core.Responder) error 
 	c.Local.Flush()
 	c.Remote.Flush()
 
-	msg, err := init.Start()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < maxHandshakeHops; i++ {
-		got, err := c.Link.Deliver(c.Local, c.Remote, c.wrap(msg))
-		if err != nil {
-			return fmt.Errorf("fleet: deliver to responder: %w", err)
-		}
-		reply, _, err := resp.Handle(got.Payload)
-		if err != nil {
-			return fmt.Errorf("fleet: responder: %w", err)
-		}
-		if reply == nil {
-			return nil
-		}
-		gotReply, err := c.Link.Deliver(c.Remote, c.Local, c.wrap(reply))
-		if err != nil {
-			return fmt.Errorf("fleet: deliver to initiator: %w", err)
-		}
-		next, done, err := init.Handle(gotReply.Payload)
-		if err != nil {
-			return fmt.Errorf("fleet: initiator: %w", err)
-		}
-		if done {
-			return nil
-		}
-		msg = next
-	}
-	return errors.New("fleet: handshake did not converge")
+	return core.Exchange(init, resp, c.deliver)
 }
 
-func (c *NetCarrier) wrap(payload []byte) transport.Message {
+// deliver is the exchange's carry: Link.Deliver of one engine message
+// to the other role's endpoint.
+func (c *NetCarrier) deliver(payload []byte, toB bool) ([]byte, error) {
+	src, dst, to := c.Local, c.Remote, "responder"
+	if !toB {
+		src, dst, to = c.Remote, c.Local, "initiator"
+	}
 	m := transport.Message{CommCode: HandshakeCommCode, SessionID: c.SessionID, Payload: payload}
 	if len(payload) > 0 {
 		m.OpCode = payload[0]
 	}
-	return m
+	got, err := c.Link.Deliver(src, dst, m)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: deliver to %s: %w", to, err)
+	}
+	return got.Payload, nil
 }

@@ -3,25 +3,17 @@ package fleet
 import (
 	"bytes"
 	"errors"
-	"math/rand"
+	"io"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/detrand"
 	"repro/internal/ec"
 	"repro/internal/ecqv"
 	"repro/internal/session"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 func provision(t *testing.T, seed int64, names ...string) []*core.Party {
 	t.Helper()

@@ -310,26 +310,8 @@ func pairwiseHandshake(leader, member *core.Party, opt core.STSOptimization) ([]
 	if err != nil {
 		return nil, err
 	}
-	msg, err := init.Start()
-	if err != nil {
+	if err := core.Exchange(init, resp, nil); err != nil {
 		return nil, err
-	}
-	for i := 0; i < 8; i++ {
-		reply, _, err := resp.Handle(msg)
-		if err != nil {
-			return nil, err
-		}
-		if reply == nil {
-			break
-		}
-		next, done, err := init.Handle(reply)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-		msg = next
 	}
 	return init.SessionKey()
 }

@@ -3,24 +3,16 @@ package group
 import (
 	"bytes"
 	"errors"
-	"math/rand"
+	"io"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/detrand"
 	"repro/internal/ec"
 	"repro/internal/ecqv"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 // buildGroup provisions a leader plus n members and admits them all,
 // returning the leader and the live Member handles.

@@ -8,12 +8,14 @@ package integration
 
 import (
 	"bytes"
-	"math/rand"
+	"errors"
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/canbus"
 	"repro/internal/core"
+	"repro/internal/detrand"
 	"repro/internal/ec"
 	"repro/internal/ecqv"
 	"repro/internal/enroll"
@@ -21,16 +23,7 @@ import (
 	"repro/internal/transport"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 // node bundles one ECU: its credentials and its network endpoint.
 type node struct {
@@ -38,24 +31,49 @@ type node struct {
 	ep    *transport.Endpoint
 }
 
-// sendSTS ships handshake bytes as one transport message.
-func (n *node) sendSTS(t *testing.T, payload []byte) {
+// newLink builds the paper's prototype link: two zero-Config endpoints
+// (no CRC trailer) on one lossless CAN-FD bus running on their world's
+// clock.
+func newLink(nameA string, idA uint32, nameB string, idB uint32) (*transport.Endpoint, *transport.Endpoint, *canbus.Bus) {
+	w := transport.NewWorld(nil)
+	bus := canbus.NewBus(canbus.PrototypeRates)
+	bus.SetClock(w.Clock)
+	return transport.NewReliableEndpoint(w, bus.Attach(nameA), idA, transport.Config{}),
+		transport.NewReliableEndpoint(w, bus.Attach(nameB), idB, transport.Config{}),
+		bus
+}
+
+// send ships one payload as one transport message.
+func send(t *testing.T, ep *transport.Endpoint, commCode byte, payload []byte) {
 	t.Helper()
-	if _, err := n.ep.Send(transport.Message{
-		CommCode: 0x10, SessionID: 0x0001, OpCode: payload[0], Payload: payload,
+	if _, err := ep.Send(transport.Message{
+		CommCode: commCode, SessionID: 0x0001, OpCode: payload[0], Payload: payload,
 	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// recvSTS polls one handshake message off the bus.
-func (n *node) recvSTS(t *testing.T) []byte {
+// recv polls one complete message's payload off the bus.
+func recv(t *testing.T, ep *transport.Endpoint) []byte {
 	t.Helper()
-	msg, err := n.ep.Poll()
+	msg, err := ep.Poll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return msg.Payload
+}
+
+// carrier returns a core.Exchange carry that ships every handshake
+// message over the bus between a's and b's endpoints.
+func carrier(t *testing.T, a, b *node) func([]byte, bool) ([]byte, error) {
+	return func(msg []byte, toB bool) ([]byte, error) {
+		src, dst := a.ep, b.ep
+		if !toB {
+			src, dst = b.ep, a.ep
+		}
+		send(t, src, 0x10, msg)
+		return recv(t, dst), nil
+	}
 }
 
 func timeNow() time.Time { return time.Unix(1700000000, 0) }
@@ -72,15 +90,12 @@ func setup(t *testing.T, seed int64) (*node, *node, *canbus.Bus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus := canbus.NewBus(canbus.PrototypeRates)
-	return &node{party: pa, ep: transport.NewEndpoint(bus.Attach("evcc"), 0x101)},
-		&node{party: pb, ep: transport.NewEndpoint(bus.Attach("bms"), 0x102)},
-		bus
+	epA, epB, bus := newLink("evcc", 0x101, "bms", 0x102)
+	return &node{party: pa, ep: epA}, &node{party: pb, ep: epB}, bus
 }
 
-// runLiveHandshake drives a complete STS handshake over the bus and
-// returns both key blocks.
-func runLiveHandshake(t *testing.T, a, b *node, opt core.STSOptimization) ([]byte, []byte) {
+// newEngines builds the initiator for a and the responder for b.
+func newEngines(t *testing.T, a, b *node, opt core.STSOptimization) (*core.Initiator, *core.Responder) {
 	t.Helper()
 	init, err := core.NewInitiator(a.party, opt)
 	if err != nil {
@@ -90,43 +105,17 @@ func runLiveHandshake(t *testing.T, a, b *node, opt core.STSOptimization) ([]byt
 	if err != nil {
 		t.Fatal(err)
 	}
+	return init, resp
+}
 
-	// A1 over the wire.
-	a1, err := init.Start()
-	if err != nil {
+// runLiveHandshake drives a complete STS handshake over the bus and
+// returns both key blocks.
+func runLiveHandshake(t *testing.T, a, b *node, opt core.STSOptimization) ([]byte, []byte) {
+	t.Helper()
+	init, resp := newEngines(t, a, b, opt)
+	if err := core.Exchange(init, resp, carrier(t, a, b)); err != nil {
 		t.Fatal(err)
 	}
-	a.sendSTS(t, a1)
-
-	// B processes A1, answers B1.
-	b1, _, err := resp.Handle(b.recvSTS(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.sendSTS(t, b1)
-
-	// A processes B1, answers A2.
-	a2, _, err := init.Handle(a.recvSTS(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.sendSTS(t, a2)
-
-	// B processes A2, ACKs, done.
-	b2, doneB, err := resp.Handle(b.recvSTS(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !doneB {
-		t.Fatal("responder not done after A2")
-	}
-	b.sendSTS(t, b2)
-
-	// A consumes the ACK.
-	if _, doneA, err := init.Handle(a.recvSTS(t)); err != nil || !doneA {
-		t.Fatalf("initiator completion: done=%v err=%v", doneA, err)
-	}
-
 	keyA, err := init.SessionKey()
 	if err != nil {
 		t.Fatal(err)
@@ -180,16 +169,8 @@ func TestLiveSessionRecordsOverCANFD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.ep.Send(transport.Message{
-			CommCode: 0x20, SessionID: 0x0001, OpCode: 0x01, Payload: rec,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		msg, err := b.ep.Poll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := chB.Open(msg.Payload)
+		send(t, a.ep, 0x20, rec)
+		got, err := chB.Open(recv(t, b.ep))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,28 +179,32 @@ func TestLiveSessionRecordsOverCANFD(t *testing.T) {
 		}
 	}
 
-	// Replay at the bus level: re-send the last record; the session
-	// layer must reject it even though the transport happily delivers.
-	last, _ := chA.Seal([]byte("final"))
-	for i := 0; i < 2; i++ {
-		if _, err := a.ep.Send(transport.Message{
-			CommCode: 0x20, SessionID: 0x0001, OpCode: 0x01, Payload: last,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	msg1, err := b.ep.Poll()
-	if err != nil {
+	// A back-to-back resend of one record is the transport's duplicate
+	// (a SingleFrame duplicated on the wire looks the same): counted,
+	// never delivered.
+	r1, _ := chA.Seal([]byte("r1"))
+	r2, _ := chA.Seal([]byte("r2"))
+	send(t, a.ep, 0x20, r1)
+	send(t, a.ep, 0x20, r1)
+	if _, err := chB.Open(recv(t, b.ep)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chB.Open(msg1.Payload); err != nil {
+	if _, err := b.ep.Poll(); !errors.Is(err, transport.ErrNoMessage) {
+		t.Fatalf("back-to-back resend surfaced: %v", err)
+	}
+	if n := b.ep.Stats().DuplicateMessages; n != 1 {
+		t.Errorf("DuplicateMessages = %d, want 1", n)
+	}
+
+	// Replay at the bus level: r1 again after r2 is no duplicate to the
+	// transport, which delivers r1, r2 and r1; the session layer must
+	// reject the third.
+	send(t, a.ep, 0x20, r2)
+	send(t, a.ep, 0x20, r1)
+	if _, err := chB.Open(recv(t, b.ep)); err != nil {
 		t.Fatal(err)
 	}
-	msg2, err := b.ep.Poll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := chB.Open(msg2.Payload); err == nil {
+	if _, err := chB.Open(recv(t, b.ep)); err == nil {
 		t.Fatal("bus-level replay accepted by the session layer")
 	}
 }
@@ -228,20 +213,19 @@ func TestLiveHandshakeTamperedOnWire(t *testing.T) {
 	// A man-in-the-middle flips a certificate byte inside B1 while it
 	// crosses the bus; the initiator must abort.
 	a, b, _ := setup(t, 33)
-	init, _ := core.NewInitiator(a.party, core.OptNone)
-	resp, _ := core.NewResponder(b.party, core.OptNone)
-
-	a1, _ := init.Start()
-	a.sendSTS(t, a1)
-	b1, _, err := resp.Handle(b.recvSTS(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MitM: flip a certificate byte before it reaches A.
-	b1[30] ^= 0x01
-	b.sendSTS(t, b1)
-	if _, _, err := init.Handle(a.recvSTS(t)); err == nil {
-		t.Fatal("tampered B1 accepted over the wire")
+	init, resp := newEngines(t, a, b, core.OptNone)
+	overBus := carrier(t, a, b)
+	tampered := false
+	err := core.Exchange(init, resp, func(msg []byte, toB bool) ([]byte, error) {
+		if !toB && !tampered {
+			tampered = true
+			msg = append([]byte(nil), msg...)
+			msg[30] ^= 0x01
+		}
+		return overBus(msg, toB)
+	})
+	if !errors.Is(err, core.ErrHandshakeAuth) {
+		t.Fatalf("tampered B1 over the wire: got %v, want ErrHandshakeAuth", err)
 	}
 }
 
@@ -257,9 +241,7 @@ func TestEnrollmentOverCANFD(t *testing.T) {
 	}
 	gw := &enroll.Gateway{CA: ca}
 
-	bus := canbus.NewBus(canbus.PrototypeRates)
-	epDev := transport.NewEndpoint(bus.Attach("new-ecu"), 0x201)
-	epGw := transport.NewEndpoint(bus.Attach("gateway"), 0x202)
+	epDev, epGw, _ := newLink("new-ecu", 0x201, "gateway", 0x202)
 
 	dev := &enroll.Device{
 		Curve: ec.P256(),
@@ -271,22 +253,10 @@ func TestEnrollmentOverCANFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := epDev.Send(transport.Message{CommCode: 0x30, OpCode: reqBytes[0], Payload: reqBytes}); err != nil {
-		t.Fatal(err)
-	}
-	reqMsg, err := epGw.Poll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	respBytes := gw.Handle(reqMsg.Payload)
-	if _, err := epGw.Send(transport.Message{CommCode: 0x30, OpCode: respBytes[0], Payload: respBytes}); err != nil {
-		t.Fatal(err)
-	}
-	respMsg, err := epDev.Poll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cert, priv, err := dev.Finish(respMsg.Payload)
+	send(t, epDev, 0x30, reqBytes)
+	respBytes := gw.Handle(recv(t, epGw))
+	send(t, epGw, 0x30, respBytes)
+	cert, priv, err := dev.Finish(recv(t, epDev))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,10 +123,13 @@ func Run(p core.Protocol, model *hwmodel.Model, deviceName string) (*Timeline, e
 	}
 	raw := model.RawPhaseMS(res.Trace, dev)
 
-	// CAN-FD bus with the prototype rates of §V-C.
+	// CAN-FD bus with the prototype rates of §V-C. A zero Config adds
+	// no CRC trailer, so the frames are the prototype's.
+	w := transport.NewWorld(nil)
 	bus := canbus.NewBus(canbus.PrototypeRates)
-	epEVCC := transport.NewEndpoint(bus.Attach("evcc"), 0x101)
-	epBMS := transport.NewEndpoint(bus.Attach("bms"), 0x102)
+	bus.SetClock(w.Clock)
+	epEVCC := transport.NewReliableEndpoint(w, bus.Attach("evcc"), 0x101, transport.Config{})
+	epBMS := transport.NewReliableEndpoint(w, bus.Attach("bms"), 0x102, transport.Config{})
 
 	tl := &Timeline{Protocol: p.Name()}
 	labels := phaseLabel[p.Name()]

@@ -183,8 +183,8 @@ func resolveSegment(cfg AdversaryConfig, segments int) int {
 // exactly the rate-limited egress ports the victims depend on.
 const babbleID = initiatorIDBase + 0xFF
 
-// maxReplayHops bounds the replayed-session message loop, mirroring
-// fleet's handshake hop bound.
+// maxReplayHops bounds the replayed-session message loop; an honest
+// STS exchange needs two responder hops, so eight is generous.
 const maxReplayHops = 8
 
 // ---------------------------------------------------------------- replay
@@ -305,8 +305,8 @@ func (a *replayAdversary) replayOne(conv int, frames []canbus.Frame) security.Re
 	completed := false
 	var lastErr error
 	for hop := 0; hop < maxReplayHops; hop++ {
-		msg, ok := victim.TryPoll()
-		if !ok {
+		msg, err := victim.Poll()
+		if err != nil {
 			break
 		}
 		reply, done, err := resp.Handle(msg.Payload)

@@ -57,12 +57,12 @@ func TestAdversaryWorkerInvariance(t *testing.T) {
 			s.SweepPoints = []float64{0, 0.02}
 
 			var serialTrace bytes.Buffer
-			serial, _, err := RunTracedWith(s, &serialTrace, Options{Workers: 1})
+			serial, _, err := RunWith(s, Options{Workers: 1}, NewTraceSink(&serialTrace))
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
 			var parTrace bytes.Buffer
-			par, _, err := RunTracedWith(s, &parTrace, Options{Workers: 8})
+			par, _, err := RunWith(s, Options{Workers: 8}, NewTraceSink(&parTrace))
 			if err != nil {
 				t.Fatalf("8-way: %v", err)
 			}
@@ -98,7 +98,7 @@ func TestAdversaryWorkerInvariance(t *testing.T) {
 // fresh responder, is rejected — and rejected cryptographically
 // (ErrHandshakeAuth), not by state-machine accident.
 func TestReplayAttackRejectedEndToEnd(t *testing.T) {
-	res, err := Run(attackScenario(AdversaryReplay, 0))
+	res, _, err := RunWith(attackScenario(AdversaryReplay, 0), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReplayAttackRejectedEndToEnd(t *testing.T) {
 
 // TestReplaySessionCap bounds the storm with Intensity.
 func TestReplaySessionCap(t *testing.T) {
-	res, err := Run(attackScenario(AdversaryReplay, 2))
+	res, _, err := RunWith(attackScenario(AdversaryReplay, 2), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestReplaySessionCap(t *testing.T) {
 // babble rate.
 func TestBabbleDegradesVictimLatency(t *testing.T) {
 	lat := func(rate float64) float64 {
-		res, err := Run(attackScenario(AdversaryBabble, rate))
+		res, _, err := RunWith(attackScenario(AdversaryBabble, rate), Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestBabbleDegradesVictimLatency(t *testing.T) {
 // frames died at the severed port, retransmissions fired, and every
 // handshake eventually completed.
 func TestPartitionHealExercisesRecovery(t *testing.T) {
-	res, err := Run(attackScenario(AdversaryPartition, 0.001))
+	res, _, err := RunWith(attackScenario(AdversaryPartition, 0.001), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPartitionHealExercisesRecovery(t *testing.T) {
 // checks the ISO-TP machinery absorbed the lies: waits honoured,
 // transfers aborted and retried, and the fleet still converged.
 func TestInjectForcesRecovery(t *testing.T) {
-	res, err := Run(attackScenario(AdversaryInject, 0.8))
+	res, _, err := RunWith(attackScenario(AdversaryInject, 0.8), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestInjectForcesRecovery(t *testing.T) {
 // retry budgets in the accounting, never a hang or a phantom success.
 func TestInjectAtCertaintyExhaustsRetries(t *testing.T) {
 	s := attackScenario(AdversaryInject, 1)
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestDayInTheLifeComposite(t *testing.T) {
 	s.Name = "composite"
 	s.Workload = WorkloadDayInLife
 	s.Adversaries = append(s.Adversaries, AdversaryConfig{Kind: AdversaryReplay, Segment: -1})
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestAttackSweepOverridesIntensity(t *testing.T) {
 	s := attackScenario(AdversaryBabble, 0)
 	s.SweepAxis = AxisAttack
 	s.SweepPoints = []float64{0, 2000, 8000}
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +390,11 @@ func TestTapIsMeasurementInvisible(t *testing.T) {
 	benign.Workload = WorkloadLatency
 	benign.Adversaries = nil
 
-	ra, err := Run(attack)
+	ra, _, err := RunWith(attack, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Run(benign)
+	rb, _, err := RunWith(benign, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

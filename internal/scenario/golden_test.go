@@ -74,7 +74,7 @@ func goldenScenario() Scenario {
 
 func TestGoldenTrace(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunTraced(goldenScenario(), &buf)
+	res, _, err := RunWith(goldenScenario(), Options{Workers: 1}, NewTraceSink(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // document for mutation-based ValidateJSON tests.
 func validResultJSON(t *testing.T) []byte {
 	t.Helper()
-	res, err := Run(smallScenario(WorkloadLatency))
+	res, _, err := RunWith(smallScenario(WorkloadLatency), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestValidateJSONMissingVersion(t *testing.T) {
 // the security gate — a curve that records a successful replay must
 // never validate, so it can never land in BENCH_scenarios.json.
 func TestValidateJSONRefusesAcceptedReplays(t *testing.T) {
-	res, err := Run(attackScenario(AdversaryReplay, 0))
+	res, _, err := RunWith(attackScenario(AdversaryReplay, 0), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestValidateJSONRefusesAcceptedReplays(t *testing.T) {
 // TestValidateJSONAttackInvariants: attack points must carry
 // accounting with known adversary kinds.
 func TestValidateJSONAttackInvariants(t *testing.T) {
-	res, err := Run(attackScenario(AdversaryBabble, 2000))
+	res, _, err := RunWith(attackScenario(AdversaryBabble, 2000), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestValidateJSONAttackInvariants(t *testing.T) {
 // TestWriteCSVAttackColumns: the flat curve carries the aggregated
 // attack columns, and a benign row zeroes them rather than omitting.
 func TestWriteCSVAttackColumns(t *testing.T) {
-	res, err := Run(attackScenario(AdversaryReplay, 0))
+	res, _, err := RunWith(attackScenario(AdversaryReplay, 0), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

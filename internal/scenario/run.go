@@ -20,7 +20,7 @@ import (
 // measures: every knob here is an execution detail, so the Result (and
 // any trace) is byte-identical for every Options value. (Trace bytes
 // additionally require the scenario itself to be trace-deterministic —
-// see RunTracedWith.)
+// see TraceSink.)
 type Options struct {
 	// Workers bounds how many sweep points simulate concurrently.
 	// Each point owns a fully isolated fabric — its own simulated
@@ -58,46 +58,20 @@ type Timing struct {
 	HeapHighWater uint64
 }
 
-// Run executes the scenario serially — every sweep point on a fresh,
-// freshly seeded fabric — and returns its measurements.
-func Run(s Scenario) (*Result, error) {
-	res, _, err := RunWith(s, Options{Workers: 1})
-	return res, err
-}
-
-// RunWith executes the scenario with the given execution options,
-// returning the measurements and the run's wall-clock timing. The
-// Result is byte-identical for every worker count.
-func RunWith(s Scenario, o Options) (*Result, *Timing, error) {
-	return run(s, nil, o)
-}
-
-// RunTraced runs the scenario serially while writing the full fault
-// and recovery trace to w in a stable line format: one line per
-// injected bus fault, per completed or failed handshake, per
-// protocol-step cost row and per point summary. With a fixed seed the
-// byte stream is exactly reproducible.
-func RunTraced(s Scenario, w io.Writer) (*Result, error) {
-	res, _, err := RunTracedWith(s, w, Options{Workers: 1})
-	return res, err
-}
-
-// RunTracedWith is RunTraced with execution options. Workers add no
-// nondeterminism to the trace: each point's trace accumulates in a
-// private buffer while the points run concurrently, and the buffers
-// are written to w in point order once the sweep completes, so the
-// byte stream equals the serial run's. One caveat the workers do not
-// create and cannot fix: with EstablishAll Parallelism > 1 inside a
-// point, absolute fault timestamps and trace line order depend on how
-// the runtime interleaved the conversations — even two serial runs
-// can differ. The Result is schedule-invariant regardless (that is
-// the fair-queuing/content-keying contract); byte-stable traces
-// additionally need Parallelism ≤ 1.
-func RunTracedWith(s Scenario, w io.Writer, o Options) (*Result, *Timing, error) {
-	if w == nil {
-		return nil, nil, fmt.Errorf("scenario: RunTracedWith needs a trace writer")
+// RunWith executes the scenario with the given execution options and
+// returns its measurements and the run's wall-clock timing. It is
+// RunStreamWith with a collecting sink in front of sinks, so the
+// materialized and streamed outputs share one engine and their byte
+// identity holds by construction. The Result is byte-identical for
+// every worker count; pass NewTraceSink(w) to write the fault and
+// recovery trace as well.
+func RunWith(s Scenario, o Options, sinks ...PointSink) (*Result, *Timing, error) {
+	col := &collectSink{}
+	timing, err := RunStreamWith(s, append([]PointSink{col}, sinks...), o)
+	if err != nil {
+		return nil, nil, err
 	}
-	return run(s, w, o)
+	return col.res, timing, nil
 }
 
 // tracer accumulates the text trace; a nil tracer writes nothing.
@@ -124,24 +98,6 @@ var runPointFn = runPoint
 // EstablishAll(peers, 1) hide for three releases).
 var establishAllFn = func(m *fleet.Manager, peers []*core.Party, parallelism int) []error {
 	return m.EstablishAll(peers, parallelism)
-}
-
-// run is the materialized path: the streaming engine with a collecting
-// sink (and a TraceSink when a trace writer was given). Keeping it on
-// the same engine means the byte-identity contract between streamed
-// and materialized output is enforced by construction, not by tests
-// alone.
-func run(s Scenario, traceW io.Writer, o Options) (*Result, *Timing, error) {
-	col := &collectSink{}
-	sinks := []PointSink{col}
-	if traceW != nil {
-		sinks = append(sinks, NewTraceSink(traceW))
-	}
-	timing, err := RunStreamWith(s, sinks, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return col.res, timing, nil
 }
 
 // runPoint provisions a fleet, builds the fabric at one sweep value

@@ -35,7 +35,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantTrace bytes.Buffer
-	if _, err := RunTraced(s, &wantTrace); err != nil {
+	if _, _, err := RunWith(s, Options{Workers: 1}, NewTraceSink(&wantTrace)); err != nil {
 		t.Fatal(err)
 	}
 	var wantJSON bytes.Buffer
@@ -68,7 +68,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		}
 
 		var gotTrace bytes.Buffer
-		if _, _, err := RunTracedWith(s, &gotTrace, Options{Workers: workers}); err != nil {
+		if _, _, err := RunWith(s, Options{Workers: workers}, NewTraceSink(&gotTrace)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotTrace.Bytes(), wantTrace.Bytes()) {
@@ -101,12 +101,12 @@ func TestParallelSweepRace(t *testing.T) {
 	s.SweepPoints = []float64{0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08}
 
 	var serial bytes.Buffer
-	want, _, err := RunTracedWith(s, &serial, Options{Workers: 1})
+	want, _, err := RunWith(s, Options{Workers: 1}, NewTraceSink(&serial))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var parallel bytes.Buffer
-	got, timing, err := RunTracedWith(s, &parallel, Options{Workers: 8})
+	got, timing, err := RunWith(s, Options{Workers: 8}, NewTraceSink(&parallel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRunRecordsPointError(t *testing.T) {
 	s.SweepAxis = AxisDrop
 	s.SweepPoints = []float64{0, 0.05, 0.10}
 	var trace bytes.Buffer
-	res, _, err := RunTracedWith(s, &trace, Options{Workers: 2})
+	res, _, err := RunWith(s, Options{Workers: 2}, NewTraceSink(&trace))
 	if err != nil {
 		t.Fatalf("a failed point aborted the sweep: %v", err)
 	}
@@ -188,11 +188,11 @@ func TestSharedEgressScenario(t *testing.T) {
 	shared := perFlow
 	shared.Egress.Shared = true
 
-	rPer, err := Run(perFlow)
+	rPer, _, err := RunWith(perFlow, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rShared, err := Run(shared)
+	rShared, _, err := RunWith(shared, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSharedEgressScenario(t *testing.T) {
 		t.Errorf("shared capacity (%.0fus) not slower than per-flow (%.0fus) at the same rate",
 			rShared.Points[0].SimTimeUS, rPer.Points[0].SimTimeUS)
 	}
-	again, err := Run(shared)
+	again, _, err := RunWith(shared, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestDayInLifeHonorsParallelism(t *testing.T) {
 	}
 	defer func() { establishAllFn = orig }()
 
-	res3, err := Run(dayInLife(3))
+	res3, _, err := RunWith(dayInLife(3), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestDayInLifeHonorsParallelism(t *testing.T) {
 	}
 
 	calls = nil
-	res1, err := Run(dayInLife(1))
+	res1, _, err := RunWith(dayInLife(1), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

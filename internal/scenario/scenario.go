@@ -1,10 +1,11 @@
 // Package scenario is the declarative measurement engine on top of
 // the impairment-aware CAN fabric: a Scenario names a topology, an
-// impairment profile, a workload and a sweep axis, and Run drives the
-// session-establishment fleet over the simulated multi-segment
-// network, emitting structured measurements — handshake-latency-vs-
-// loss-rate curves, per-Table-II-step retransmission and overhead
-// accounting, fleet bring-up under churn — as JSON or CSV.
+// impairment profile, a workload and a sweep axis, and RunWith (or
+// RunStreamWith) drives the session-establishment fleet over the
+// simulated multi-segment network, emitting structured measurements —
+// handshake-latency-vs-loss-rate curves, per-Table-II-step
+// retransmission and overhead accounting, fleet bring-up under churn —
+// as JSON or CSV.
 //
 // This turns the chaos fabric of internal/canbus, internal/cantp and
 // internal/transport from a test fixture into an instrument: the

@@ -34,7 +34,7 @@ func TestLatencyVsLossCurve(t *testing.T) {
 	s := smallScenario(WorkloadLatency)
 	s.SweepAxis = AxisDrop
 	s.SweepPoints = []float64{0, 0.05, 0.10}
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestLatencyVsLossCurve(t *testing.T) {
 func TestPerStepAccountingCoversTableII(t *testing.T) {
 	s := smallScenario(WorkloadLatency)
 	s.Profile = Profile{Drop: 0.05}
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestRunDeterministic(t *testing.T) {
 	s := smallScenario(WorkloadLatency)
 	s.SweepAxis = AxisDrop
 	s.SweepPoints = []float64{0.04, 0.08}
-	r1, err := Run(s)
+	r1, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(s)
+	r2, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +116,10 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatalf("same scenario diverged:\n%+v\n%+v", r1, r2)
 	}
 	var t1, t2 bytes.Buffer
-	if _, err := RunTraced(s, &t1); err != nil {
+	if _, _, err := RunWith(s, Options{Workers: 1}, NewTraceSink(&t1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunTraced(s, &t2); err != nil {
+	if _, _, err := RunWith(s, Options{Workers: 1}, NewTraceSink(&t2)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(t1.Bytes(), t2.Bytes()) {
@@ -130,7 +130,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestBringupWorkload(t *testing.T) {
 	s := smallScenario(WorkloadBringup)
 	s.Parallelism = 3
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestBringupWorkload(t *testing.T) {
 func TestChurnWorkload(t *testing.T) {
 	s := smallScenario(WorkloadChurn)
 	s.ChurnRounds = 2
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestEgressCongestionSlowsBringup(t *testing.T) {
 	// 200 frames/s: a 5 ms serialization gap per forwarded frame,
 	// roughly 10× a frame's wire time — congestion that must dominate.
 	slow.Egress = canbus.EgressPolicy{Rate: 200}
-	rFast, err := Run(fast)
+	rFast, _, err := RunWith(fast, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSlow, err := Run(slow)
+	rSlow, _, err := RunWith(slow, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestCongestedBringupScheduleInvariant(t *testing.T) {
 
 	serial := base
 	serial.Parallelism = 1
-	want, err := Run(serial)
+	want, _, err := RunWith(serial, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCongestedBringupScheduleInvariant(t *testing.T) {
 	for _, parallelism := range []int{3, 8} {
 		conc := base
 		conc.Parallelism = parallelism
-		got, err := Run(conc)
+		got, _, err := RunWith(conc, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,11 +238,11 @@ func TestQueueTimeAccountedUnderCongestion(t *testing.T) {
 	congested := open
 	congested.Egress = canbus.EgressPolicy{Rate: 200}
 
-	rOpen, err := Run(open)
+	rOpen, _, err := RunWith(open, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rCong, err := Run(congested)
+	rCong, _, err := RunWith(congested, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestQueueTimeAccountedUnderCongestion(t *testing.T) {
 
 func TestValidateJSONRoundTrip(t *testing.T) {
 	s := smallScenario(WorkloadLatency)
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestWriteCSV(t *testing.T) {
 	s := smallScenario(WorkloadLatency)
 	s.SweepAxis = AxisDrop
 	s.SweepPoints = []float64{0, 0.05}
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestSweepOtherAxes(t *testing.T) {
 	s.Profile = Profile{}
 	s.SweepAxis = AxisCorrupt
 	s.SweepPoints = []float64{0, 0.05}
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestSweepOtherAxes(t *testing.T) {
 	}
 
 	s.SweepAxis = AxisDuplicate
-	res, err = Run(s)
+	res, _, err = RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,11 +423,11 @@ func jsonKeyPaths(v any, prefix string, into map[string]bool) {
 func TestResultSchemaGolden(t *testing.T) {
 	s := smallScenario(WorkloadChurn) // churn populates every optional block except latency
 	s.Egress = canbus.EgressPolicy{Rate: 5000, Queue: 64}
-	res, err := Run(s)
+	res, _, err := RunWith(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := Run(smallScenario(WorkloadLatency))
+	lat, _, err := RunWith(smallScenario(WorkloadLatency), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,9 +157,19 @@ func (s *CSVSink) End(Summary) error {
 	return s.cw.Error()
 }
 
-// TraceSink streams the fault/recovery trace, byte-identical to
-// RunTracedWith's output: the scenario header line at Begin, then each
-// point's privately buffered trace in point order.
+// TraceSink streams the fault and recovery trace in a stable line
+// format: the scenario header line at Begin, then each point's trace —
+// one line per injected bus fault, per completed or failed handshake,
+// per protocol-step cost row and per point summary. Each point's trace
+// accumulates in a private buffer while points run concurrently and
+// is written in point order, so with a fixed seed the byte stream is
+// the same at every worker count. One caveat the workers do not create
+// and cannot fix: with EstablishAll Parallelism > 1 inside a point,
+// absolute fault timestamps and trace line order depend on how the
+// runtime interleaved the conversations — even two serial runs can
+// differ. The Result is schedule-invariant regardless (that is the
+// fair-queuing/content-keying contract); byte-stable traces
+// additionally need Parallelism ≤ 1.
 type TraceSink struct {
 	w io.Writer
 }
@@ -188,7 +198,7 @@ func (s *TraceSink) Point(i int, pt Point, trace []byte) error {
 func (s *TraceSink) End(Summary) error { return nil }
 
 // collectSink materializes the streamed points back into a Result —
-// how Run/RunWith are built on the streaming engine.
+// how RunWith is built on the streaming engine.
 type collectSink struct {
 	res *Result
 }

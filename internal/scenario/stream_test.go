@@ -29,7 +29,7 @@ func runAllSinks(t *testing.T, s Scenario, workers int) (jsonB, csvB, traceB []b
 func materialize(t *testing.T, s Scenario) (jsonB, csvB, traceB []byte, res *Result) {
 	t.Helper()
 	var tb bytes.Buffer
-	res, _, err := RunTracedWith(s, &tb, Options{Workers: 1})
+	res, _, err := RunWith(s, Options{Workers: 1}, NewTraceSink(&tb))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,14 @@
 package security
 
 import (
-	"math/rand"
+	"io"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/detrand"
 )
 
-type detRand struct{ r *rand.Rand }
-
-func newDetRand(seed int64) *detRand { return &detRand{r: rand.New(rand.NewSource(seed))} }
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
+func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
 // paperTable3 is the measured security matrix of the paper's
 // Table III, column order S-ECDSA, STS, SCIANC, PORAMB.

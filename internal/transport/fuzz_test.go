@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzMessageTrailer targets the reliable mode's CRC-32 message
-// trailer and the application-layer codec under it. Properties:
-// nothing panics on arbitrary bytes; append→verify round-trips any
-// payload; a verifying input is exactly reproduced by re-appending
-// its own checksum; and a decodable message re-encodes byte-exactly.
+// FuzzMessageTrailer targets the optional CRC-32 message trailer and
+// the application-layer codec under it. Properties: nothing panics on
+// arbitrary bytes; append→verify round-trips any payload; a verifying
+// input is exactly reproduced by re-appending its own checksum; and a
+// decodable message re-encodes byte-exactly.
 func FuzzMessageTrailer(f *testing.F) {
 	// A well-formed message with a valid trailer.
 	f.Add(appendChecksum(Message{CommCode: 1, SessionID: 7, OpCode: 2, Payload: []byte("hello")}.Encode()))
@@ -43,7 +43,7 @@ func FuzzMessageTrailer(f *testing.F) {
 			}
 		}
 
-		// The raw codec path (lockstep mode has no trailer).
+		// The raw codec path (an endpoint without Config.Checksum).
 		if msg, err := DecodeMessage(data); err == nil {
 			if !bytes.Equal(msg.Encode(), data) {
 				t.Fatal("raw decode/encode round trip diverged")

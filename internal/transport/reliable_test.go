@@ -95,7 +95,7 @@ func TestReliableChecksumRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run()
-	if _, ok := b.TryPoll(); ok {
+	if _, err := b.Poll(); err == nil {
 		t.Fatal("corrupted message surfaced")
 	}
 	st := b.Stats()
@@ -126,10 +126,10 @@ func TestReliableDuplicateSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run()
-	if _, ok := b.TryPoll(); !ok {
+	if _, err := b.Poll(); err != nil {
 		t.Fatal("message lost")
 	}
-	if _, ok := b.TryPoll(); ok {
+	if _, err := b.Poll(); err == nil {
 		t.Fatal("duplicated single-frame message surfaced twice")
 	}
 	if b.Stats().DuplicateMessages == 0 {
@@ -164,8 +164,8 @@ func TestReliableWaitChain(t *testing.T) {
 		t.Fatalf("send through Wait chain: %v", err)
 	}
 	w.Run()
-	got, ok := b.TryPoll()
-	if !ok || !bytes.Equal(got.Payload, m.Payload) {
+	got, err := b.Poll()
+	if err != nil || !bytes.Equal(got.Payload, m.Payload) {
 		t.Fatal("message lost behind Wait chain")
 	}
 	if a.Stats().WaitsHonoured != 2 {

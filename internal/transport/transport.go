@@ -10,17 +10,16 @@
 // report the CAN-FD transfer share of the session separately from the
 // cryptographic processing time.
 //
-// An Endpoint runs in one of two modes. The default lockstep mode is
-// the original collision-free prototype: Send transmits every frame
-// back-to-back and trusts the bus to deliver. Reliable mode (see
-// NewReliableEndpoint and World) engages the timer- and
-// retransmission-aware ISO-TP state machines of internal/cantp — N_Bs
-// and N_Cr supervision on the simulated clock, FlowControl
-// Wait/Overflow handling, bounded FirstFrame retransmission with
-// backoff — plus a CRC-32 message trailer that rejects payloads
-// corrupted below the CAN CRC's notice. Link layers whole-message
-// retransmission on top, which is what the handshake retry policies
-// of internal/fleet build on.
+// Every Endpoint belongs to a World (see NewReliableEndpoint) and runs
+// the timer- and retransmission-aware ISO-TP state machines of
+// internal/cantp — N_Bs and N_Cr supervision on the simulated clock,
+// FlowControl Wait/Overflow handling, bounded FirstFrame
+// retransmission with backoff — plus, when configured, a CRC-32
+// message trailer that rejects payloads corrupted below the CAN CRC's
+// notice. On a lossless bus with a zero Config this puts exactly the
+// frames of the paper's prototype on the wire. Link layers
+// whole-message retransmission on top, which is what the handshake
+// retry policies of internal/fleet build on.
 package transport
 
 import (
@@ -80,7 +79,7 @@ type Stats struct {
 	PayloadBytesSent int
 	WireTime         time.Duration // bus time consumed by this endpoint's frames
 
-	// Reliability counters (zero in lockstep mode).
+	// Reliability counters.
 	Retransmits       int // ISO-TP FirstFrame retransmissions (N_Bs expiry)
 	WaitsHonoured     int // FlowControl(Wait) frames honoured while sending
 	MessageResends    int // whole-message resends by Link.Deliver
@@ -91,7 +90,8 @@ type Stats struct {
 	FilteredFrames    int // frames rejected by the acceptance filter
 }
 
-// Config parameterizes a reliable endpoint.
+// Config parameterizes an endpoint. The zero Config is the paper's
+// prototype link: cantp defaults, no trailer, no acceptance filter.
 type Config struct {
 	// Sender configures N_Bs supervision, retransmission budget,
 	// backoff and the Wait budget. Zero takes cantp defaults.
@@ -118,7 +118,8 @@ type Config struct {
 	Accounting *Accounting
 }
 
-// DefaultConfig is the reliable profile used by the chaos harness.
+// DefaultConfig is the impaired-fabric profile used by the chaos
+// harness: cantp's retransmission defaults plus the CRC-32 trailer.
 func DefaultConfig() Config {
 	return Config{
 		Sender:   cantp.DefaultSenderConfig(),
@@ -129,45 +130,32 @@ func DefaultConfig() Config {
 
 // Endpoint is one session participant attached to a CAN bus node.
 type Endpoint struct {
-	node     *canbus.Node
-	txID     uint32
-	reliable bool
-	cfg      Config
-	world    *World
-	clock    *canbus.Clock
+	node  *canbus.Node
+	txID  uint32
+	cfg   Config
+	world *World
 
 	rx      *cantp.Receiver
 	rxBase  cantp.ReceiverStats // counters of receivers retired by Flush
-	sender  *cantp.Sender       // non-nil only inside a reliable Send
+	sender  *cantp.Sender       // non-nil only inside Send
 	sendErr error               // terminal FC verdict discovered during Service
 	inbox   []Message
 	lastMsg []byte // last delivered message bytes, for duplicate suppression
-	lastErr error  // deferred service error (lockstep mode only)
 	stats   Stats
 }
 
-// NewEndpoint wraps a bus node in lockstep (original prototype) mode.
-// txID is the CAN identifier used for all frames this endpoint
-// transmits.
-func NewEndpoint(node *canbus.Node, txID uint32) *Endpoint {
-	return &Endpoint{
-		node: node,
-		txID: txID,
-		rx:   cantp.NewReceiver(cantp.ReceiverConfig{}),
-	}
-}
-
-// NewReliableEndpoint wraps a bus node in reliable mode and registers
-// it with the world, whose clock drives every protocol timer.
+// NewReliableEndpoint wraps a bus node and registers it with the
+// world, whose clock drives every protocol timer. txID is the CAN
+// identifier used for all frames this endpoint transmits. The node's
+// bus should run on the world's clock (canbus.Bus.SetClock) so that
+// wire time advances the timers.
 func NewReliableEndpoint(w *World, node *canbus.Node, txID uint32, cfg Config) *Endpoint {
 	e := &Endpoint{
-		node:     node,
-		txID:     txID,
-		reliable: true,
-		cfg:      cfg,
-		world:    w,
-		clock:    w.Clock,
-		rx:       cantp.NewReceiver(cfg.Receiver),
+		node:  node,
+		txID:  txID,
+		cfg:   cfg,
+		world: w,
+		rx:    cantp.NewReceiver(cfg.Receiver),
 	}
 	w.addEndpoint(e)
 	return e
@@ -193,8 +181,8 @@ func addReceiverStats(a, b cantp.ReceiverStats) cantp.ReceiverStats {
 }
 
 // Flush discards buffered messages, partial reassembly state and any
-// deferred error — the clean-slate a fresh handshake attempt starts
-// from. Statistics survive.
+// pending send verdict — the clean slate a fresh handshake attempt
+// starts from. Statistics survive.
 func (e *Endpoint) Flush() {
 	for {
 		if _, ok := e.node.Receive(); !ok {
@@ -202,31 +190,22 @@ func (e *Endpoint) Flush() {
 		}
 	}
 	e.rxBase = addReceiverStats(e.rxBase, e.rx.Stats())
-	e.rx = cantp.NewReceiver(e.receiverConfig())
+	e.rx = cantp.NewReceiver(e.cfg.Receiver)
 	e.inbox = nil
 	e.lastMsg = nil
-	e.lastErr = nil
 	e.sender = nil
 	e.sendErr = nil
 }
 
-func (e *Endpoint) receiverConfig() cantp.ReceiverConfig {
-	if e.reliable {
-		return e.cfg.Receiver
-	}
-	return cantp.ReceiverConfig{}
-}
+// now returns the world's simulated time.
+func (e *Endpoint) now() time.Duration { return e.world.Clock.Now() }
 
-// now returns the simulated time (zero without a clock).
-func (e *Endpoint) now() time.Duration { return e.clock.Now() }
-
-// Send transmits a message. In lockstep mode every frame goes out
-// back-to-back, trusting the bus (the original prototype behaviour).
-// In reliable mode the cantp.Sender state machine runs with its
-// timers on the world clock: it waits for FlowControls, honours Wait,
-// paces to STmin, retransmits the FirstFrame with backoff on N_Bs
-// expiry and aborts on Overflow or budget exhaustion. The returned
-// duration is the wire time of every frame actually transmitted,
+// Send transmits a message. The cantp.Sender state machine runs with
+// its timers on the world clock: it waits for FlowControls (pumping
+// the world so the peer can answer), honours Wait, paces to STmin,
+// retransmits the FirstFrame with backoff on N_Bs expiry and aborts
+// on Overflow or budget exhaustion. The returned duration is the wire
+// time of every frame this endpoint actually transmitted,
 // retransmissions included.
 func (e *Endpoint) Send(m Message) (time.Duration, error) {
 	if e.cfg.Accounting == nil {
@@ -275,10 +254,6 @@ func (e *Endpoint) send(m Message) (time.Duration, error) {
 	if e.cfg.Checksum {
 		payload = appendChecksum(payload)
 	}
-	if !e.reliable {
-		return e.sendLockstep(m, payload)
-	}
-
 	s, err := cantp.NewSender(e.cfg.Sender, payload, e.now())
 	if err != nil {
 		return 0, fmt.Errorf("transport: send: %w", err)
@@ -361,25 +336,6 @@ func (e *Endpoint) takeSendErr() error {
 	return err
 }
 
-// sendLockstep is the original collision-free transmit path.
-func (e *Endpoint) sendLockstep(m Message, payload []byte) (time.Duration, error) {
-	frames, err := cantp.Segment(payload)
-	if err != nil {
-		return 0, fmt.Errorf("transport: send: %w", err)
-	}
-	var total time.Duration
-	for _, fp := range frames {
-		wt, err := e.transmit(fp)
-		if err != nil {
-			return total, fmt.Errorf("transport: send frame: %w", err)
-		}
-		total += wt
-	}
-	e.stats.MessagesSent++
-	e.stats.PayloadBytesSent += len(m.Payload)
-	return total, nil
-}
-
 // transmit puts one ISO-TP frame payload on the wire, charging the
 // frame to the endpoint's counters (so FlowControls and the frames of
 // an eventually-aborted transfer are accounted too).
@@ -397,19 +353,13 @@ func (e *Endpoint) transmit(payload []byte) (time.Duration, error) {
 // frames failing the acceptance filter are dropped, FlowControls feed
 // the active sender, data frames feed the receiver (answering with
 // FCs as the receiver dictates), completed messages land in the inbox
-// after checksum verification. It also services the receiver's
-// timers. Returns the number of frames processed, as the world pump's
-// progress measure.
-//
-// In lockstep mode the drain stops at the first completed message or
-// protocol error, preserving the original Poll semantics: events
-// surface one per Poll, in queue order.
+// after checksum verification. Protocol violations are counted in
+// Stats and survived. It also services the receiver's timers. Returns
+// the number of frames processed, as the world pump's progress
+// measure.
 func (e *Endpoint) Service() int {
 	processed := 0
 	for {
-		if !e.reliable && (len(e.inbox) > 0 || e.lastErr != nil) {
-			break
-		}
 		frame, ok := e.node.Receive()
 		if !ok {
 			break
@@ -426,17 +376,13 @@ func (e *Endpoint) Service() int {
 		}
 		msg, fc, err := e.rx.Push(frame.Data, now)
 		if err != nil {
-			if e.reliable {
-				e.stats.ProtocolDrops++
-			} else {
-				e.lastErr = fmt.Errorf("transport: reassembly: %w", err)
-			}
+			e.stats.ProtocolDrops++
 			continue
 		}
 		if fc != nil {
-			if _, err := e.transmit(fc); err != nil && !e.reliable {
-				e.lastErr = fmt.Errorf("transport: flow control: %w", err)
-			}
+			// A FlowControl that fails to go out is a lost one; the
+			// sender's N_Bs timer recovers from it.
+			_, _ = e.transmit(fc)
 		}
 		if msg != nil {
 			e.deliver(msg)
@@ -462,11 +408,7 @@ func (e *Endpoint) serviceFlowControl(data []byte, now time.Duration) {
 		return
 	}
 	if _, _, _, err := cantp.ParseFlowControl(data); err != nil {
-		if e.reliable {
-			e.stats.ProtocolDrops++
-		} else {
-			e.lastErr = fmt.Errorf("transport: %w", err)
-		}
+		e.stats.ProtocolDrops++
 	}
 }
 
@@ -498,7 +440,7 @@ func (e *Endpoint) deliver(raw []byte) {
 		}
 		raw = stripped
 	}
-	if e.reliable && e.lastMsg != nil && bytes.Equal(raw, e.lastMsg) {
+	if e.lastMsg != nil && bytes.Equal(raw, e.lastMsg) {
 		// A duplicated SingleFrame (or a whole-message resend that
 		// crossed its own reply) delivers the same bytes twice;
 		// surfacing both would desynchronize strict request/response
@@ -508,11 +450,7 @@ func (e *Endpoint) deliver(raw []byte) {
 	}
 	msg, err := DecodeMessage(raw)
 	if err != nil {
-		if e.reliable {
-			e.stats.ProtocolDrops++
-		} else {
-			e.lastErr = err
-		}
+		e.stats.ProtocolDrops++
 		return
 	}
 	e.lastMsg = append([]byte(nil), raw...)
@@ -524,34 +462,16 @@ func (e *Endpoint) deliver(raw []byte) {
 var ErrNoMessage = errors.New("transport: no complete message available")
 
 // Poll services the endpoint and returns the oldest complete message,
-// or ErrNoMessage. In lockstep mode protocol violations surface here
-// as errors (the original behaviour); in reliable mode they are
-// counted and survived.
+// or ErrNoMessage, the only error it returns: protocol violations are
+// counted in Stats and survived, never surfaced here.
 func (e *Endpoint) Poll() (Message, error) {
 	e.Service()
-	if e.lastErr != nil {
-		err := e.lastErr
-		e.lastErr = nil
-		return Message{}, err
-	}
 	if len(e.inbox) == 0 {
 		return Message{}, ErrNoMessage
 	}
 	msg := e.inbox[0]
 	e.inbox = e.inbox[1:]
 	return msg, nil
-}
-
-// TryPoll is Poll without the error surface: it reports whether a
-// message was available.
-func (e *Endpoint) TryPoll() (Message, bool) {
-	e.Service()
-	if len(e.inbox) == 0 {
-		return Message{}, false
-	}
-	msg := e.inbox[0]
-	e.inbox = e.inbox[1:]
-	return msg, true
 }
 
 // appendChecksum suffixes data with its CRC-32 (IEEE).

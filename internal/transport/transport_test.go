@@ -8,11 +8,15 @@ import (
 	"repro/internal/canbus"
 )
 
+// newPair builds the prototype link: two zero-Config endpoints on one
+// lossless bus.
 func newPair(t *testing.T) (*Endpoint, *Endpoint, *canbus.Bus) {
 	t.Helper()
+	w := NewWorld(nil)
 	bus := canbus.NewBus(canbus.PrototypeRates)
-	a := NewEndpoint(bus.Attach("bms"), 0x101)
-	b := NewEndpoint(bus.Attach("evcc"), 0x102)
+	bus.SetClock(w.Clock)
+	a := NewReliableEndpoint(w, bus.Attach("bms"), 0x101, Config{})
+	b := NewReliableEndpoint(w, bus.Attach("evcc"), 0x102, Config{})
 	return a, b, bus
 }
 
@@ -91,7 +95,7 @@ func TestLargeMessageFragmentsAndFlowControl(t *testing.T) {
 	if aStats.FramesSent != 4 {
 		t.Errorf("sender used %d frames, want 4", aStats.FramesSent)
 	}
-	// The sender's Poll must swallow the flow-control frame silently.
+	// The sender consumed the flow-control frame; nothing surfaces.
 	if _, err := a.Poll(); !errors.Is(err, ErrNoMessage) {
 		t.Errorf("sender Poll: %v, want ErrNoMessage", err)
 	}

@@ -11,11 +11,11 @@ import (
 
 // World is the single-threaded pump for one simulated network
 // topology: the shared clock, every gateway bridging its segments and
-// every reliable endpoint attached to them. Reliable endpoints block
-// inside Send waiting for FlowControls; the world is how that wait
-// makes progress — gateways forward queued frames, peers service
-// their queues and answer, and simulated time only moves through
-// AdvanceTo, stopping at each intermediate protocol timer.
+// every endpoint attached to them. Endpoints block inside Send
+// waiting for FlowControls; the world is how that wait makes progress
+// — gateways forward queued frames, peers service their queues and
+// answer, and simulated time only moves through AdvanceTo, stopping
+// at each intermediate protocol timer.
 //
 // A world (and everything attached to it) must be driven from one
 // goroutine at a time; distinct worlds are fully independent. This is
@@ -220,7 +220,7 @@ func (l *Link) Deliver(src, dst *Endpoint, m Message) (Message, error) {
 		// message's step as queueing delay when the delivery completes.
 		sent := l.World.Clock.Now()
 		l.World.Run()
-		if got, ok := dst.TryPoll(); ok {
+		if got, err := dst.Poll(); err == nil {
 			src.accountQueueDelay(m.OpCode, l.World.Clock.Now()-sent)
 			return got, nil
 		}
@@ -235,7 +235,7 @@ func (l *Link) Deliver(src, dst *Endpoint, m Message) (Message, error) {
 		deadline := l.World.Clock.Now() + l.responseTimeout()
 		for l.World.Clock.Now() < deadline {
 			l.World.Step(deadline)
-			if got, ok := dst.TryPoll(); ok {
+			if got, err := dst.Poll(); err == nil {
 				src.accountQueueDelay(m.OpCode, l.World.Clock.Now()-sent)
 				return got, nil
 			}
