@@ -245,11 +245,12 @@ bench-scenarios:
 		-segments 3 -parallelism 8 -stream \
 		-bench BENCH_scenarios.json >/dev/null
 
-# Brief fuzzing of the protocol parsers, of the field kernels against
-# math/big and of point multiplication against math/big and
-# crypto/elliptic (committed corpora under testdata/fuzz replay in
-# every plain `go test` run; this target digs further — used by CI
-# with a short budget, locally run longer). One FuzzPointMult input
+# Brief fuzzing of the protocol parsers, of the point and certificate
+# decoders, of the field kernels against math/big and of point
+# multiplication against math/big and crypto/elliptic (committed
+# corpora under testdata/fuzz replay in every plain `go test` run;
+# this target digs further — used by CI with a short budget, locally
+# run longer). One FuzzPointMult input
 # costs a dozen math/big point multiplications, so the default minute
 # of minimization per new input would use up the whole budget; ten
 # executions bound it.
@@ -260,6 +261,8 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -fuzz FuzzMessageTrailer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ec/fp -fuzz FuzzFieldOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ec -fuzz FuzzPointMult -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/ec -fuzz FuzzDecodePoint -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ecqv -fuzz FuzzECQVDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzSTSEngine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -fuzz FuzzChannelOpen -fuzztime $(FUZZTIME)
 

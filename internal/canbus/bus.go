@@ -57,22 +57,43 @@ type Stats struct {
 }
 
 // Node is a bus endpoint with a bounded receive queue. It is safe for
-// concurrent use. The queue's depth is mirrored in an atomic word, so
-// a Receive that finds the queue empty and every Pending call return
-// without taking the node's lock — the common case for a pump polling
-// idle endpoints. Every received frame carries private payload bytes:
-// no other receiver, and not the sender, can see or change them.
+// concurrent use. The queue's counters are atomic words, so a Receive
+// that finds the queue empty, TakeRejected, Pending and the bus's
+// rejection of a filtered frame never take the node's lock — the
+// common case for a pump polling idle endpoints and for a segment
+// full of other nodes' traffic. Every received frame carries private
+// payload bytes: no other receiver, and not the sender, can see or
+// change them.
+//
+// A node may carry a hardware acceptance filter (SetAcceptID), as a
+// real controller does: the bus then neither copies nor queues a
+// frame with another identifier for it, and only counts it as
+// rejected. A rejected frame still holds a receive-queue slot until
+// the owner's next full drain — Receive until it reports an empty
+// queue, then TakeRejected — which is exactly how long it would have
+// held one had the owner received and discarded it in software. The
+// receive bound, Overflow and the bus's Broadcast and RxOverflow
+// counters therefore read the same with the filter in the node as
+// with the same filter applied by the owner.
 type Node struct {
 	bus     *Bus
 	name    string
 	monitor bool
 
-	depth atomic.Int32 // rx.len(), stored under mu after every change
+	// The acceptance filter, read and written under the bus lock.
+	filtered bool
+	acceptID uint32
 
-	mu       sync.Mutex
-	rx       fifo[Frame]
-	rxLimit  int
-	overflow int
+	// Frames only arrive through the bus's fan-out, under the bus
+	// lock, so a bound check and the slot it grants never race another
+	// arrival; the owner's Receive and TakeRejected only free slots.
+	queued   atomic.Int32 // rx.len(), stored under mu after every change
+	rejected atomic.Int32 // frames refused by the filter since the last TakeRejected
+	rxLimit  atomic.Int64 // ≤ 0 means unbounded
+	overflow atomic.Int64
+
+	mu sync.Mutex // guards rx
+	rx fifo[Frame]
 }
 
 // NewBus creates a bus with the given bit rates.
@@ -149,7 +170,8 @@ func (b *Bus) SetRxLimit(n int) {
 func (b *Bus) Attach(name string) *Node {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := &Node{bus: b, name: name, rxLimit: b.rxLimit}
+	n := &Node{bus: b, name: name}
+	n.rxLimit.Store(int64(b.rxLimit))
 	b.nodes = append(b.nodes, n)
 	return n
 }
@@ -190,6 +212,12 @@ var ErrNotAttached = errors.New("canbus: node not attached to a bus")
 // node and returns the wire time. A dropped frame still returns its
 // wire time — it occupied the bus — with a nil error; loss is visible
 // only to the protocol layers above, exactly as on a real segment.
+//
+// Acceptance filtering happens here, in the fan-out: a receiver whose
+// filter refuses the frame's identifier gets no copy, and the frame is
+// only counted against that receiver's queue (see Node). It counts
+// toward Broadcast, or toward RxOverflow when that queue is full, just
+// as a queued copy would.
 func (n *Node) Send(f Frame) (time.Duration, error) {
 	res, err := n.send(f)
 	return res.wire, err
@@ -242,9 +270,13 @@ func (n *Node) send(f Frame) (sendResult, error) {
 	b.stats.WireTime += wt
 	b.clock.Advance(wt)
 	res := sendResult{wire: wt}
+	accepting := 0
 	for _, peer := range b.nodes {
 		if peer != n && !peer.monitor {
 			res.candidates++
+			if peer.accepts(f.ID) {
+				accepting++
+			}
 		}
 	}
 
@@ -280,12 +312,13 @@ func (n *Node) send(f Frame) (sendResult, error) {
 		delivered = f.Data
 	}
 
-	// One allocation backs every receiver's copy. Each copy's capacity
-	// ends at its own length, so no receiver can see or append into
-	// another's bytes. A tap gets a private copy instead: it may keep
-	// frames indefinitely and must not pin the shared buffer.
+	// One allocation backs every accepting receiver's copy. Each
+	// copy's capacity ends at its own length, so no receiver can see
+	// or append into another's bytes. A tap gets a private copy
+	// instead: it may keep frames indefinitely and must not pin the
+	// shared buffer.
 	size := len(delivered)
-	buf := make([]byte, copies*res.candidates*size)
+	buf := make([]byte, copies*accepting*size)
 	off := 0
 	for c := 0; c < copies; c++ {
 		for _, peer := range b.nodes {
@@ -302,10 +335,16 @@ func (n *Node) send(f Frame) (sendResult, error) {
 				peer.enqueue(out)
 				continue
 			}
-			out.Data = buf[off : off+size : off+size]
-			copy(out.Data, delivered)
-			off += size
-			if peer.enqueue(out) {
+			var ok bool
+			if peer.accepts(f.ID) {
+				out.Data = buf[off : off+size : off+size]
+				copy(out.Data, delivered)
+				off += size
+				ok = peer.enqueue(out)
+			} else {
+				ok = peer.reject()
+			}
+			if ok {
 				b.stats.Broadcast++
 				res.accepted++
 			} else {
@@ -316,25 +355,62 @@ func (n *Node) send(f Frame) (sendResult, error) {
 	return res, nil
 }
 
+// SetAcceptID installs a hardware acceptance filter: from now on the
+// bus delivers the node only frames whose identifier is id, and counts
+// every other frame as rejected (see Node for how rejected frames are
+// accounted). A tap stays promiscuous whatever its filter.
+func (n *Node) SetAcceptID(id uint32) {
+	if n.bus != nil {
+		n.bus.mu.Lock()
+		defer n.bus.mu.Unlock()
+	}
+	n.filtered, n.acceptID = true, id
+}
+
+// accepts reports whether the acceptance filter passes an identifier.
+// Callers hold the bus lock.
+func (n *Node) accepts(id uint32) bool { return !n.filtered || id == n.acceptID }
+
+// full reports whether every receive-queue slot is in use, by queued
+// frames or by rejected ones the owner has not yet released. Callers
+// hold the bus lock.
+func (n *Node) full() bool {
+	limit := n.rxLimit.Load()
+	return limit > 0 && int64(n.queued.Load())+int64(n.rejected.Load()) >= limit
+}
+
 // enqueue appends a frame to the receive queue, dropping it (and
 // counting the overflow) when the queue is full — the behaviour of a
-// controller whose RX mailboxes are all occupied.
+// controller whose RX mailboxes are all occupied. Callers hold the bus
+// lock.
 func (n *Node) enqueue(f Frame) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.rxLimit > 0 && n.rx.len() >= n.rxLimit {
-		n.overflow++
+	if n.full() {
+		n.overflow.Add(1)
 		return false
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.rx.push(f)
-	n.depth.Store(int32(n.rx.len()))
+	n.queued.Store(int32(n.rx.len()))
 	return true
 }
 
-// Receive pops the oldest pending frame, if any. On an empty queue it
+// reject counts a frame the acceptance filter refused. It takes a
+// receive-queue slot, and a full queue refuses it like any other
+// frame. Callers hold the bus lock.
+func (n *Node) reject() bool {
+	if n.full() {
+		n.overflow.Add(1)
+		return false
+	}
+	n.rejected.Add(1)
+	return true
+}
+
+// Receive pops the oldest queued frame, if any. On an empty queue it
 // returns without taking the node's lock.
 func (n *Node) Receive() (Frame, bool) {
-	if n.depth.Load() == 0 {
+	if n.queued.Load() == 0 {
 		return Frame{}, false
 	}
 	n.mu.Lock()
@@ -343,27 +419,34 @@ func (n *Node) Receive() (Frame, bool) {
 		return Frame{}, false
 	}
 	f := n.rx.pop()
-	n.depth.Store(int32(n.rx.len()))
+	n.queued.Store(int32(n.rx.len()))
 	return f, true
 }
 
-// Pending returns the number of queued frames. It takes no lock.
-func (n *Node) Pending() int { return int(n.depth.Load()) }
+// TakeRejected returns how many frames the acceptance filter has
+// refused since the last call and frees the receive-queue slots they
+// held. An owner calls it once Receive has reported an empty queue,
+// which completes the drain. It takes no lock.
+func (n *Node) TakeRejected() int {
+	if n.rejected.Load() == 0 {
+		return 0
+	}
+	return int(n.rejected.Swap(0))
+}
+
+// Pending returns the number of receive-queue slots in use: the queued
+// frames plus, on a filtered node, the rejected frames TakeRejected
+// has not yet released — so a filtered node's owner drains with
+// Receive until it reports an empty queue, not until Pending reads 0.
+// It takes no lock.
+func (n *Node) Pending() int { return int(n.queued.Load() + n.rejected.Load()) }
 
 // SetRxLimit overrides this node's receive-queue bound (≤ 0 means
 // unbounded — useful for measurement taps that must never lose).
-func (n *Node) SetRxLimit(limit int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.rxLimit = limit
-}
+func (n *Node) SetRxLimit(limit int) { n.rxLimit.Store(int64(limit)) }
 
 // Overflow returns how many deliveries this node lost to a full queue.
-func (n *Node) Overflow() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.overflow
-}
+func (n *Node) Overflow() int { return int(n.overflow.Load()) }
 
 // Name returns the node's attach name.
 func (n *Node) Name() string { return n.name }

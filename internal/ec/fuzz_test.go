@@ -1,7 +1,9 @@
 package ec
 
 import (
+	"bytes"
 	"crypto/elliptic"
+	"errors"
 	"math/big"
 	"testing"
 )
@@ -79,5 +81,64 @@ func checkPointMult(t *testing.T, c *Curve, std elliptic.Curve, s, a, b []byte) 
 		same(tab.CombinedMult(u1, u2), want, wantStd, "MultTable.CombinedMult(%x, %x)", u[0], u[1])
 		deferred := tab.CombinedMultDeferred(u1, u2)
 		same(deferred.Normalize(), want, wantStd, "MultTable.CombinedMultDeferred(%x, %x)", u[0], u[1])
+	}
+}
+
+// FuzzDecodePoint feeds peer bytes to DecodePoint on every bundled
+// curve. A rejection must wrap ErrInvalidPoint, and a well-formed
+// compressed x below p may be rejected only when the math/big square
+// root (rhsSqrtBig) finds no point either. A decoded point must lie on
+// the curve by the math/big check (IsOnCurve), re-encode in its input's
+// form to the input bytes, and decode from its other form to itself;
+// the point at infinity comes only from the single byte 0x00.
+//
+// The committed corpus (testdata/fuzz/FuzzDecodePoint) names each
+// curve's generator and its negation in both forms, a compressed x of
+// p and one with no square root, an uncompressed point off the curve,
+// the infinity byte alone and with a trailing byte, an empty input and
+// an unknown prefix.
+func FuzzDecodePoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range Curves() {
+			checkDecodePoint(t, c, data)
+		}
+	})
+}
+
+// checkDecodePoint runs FuzzDecodePoint's checks on one curve.
+func checkDecodePoint(t *testing.T, c *Curve, data []byte) {
+	t.Helper()
+	p, err := c.DecodePoint(data)
+	if err != nil {
+		if !errors.Is(err, ErrInvalidPoint) {
+			t.Fatalf("%s: DecodePoint(%x): error %v does not wrap ErrInvalidPoint", c.Name, data, err)
+		}
+		if len(data) == 1+c.byteLen && (data[0] == prefixCompressed0 || data[0] == prefixCompressed1) {
+			if x := new(big.Int).SetBytes(data[1:]); x.Cmp(c.P) < 0 {
+				if _, ok := c.rhsSqrtBig(x); ok {
+					t.Fatalf("%s: DecodePoint(%x) rejected an x that the math/big oracle lifts: %v", c.Name, data, err)
+				}
+			}
+		}
+		return
+	}
+	if p.IsInfinity() {
+		if !bytes.Equal(data, []byte{prefixInfinity}) {
+			t.Fatalf("%s: DecodePoint(%x) returned the point at infinity", c.Name, data)
+		}
+		return
+	}
+	if !c.IsOnCurve(p) {
+		t.Fatalf("%s: DecodePoint(%x) = %v, not on the curve", c.Name, data, p)
+	}
+	same, other := c.EncodeCompressed(p), c.EncodeUncompressed(p)
+	if data[0] == prefixUncompressed {
+		same, other = other, same
+	}
+	if !bytes.Equal(same, data) {
+		t.Fatalf("%s: DecodePoint(%x) re-encodes as %x", c.Name, data, same)
+	}
+	if q, err := c.DecodePoint(other); err != nil || !q.Equal(p) {
+		t.Fatalf("%s: the other encoding %x of DecodePoint(%x) decodes to %v, %v", c.Name, other, data, q, err)
 	}
 }

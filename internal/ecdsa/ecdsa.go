@@ -222,9 +222,18 @@ func DecodeRaw(c *ec.Curve, data []byte) (Signature, error) {
 // rfc6979 produces the deterministic nonce stream of RFC 6979 §3.2
 // with HMAC-SHA-256.
 type rfc6979 struct {
-	c    *ec.Curve
-	v, k []byte
-	h    func() []byte // steps the generator and returns candidate bytes
+	c     *ec.Curve
+	v, k  []byte
+	drawn bool // a candidate was returned, so K and V step before the next
+}
+
+// hmacSHA256 returns HMAC-SHA-256 under key over the concatenated parts.
+func hmacSHA256(key []byte, parts ...[]byte) []byte {
+	m := hmac.New(sha256.New, key)
+	for _, p := range parts {
+		m.Write(p)
+	}
+	return m.Sum(nil)
 }
 
 func newRFC6979(c *ec.Curve, priv *big.Int, digest []byte) *rfc6979 {
@@ -238,46 +247,30 @@ func newRFC6979(c *ec.Curve, priv *big.Int, digest []byte) *rfc6979 {
 	x := c.ScalarToBytes(priv)
 	h1 := c.ScalarToBytes(c.HashToInt(digest)) // bits2octets(H(m))
 
-	mac := func(key []byte, parts ...[]byte) []byte {
-		m := hmac.New(sha256.New, key)
-		for _, p := range parts {
-			m.Write(p)
-		}
-		return m.Sum(nil)
-	}
-
-	k = mac(k, v, []byte{0x00}, x, h1)
-	v = mac(k, v)
-	k = mac(k, v, []byte{0x01}, x, h1)
-	v = mac(k, v)
-
-	g := &rfc6979{c: c, v: v, k: k}
-	g.h = func() []byte {
-		out := make([]byte, 0, c.ByteLen())
-		for len(out) < c.ByteLen() {
-			g.v = mac(g.k, g.v)
-			out = append(out, g.v...)
-		}
-		return out[:c.ByteLen()]
-	}
-	return g
+	k = hmacSHA256(k, v, []byte{0x00}, x, h1)
+	v = hmacSHA256(k, v)
+	k = hmacSHA256(k, v, []byte{0x01}, x, h1)
+	v = hmacSHA256(k, v)
+	return &rfc6979{c: c, v: v, k: k}
 }
 
 // next returns the next candidate nonce in [0, 2^qlen); the caller
-// rejects values outside [1, n−1].
+// rejects values outside [1, n−1]. The K = HMAC_K(V ‖ 0x00),
+// V = HMAC_K(V) step of RFC 6979 §3.2 h.3 runs only when a further
+// candidate is drawn, so an accepted first candidate — the usual
+// signature — never pays for it.
 func (g *rfc6979) next() *big.Int {
-	defer func() {
-		// Per RFC 6979: K = HMAC_K(V ‖ 0x00); V = HMAC_K(V) before the
-		// next candidate.
-		mac := hmac.New(sha256.New, g.k)
-		mac.Write(g.v)
-		mac.Write([]byte{0x00})
-		g.k = mac.Sum(nil)
-		mac2 := hmac.New(sha256.New, g.k)
-		mac2.Write(g.v)
-		g.v = mac2.Sum(nil)
-	}()
-	t := g.h()
+	if g.drawn {
+		g.k = hmacSHA256(g.k, g.v, []byte{0x00})
+		g.v = hmacSHA256(g.k, g.v)
+	}
+	g.drawn = true
+	t := make([]byte, 0, g.c.ByteLen())
+	for len(t) < g.c.ByteLen() {
+		g.v = hmacSHA256(g.k, g.v)
+		t = append(t, g.v...)
+	}
+	t = t[:g.c.ByteLen()]
 	k := new(big.Int).SetBytes(t)
 	if excess := len(t)*8 - g.c.N.BitLen(); excess > 0 {
 		k.Rsh(k, uint(excess))

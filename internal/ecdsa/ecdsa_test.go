@@ -4,6 +4,7 @@ import (
 	stdecdsa "crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
+	"fmt"
 	"io"
 	"math/big"
 	"testing"
@@ -124,6 +125,40 @@ func TestRFC6979VectorP224(t *testing.T) {
 	sNeg := new(big.Int).Sub(c.N, wantS)
 	if sig.S.Cmp(wantS) != 0 && sig.S.Cmp(sNeg) != 0 {
 		t.Errorf("s = %x, want %x or its negation", sig.S, wantS)
+	}
+}
+
+// TestRFC6979Candidates pins the first three nonce candidates of the
+// RFC 6979 generator for the P-256 and P-224 keys and the "sample"
+// message of the RFC's §A.2 vectors. The first candidate is the
+// published k; the second and third are the values the generator drew
+// when it stepped K and V after every candidate, so drawing the step
+// only before a further candidate leaves the stream unchanged.
+func TestRFC6979Candidates(t *testing.T) {
+	digest := sha256.Sum256([]byte("sample"))
+	for _, tc := range []struct {
+		c    *ec.Curve
+		d    string
+		want [3]string
+	}{
+		{ec.P256(), "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721", [3]string{
+			"a6e3c57dd01abe90086538398355dd4c3b17aa873382b0f24d6129493d8aad60",
+			"8e83dc490bc5fc4d5992bd63cd87f254adffcb930f8a8011702a88870f638fdb",
+			"7b8dc9ad8ce159abca1b9915fc1470e91d5ad2443b3032557e78f47e180ab702",
+		}},
+		{ec.P224(), "f220266e1105bfe3083e03ec7a3a654651f45e37167e88600bf257c1", [3]string{
+			"ad3029e0278f80643de33917ce6908c70a8ff50a411f06e41dedfcdc",
+			"e651536d86136a3b2a48606e067796dd9b8586698a271d594aeb0255",
+			"7ebcf20c8a0b55c03859e209c2f544ca7abb36545e4c8a43705c81a7",
+		}},
+	} {
+		d, _ := new(big.Int).SetString(tc.d, 16)
+		g := newRFC6979(tc.c, d, digest[:])
+		for i, want := range tc.want {
+			if got := fmt.Sprintf("%x", g.next()); got != want {
+				t.Errorf("%s: candidate %d = %s, want %s", tc.c.Name, i, got, want)
+			}
+		}
 	}
 }
 

@@ -87,7 +87,11 @@ type Stats struct {
 	IntegrityDrops    int // reassembled messages failing the CRC-32 trailer
 	ProtocolDrops     int // frames dropped for PCI/sequence violations
 	DuplicateMessages int // consecutive identical messages suppressed
-	FilteredFrames    int // frames rejected by the acceptance filter
+	// FilteredFrames counts frames the acceptance filter rejected. The
+	// node rejects them (canbus.Node.SetAcceptID); Service adds them
+	// here when it drains the node, and Flush discards them uncounted,
+	// as it discards every frame it drains.
+	FilteredFrames int
 }
 
 // Config parameterizes an endpoint. The zero Config is the paper's
@@ -105,11 +109,14 @@ type Config struct {
 	// cannot catch. Both ends of a link must agree.
 	Checksum bool
 	// AcceptID is the hardware acceptance filter: only frames with
-	// this CAN identifier reach the protocol state machines (every
-	// other broadcast on the segment is dropped and counted). 0
-	// accepts everything — correct only for a two-node point-to-point
-	// segment; on a shared segment an unfiltered endpoint would
-	// answer its neighbours' FirstFrames with spoofed FlowControls.
+	// this CAN identifier reach the protocol state machines.
+	// NewReliableEndpoint installs it on the endpoint's node
+	// (canbus.Node.SetAcceptID), so the bus neither copies nor queues
+	// any other broadcast on the segment for this endpoint, and
+	// Service counts those in Stats.FilteredFrames. 0 accepts
+	// everything — correct only for a two-node point-to-point segment;
+	// on a shared segment an unfiltered endpoint would answer its
+	// neighbours' FirstFrames with spoofed FlowControls.
 	AcceptID uint32
 	// Accounting, when non-nil, attributes every send's wire cost to
 	// the message's OpCode — for handshake traffic, the Table II step.
@@ -148,8 +155,12 @@ type Endpoint struct {
 // world, whose clock drives every protocol timer. txID is the CAN
 // identifier used for all frames this endpoint transmits. The node's
 // bus should run on the world's clock (canbus.Bus.SetClock) so that
-// wire time advances the timers.
+// wire time advances the timers. A non-zero cfg.AcceptID is installed
+// on the node as its acceptance filter.
 func NewReliableEndpoint(w *World, node *canbus.Node, txID uint32, cfg Config) *Endpoint {
+	if cfg.AcceptID != 0 {
+		node.SetAcceptID(cfg.AcceptID)
+	}
 	e := &Endpoint{
 		node:  node,
 		txID:  txID,
@@ -189,6 +200,7 @@ func (e *Endpoint) Flush() {
 			break
 		}
 	}
+	e.node.TakeRejected()
 	e.rxBase = addReceiverStats(e.rxBase, e.rx.Stats())
 	e.rx = cantp.NewReceiver(e.cfg.Receiver)
 	e.inbox = nil
@@ -350,13 +362,14 @@ func (e *Endpoint) transmit(payload []byte) (time.Duration, error) {
 }
 
 // Service drains the receive queue into the protocol state machines:
-// frames failing the acceptance filter are dropped, FlowControls feed
-// the active sender, data frames feed the receiver (answering with
-// FCs as the receiver dictates), completed messages land in the inbox
-// after checksum verification. Protocol violations are counted in
-// Stats and survived. It also services the receiver's timers. Returns
-// the number of frames processed, as the world pump's progress
-// measure.
+// FlowControls feed the active sender, data frames feed the receiver
+// (answering with FCs as the receiver dictates), completed messages
+// land in the inbox after checksum verification, and the frames the
+// node's acceptance filter rejected since the last drain are counted
+// in Stats.FilteredFrames. Protocol violations are counted in Stats
+// and survived. It also services the receiver's timers. Returns the
+// number of frames processed, rejected ones included, as the world
+// pump's progress measure.
 func (e *Endpoint) Service() int {
 	processed := 0
 	for {
@@ -365,10 +378,6 @@ func (e *Endpoint) Service() int {
 			break
 		}
 		processed++
-		if e.cfg.AcceptID != 0 && frame.ID != e.cfg.AcceptID {
-			e.stats.FilteredFrames++
-			continue
-		}
 		now := e.now()
 		if len(frame.Data) > 0 && frame.Data[0]>>4 == 0x3 {
 			e.serviceFlowControl(frame.Data, now)
@@ -388,9 +397,16 @@ func (e *Endpoint) Service() int {
 			e.deliver(msg)
 		}
 	}
+	filtered := e.node.TakeRejected()
+	e.stats.FilteredFrames += filtered
 	e.expire()
-	return processed
+	return processed + filtered
 }
+
+// idle reports whether Service, expire and nextDeadline would do
+// nothing: no frame holds a slot in the node's receive queue, and the
+// receiver has no transfer in progress, so no timer is armed.
+func (e *Endpoint) idle() bool { return e.node.Pending() == 0 && !e.rx.Active() }
 
 // serviceFlowControl routes an FC frame to the active sender, or
 // validates and discards it when no transfer is in flight.
@@ -427,7 +443,8 @@ func (e *Endpoint) expire() {
 	}
 }
 
-// nextDeadline exposes the receiver's earliest timer to the world.
+// nextDeadline exposes the receiver's earliest timer to the world; it
+// is 0, no timer, while no transfer is in progress.
 func (e *Endpoint) nextDeadline() time.Duration { return e.rx.Deadline() }
 
 // deliver verifies, decodes and enqueues a reassembled message.

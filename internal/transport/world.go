@@ -85,9 +85,12 @@ func (w *World) AddAgent(a Agent) { w.agents = append(w.agents, a) }
 
 func (w *World) addEndpoint(e *Endpoint) { w.endpoints = append(w.endpoints, e) }
 
-// Run pumps gateways and endpoints until the topology is quiescent —
-// no queued frame anywhere that a pump would move. Returns the number
-// of frames moved.
+// Run pumps gateways, agents and endpoints until the topology is
+// quiescent — no queued frame anywhere that a pump would move. A round
+// skips every idle endpoint: one whose node holds no frame, queued or
+// rejected by its acceptance filter, and whose receiver has no
+// transfer in progress — the state in which Service does nothing.
+// Returns the number of frames moved.
 func (w *World) Run() int {
 	total := 0
 	for {
@@ -99,7 +102,9 @@ func (w *World) Run() int {
 			n += a.Pump()
 		}
 		for _, e := range w.endpoints {
-			n += e.Service()
+			if !e.idle() {
+				n += e.Service()
+			}
 		}
 		if n == 0 {
 			return total
@@ -147,7 +152,9 @@ func (w *World) Step(t time.Duration) {
 	}
 	w.Clock.AdvanceTo(step)
 	for _, e := range w.endpoints {
-		e.expire()
+		if !e.idle() {
+			e.expire()
+		}
 	}
 	w.Run()
 }
