@@ -75,10 +75,11 @@ bench-compare:
 
 # Scalar-mult ablation with allocation counts plus the hard per-op
 # allocation budgets on the fp backend (used by CI; fails on regression
-# into per-digit heap allocation). The ScalarMult, VerifyBatch and
-# VerifyDigest gates ride together: all guard the same fixed-limb
-# no-alloc contract, per op, per batched item and per cached-key
-# verification (even and odd u2 alike). The Seal+Open gate
+# into per-digit heap allocation). The ScalarMult, VerifyBatch,
+# VerifyDigest and VerifyImplicit gates ride together: all guard the
+# same fixed-limb no-alloc contract, per op, per batched item, per
+# cached-key verification and per first-sight verification straight
+# from a certificate (even and odd u2 alike). The Seal+Open gate
 # guards the record layer's one-key-schedule-per-session contract: a
 # return to per-record key derivation triples its allocations. The
 # Deliver gate guards the CAN fabric's one-allocation broadcast and
@@ -89,6 +90,7 @@ bench-alloc:
 	$(GO) test -run='TestScalarMultAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestVerifyDigestAllocBudget' -v ./internal/ecdsa/
+	$(GO) test -run='TestVerifyImplicitAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestSealOpenAllocBudget' -v ./internal/session/
 	$(GO) test -run='TestDeliverAllocBudget' -v ./internal/transport/
 
@@ -245,13 +247,14 @@ bench-scenarios:
 		-segments 3 -parallelism 8 -stream \
 		-bench BENCH_scenarios.json >/dev/null
 
-# Brief fuzzing of the protocol parsers, of the point and certificate
-# decoders, of the field kernels against math/big and of point
-# multiplication against math/big and crypto/elliptic (committed
+# Brief fuzzing of the protocol parsers, of the point, signature and
+# certificate decoders, of the field kernels against math/big, of point
+# multiplication against math/big and crypto/elliptic, and of the
+# first-sight verification against explicit extraction (committed
 # corpora under testdata/fuzz replay in every plain `go test` run;
 # this target digs further — used by CI with a short budget, locally
-# run longer). One FuzzPointMult input
-# costs a dozen math/big point multiplications, so the default minute
+# run longer). One FuzzPointMult or FuzzVerifyImplicit input
+# costs several point multiplications, so the default minute
 # of minimization per new input would use up the whole budget; ten
 # executions bound it.
 FUZZTIME ?= 10s
@@ -263,6 +266,9 @@ fuzz-smoke:
 	$(GO) test ./internal/ec -fuzz FuzzPointMult -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ec -fuzz FuzzDecodePoint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecqv -fuzz FuzzECQVDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ecdsa -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ecdsa -fuzz FuzzVerifyImplicit -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/core -fuzz FuzzDecodePointRaw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzSTSEngine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -fuzz FuzzChannelOpen -fuzztime $(FUZZTIME)
 

@@ -23,7 +23,7 @@ import (
 //     //detlint:allow hotpath annotations stating their O(1) cost.
 //
 //  2. Functions on the hot call graph — everything that can run under
-//     ScalarMult, ScalarBaseMult, CombinedMult(Deferred),
+//     ScalarMult, ScalarBaseMult, CombinedMult(2, Deferred),
 //     BatchNormalize, VerifyBatch or the fp field ops — must not call
 //     fmt or box concrete values into interfaces: both allocate, and
 //     the budgets exist precisely to keep the per-op allocation count
@@ -74,6 +74,7 @@ var hotpathRoots = map[string]bool{
 	"ScalarMult":           true,
 	"ScalarBaseMult":       true,
 	"CombinedMult":         true,
+	"CombinedMult2":        true,
 	"CombinedMultDeferred": true,
 	"BatchNormalize":       true,
 	"VerifyBatch":          true,

@@ -273,17 +273,18 @@ func encodePointRaw(c *ec.Curve, p ec.Point) []byte {
 	return out
 }
 
-// decodePointRaw parses a raw X‖Y point and validates curve membership.
+// decodePointRaw parses a raw X‖Y point and validates curve membership
+// (coordinates below p included). Rejections wrap ec.ErrInvalidPoint.
 func decodePointRaw(c *ec.Curve, data []byte) (ec.Point, error) {
 	if len(data) != 2*c.ByteLen() {
-		return ec.Point{}, fmt.Errorf("core: raw point length %d, want %d", len(data), 2*c.ByteLen())
+		return ec.Point{}, fmt.Errorf("%w: raw point length %d, want %d", ec.ErrInvalidPoint, len(data), 2*c.ByteLen())
 	}
 	p := ec.Point{
 		X: new(big.Int).SetBytes(data[:c.ByteLen()]),
 		Y: new(big.Int).SetBytes(data[c.ByteLen():]),
 	}
 	if !c.IsOnCurve(p) {
-		return ec.Point{}, errors.New("core: raw point not on curve")
+		return ec.Point{}, fmt.Errorf("%w: raw point not on %s", ec.ErrInvalidPoint, c.Name)
 	}
 	return p, nil
 }

@@ -101,8 +101,9 @@ func (e *engineCommon) signResp(direction string, first, second ec.Point) ([]byt
 	return e.suite.sealResp(e.encKey, e.macKey, direction, dsign.EncodeRaw(curve))
 }
 
-// verifyResp checks a peer Resp under an extracted public key.
-func (e *engineCommon) verifyResp(direction string, resp []byte, q ec.Point, first, second ec.Point) error {
+// verifyResp checks a peer Resp under the key extractPeer resolved;
+// a first-seen certificate whose Q_U is the identity fails here.
+func (e *engineCommon) verifyResp(direction string, resp []byte, key peerKey, first, second ec.Point) error {
 	curve := e.party.Curve
 	e.suite.m.record(PrimAESBytes, len(resp))
 	raw, err := e.suite.openResp(e.encKey, e.macKey, direction, resp)
@@ -114,26 +115,28 @@ func (e *engineCommon) verifyResp(direction string, resp []byte, q ec.Point, fir
 		return fmt.Errorf("%w: response garbled", ErrHandshakeAuth)
 	}
 	auth := append(encodePointRaw(curve, first), encodePointRaw(curve, second)...)
-	if !e.suite.verify(q, auth, sig) {
+	if !e.suite.verify(key, auth, sig) {
 		return ErrHandshakeAuth
 	}
 	return nil
 }
 
-// extractPeer validates a peer certificate and reconstructs its key.
-func (e *engineCommon) extractPeer(certBytes []byte, claimedID ecqv.ID) (ec.Point, error) {
+// extractPeer validates a peer certificate and resolves its key:
+// extracted, or left implicit in a first-seen certificate (see
+// suite.resolvePeer).
+func (e *engineCommon) extractPeer(certBytes []byte, claimedID ecqv.ID) (peerKey, error) {
 	cert, err := ecqv.Decode(certBytes)
 	if err != nil {
-		return ec.Point{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
+		return peerKey{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
 	}
 	if err := checkCertificate(cert, claimedID); err != nil {
-		return ec.Point{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
+		return peerKey{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
 	}
-	q, err := e.suite.extractPublicKey(cert, e.party.CAPub)
+	key, err := e.suite.resolvePeer(cert, e.party.CAPub)
 	if err != nil {
-		return ec.Point{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
+		return peerKey{}, fmt.Errorf("%w: %v", ErrHandshakeAuth, err)
 	}
-	return q, nil
+	return key, nil
 }
 
 // Initiator is the A side of a live STS handshake.
@@ -203,7 +206,7 @@ func (i *Initiator) Handle(data []byte) (reply []byte, done bool, err error) {
 		copy(i.peerID[:], msg.Get("ID"))
 
 		i.suite.enter(PhaseOp2PubKey)
-		qB, err := i.extractPeer(msg.Get("Cert"), i.peerID)
+		keyB, err := i.extractPeer(msg.Get("Cert"), i.peerID)
 		if err != nil {
 			return nil, false, err
 		}
@@ -217,7 +220,7 @@ func (i *Initiator) Handle(data []byte) (reply []byte, done bool, err error) {
 		}
 
 		i.suite.enter(PhaseOp4)
-		if err := i.verifyResp("B->A", msg.Get("Resp"), qB, peerXG, i.xg); err != nil {
+		if err := i.verifyResp("B->A", msg.Get("Resp"), keyB, peerXG, i.xg); err != nil {
 			return nil, false, err
 		}
 
@@ -248,7 +251,7 @@ func (i *Initiator) Handle(data []byte) (reply []byte, done bool, err error) {
 type Responder struct {
 	engineCommon
 	state int // 0 = new, 1 = sent B1 (awaiting A2), 2 = done
-	qA    ec.Point
+	keyA  peerKey
 }
 
 // NewResponder builds the B-side state machine.
@@ -299,7 +302,7 @@ func (r *Responder) Handle(data []byte) (reply []byte, done bool, err error) {
 		}
 		if r.opt != OptNone {
 			r.suite.enter(PhaseOp2PubKey)
-			if r.qA, err = r.extractPeer(msg.Get("Cert"), r.peerID); err != nil {
+			if r.keyA, err = r.extractPeer(msg.Get("Cert"), r.peerID); err != nil {
 				return nil, false, err
 			}
 		}
@@ -322,12 +325,12 @@ func (r *Responder) Handle(data []byte) (reply []byte, done bool, err error) {
 	case r.state == 1 && msg.Label == "A2":
 		if r.opt == OptNone {
 			r.suite.enter(PhaseOp2PubKey)
-			if r.qA, err = r.extractPeer(msg.Get("Cert"), r.peerID); err != nil {
+			if r.keyA, err = r.extractPeer(msg.Get("Cert"), r.peerID); err != nil {
 				return nil, false, err
 			}
 		}
 		r.suite.enter(PhaseOp4)
-		if err := r.verifyResp("A->B", msg.Get("Resp"), r.qA, r.peerXG, r.xg); err != nil {
+		if err := r.verifyResp("A->B", msg.Get("Resp"), r.keyA, r.peerXG, r.xg); err != nil {
 			return nil, false, err
 		}
 		out := WireMessage{From: RoleB, Label: "B2", Field: []Field{{"ACK", []byte{0x06}}}}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"testing"
 
 	"repro/internal/ec"
@@ -86,4 +87,51 @@ func FuzzSTSEngine(f *testing.F) {
 			t.Fatalf("%s: both sides done after message %d was replaced", variant, step%3)
 		}
 	})
+}
+
+// FuzzDecodePointRaw feeds peer bytes to decodePointRaw, the parser of
+// every ephemeral XG an STS peer sends, on every bundled curve. A
+// rejection must wrap ec.ErrInvalidPoint, and the decoder must accept
+// exactly the inputs that the math/big oracle (onCurveBig) puts on the
+// curve; an accepted point must re-encode to the input bytes.
+//
+// The committed corpus (testdata/fuzz/FuzzDecodePointRaw) names the
+// P-256 and P-224 generators, a byte short and a byte long, x = p with
+// the P-256 generator's y, and the P-256 generator with y + 1 (off the
+// curve).
+func FuzzDecodePointRaw(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range ec.Curves() {
+			p, err := decodePointRaw(c, data)
+			valid := len(data) == 2*c.ByteLen() &&
+				onCurveBig(c, new(big.Int).SetBytes(data[:c.ByteLen()]), new(big.Int).SetBytes(data[c.ByteLen():]))
+			if err != nil {
+				if !errors.Is(err, ec.ErrInvalidPoint) {
+					t.Fatalf("%s: decodePointRaw(%x): error %v does not wrap ec.ErrInvalidPoint", c.Name, data, err)
+				}
+				if valid {
+					t.Fatalf("%s: decodePointRaw(%x) rejected a point on the curve: %v", c.Name, data, err)
+				}
+				continue
+			}
+			if !valid || !onCurveBig(c, p.X, p.Y) {
+				t.Fatalf("%s: decodePointRaw(%x) accepted %v, which is not on the curve", c.Name, data, p)
+			}
+			if enc := encodePointRaw(c, p); !bytes.Equal(enc, data) {
+				t.Fatalf("%s: decodePointRaw(%x) re-encodes as %x", c.Name, data, enc)
+			}
+		}
+	})
+}
+
+// onCurveBig is the math/big oracle of curve membership: x and y
+// reduced, and y² ≡ x³ + a·x + b (mod p).
+func onCurveBig(c *ec.Curve, x, y *big.Int) bool {
+	if x.Cmp(c.P) >= 0 || y.Cmp(c.P) >= 0 {
+		return false
+	}
+	lhs := new(big.Int).Mul(y, y)
+	rhs := new(big.Int).Mul(x, x)
+	rhs.Add(rhs, c.A).Mul(rhs, x).Add(rhs, c.B)
+	return lhs.Sub(lhs, rhs).Mod(lhs, c.P).Sign() == 0
 }

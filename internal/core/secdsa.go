@@ -149,7 +149,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 		return nil, fmt.Errorf("s-ecdsa: A: responder signature: %w", err)
 	}
 	wantAuthB := append(append([]byte(nil), b1.Get("Nonce")...), nonceA...)
-	if !sa.verify(qB, wantAuthB, sigB) {
+	if !sa.verify(peerKey{q: qB}, wantAuthB, sigB) {
 		return nil, errors.New("s-ecdsa: A: responder authentication failed")
 	}
 
@@ -192,7 +192,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: B: initiator signature: %w", err)
 	}
-	if !sb.verify(qA, authA, sigA) {
+	if !sb.verify(peerKey{q: qA}, authA, sigA) {
 		return nil, errors.New("s-ecdsa: B: initiator authentication failed")
 	}
 

@@ -169,17 +169,43 @@ func TestWaveVerifierConcurrent(t *testing.T) {
 	}
 }
 
-// TestHandshakeWaveAccounting: a real STS handshake routes its
-// signature verifications through the wave batcher.
+// TestHandshakeWaveAccounting pins the two verification paths of an
+// STS handshake. On fresh caches each side meets the other's
+// certificate for the first time and verifies straight from it: no
+// wave batch, no SharedTableCache lookup and no cached verifier, one
+// miss. A second handshake between the same parties extracts, so each
+// side looks its verifier table up at the shared level, caches it and
+// verifies through the wave batcher.
 func TestHandshakeWaveAccounting(t *testing.T) {
 	_, a, b := newTestPair(t, 612)
-	if _, err := NewSTS(OptII).Run(a, b); err != nil {
-		t.Fatal(err)
+	stc := NewSharedTableCache()
+	parties := []*Party{a, b}
+	for _, p := range parties {
+		p.cache.Store(NewKeyCacheWithShared(stc))
 	}
-	if st := a.KeyCache().Stats(); st.WaveItems == 0 {
-		t.Fatalf("initiator verifications bypassed the wave batcher: %+v", st)
-	}
-	if st := b.KeyCache().Stats(); st.WaveItems == 0 {
-		t.Fatalf("responder verifications bypassed the wave batcher: %+v", st)
+	for run, want := range []struct {
+		stats     CacheStats
+		lookups   int // SharedTableCache lookups by both sides
+		verifiers int // verifier tables cached per side
+	}{
+		{CacheStats{Misses: 1}, 0, 0},
+		{CacheStats{Misses: 3, WaveBatches: 1, WaveItems: 1}, 2, 1},
+	} {
+		if _, err := NewSTS(OptII).Run(a, b); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range parties {
+			kc := p.KeyCache()
+			kc.mu.RLock()
+			verifiers := len(kc.verifiers)
+			kc.mu.RUnlock()
+			if st := kc.Stats(); st != want.stats || verifiers != want.verifiers {
+				t.Errorf("handshake %d, party %d: stats %+v with %d cached verifiers, want %+v with %d",
+					run+1, i, st, verifiers, want.stats, want.verifiers)
+			}
+		}
+		if st := stc.Stats(); st.Hits+st.Misses != want.lookups {
+			t.Errorf("handshake %d: %d shared-level lookups, want %d", run+1, st.Hits+st.Misses, want.lookups)
+		}
 	}
 }

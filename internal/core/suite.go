@@ -68,14 +68,47 @@ func (s *suite) nonce(n int) ([]byte, error) {
 // extractPublicKey performs the paper's equation (1):
 // Q_X = Hash(Cert_X)·Decode(Cert_X) + Q_CA.
 func (s *suite) extractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec.Point, error) {
-	s.m.record(PrimHashBytes, ecqv.EncodedSize(s.curve))
-	s.m.record(PrimECPointDecode, 1) // Decode(Cert): decompress P_U
-	s.m.record(PrimECPointMult, 1)
-	s.m.record(PrimECPointAdd, 1)
+	s.meterExtract()
 	if s.cache != nil {
 		return s.cache.ExtractPublicKey(cert, caPub)
 	}
 	return ecqv.ExtractPublicKey(cert, caPub)
+}
+
+// meterExtract records equation (1) as the modelled device computes
+// it, whatever the host does.
+func (s *suite) meterExtract() {
+	s.m.record(PrimHashBytes, ecqv.EncodedSize(s.curve))
+	s.m.record(PrimECPointDecode, 1) // Decode(Cert): decompress P_U
+	s.m.record(PrimECPointMult, 1)
+	s.m.record(PrimECPointAdd, 1)
+}
+
+// peerKey is the key a peer's signature is verified under: Q_U
+// extracted, or, on a first sight, the certificate it stays implicit
+// in (Q_U = H(Cert)·P_U + Q_CA, never computed).
+type peerKey struct {
+	q     ec.Point
+	cert  *ecqv.Certificate // non-nil on a first sight
+	caPub ec.Point
+}
+
+// resolvePeer is extractPublicKey for an STS peer, where Q_U serves
+// one verification and nothing else. It meters equation (1) the same
+// way, but leaves Q_U implicit in a certificate the party's KeyCache
+// has not seen before, for verify to check straight from it. A
+// repeated certificate is extracted and cached.
+func (s *suite) resolvePeer(cert *ecqv.Certificate, caPub ec.Point) (peerKey, error) {
+	s.meterExtract()
+	if s.cache == nil {
+		q, err := ecqv.ExtractPublicKey(cert, caPub)
+		return peerKey{q: q}, err
+	}
+	q, first, err := s.cache.sight(cert, caPub)
+	if first {
+		return peerKey{cert: cert, caPub: caPub}, nil
+	}
+	return peerKey{q: q}, err
 }
 
 // dh computes a Diffie–Hellman shared point k·Q and returns its
@@ -141,24 +174,29 @@ func (s *suite) sign(priv *big.Int, msg []byte) (ecdsa.Signature, error) {
 	return key.Sign(msg)
 }
 
-// verify checks an ECDSA signature under a reconstructed public key
-// (Algorithm 2 line 3). With a cache attached the check rides the
-// party's wave batcher: concurrent EstablishAll verifications share
-// scalar and field inversions through ecdsa.VerifyBatch, with
-// per-item results guaranteed identical to a lone Verify. The meter
-// is unaffected either way — it records the primitives the modelled
-// device executes, which never batches across peers.
-func (s *suite) verify(q ec.Point, msg []byte, sig ecdsa.Signature) bool {
+// verify checks an ECDSA signature under a peer's public key
+// (Algorithm 2 line 3). A key left implicit in a first-seen
+// certificate is checked straight from it by ecdsa.VerifyImplicit: one
+// multi-scalar chain, with no extraction, no table, and neither the
+// SharedTableCache nor the wave batcher. An extracted key gets its
+// cached comb (KeyCache.Verifier) and rides the party's wave batcher:
+// concurrent EstablishAll verifications share scalar and field
+// inversions through ecdsa.VerifyBatch, with per-item results
+// guaranteed identical to a lone Verify. The meter is the same on
+// every path: it records the primitives the modelled device executes,
+// which extracts Q_U and never batches across peers.
+func (s *suite) verify(key peerKey, msg []byte, sig ecdsa.Signature) bool {
 	s.m.record(PrimHashBytes, len(msg))
 	s.m.record(PrimModInverse, 1)
 	s.m.record(PrimECCombinedMult, 1)
-	if s.cache != nil {
-		pub := s.cache.Verifier(s.curve, q) // precomputed ec.MultTable
-		digest := sha256.Sum256(msg)
-		return s.cache.verifyWave(pub, digest[:], sig)
+	digest := sha256.Sum256(msg)
+	switch {
+	case key.cert != nil:
+		return ecdsa.VerifyImplicit(s.curve, key.cert.PubRecon, key.cert.HashToScalar(), key.caPub, digest[:], sig)
+	case s.cache != nil:
+		return s.cache.verifyWave(s.cache.Verifier(s.curve, key.q), digest[:], sig)
 	}
-	pub := &ecdsa.PublicKey{Curve: s.curve, Q: q}
-	return pub.Verify(msg, sig)
+	return (&ecdsa.PublicKey{Curve: s.curve, Q: key.q}).VerifyDigest(digest[:], sig)
 }
 
 // mac computes HMAC-SHA-256 over msg.

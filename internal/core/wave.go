@@ -12,8 +12,10 @@ import (
 // becomes the leader and drains the queue in rounds, so every
 // verification that lands while a round is running joins the next one
 // and shares its scalar and field inversions. During an EstablishAll
-// wave all of a party's worker goroutines verify through the same
-// KeyCache, which is exactly when the queue is non-trivial; a serial
+// wave with peers the party has seen before (a first sight verifies
+// straight from the certificate and never comes here) all of its
+// worker goroutines verify through the same KeyCache, which is
+// exactly when the queue is non-trivial; a serial
 // caller degrades to a batch of one, whose result VerifyBatch
 // guarantees is identical to a plain Verify. There are no timers and
 // no cross-goroutine waits other than followers waiting for the

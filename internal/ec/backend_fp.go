@@ -488,6 +488,16 @@ func (c *Curve) wnafAccumulate(acc *fpJac, table *[8]fpJac, digits []int8, s *fp
 	}
 }
 
+// wnafAdd adds the odd multiple of wNAF digit d from table (Jacobian
+// form) into acc; a zero digit adds nothing.
+func (c *Curve) wnafAdd(acc *fpJac, table *[8]fpJac, d int8, s *fpScratch) {
+	if d > 0 {
+		c.fpAddJac(acc, &table[(d-1)/2], false, s)
+	} else if d < 0 {
+		c.fpAddJac(acc, &table[(-d-1)/2], true, s)
+	}
+}
+
 // scalarMultFPJac evaluates k·P into acc (Jacobian form, affine
 // conversion deferred) for a finite P and reduced nonzero k.
 func (c *Curve) scalarMultFPJac(acc *fpJac, p Point, kr *big.Int) {
@@ -564,6 +574,43 @@ func (c *Curve) combinedMultFP(q Point, u1, u2 *big.Int) Point {
 	var acc fpJac
 	c.combinedMultFPJac(&acc, q, u1, u2)
 	return c.fpToPoint(&acc)
+}
+
+// combinedMult2FP evaluates u1·G + a·P + b·Q for reduced scalars and
+// reports whether a·P + b·Q is infinity: the wNAF digits of a and b
+// share one doubling chain over per-call Jacobian odd-multiple tables
+// of P and Q, the chain's result is tested for infinity, and u1·G is
+// folded in through the comb before the one affine conversion. A zero
+// scalar or an infinity point drops its term.
+func (c *Curve) combinedMult2FP(p, q Point, u1, a, b *big.Int) (Point, bool) {
+	var s fpScratch
+	var pTab, qTab [8]fpJac
+	var pBuf, qBuf [264]int8
+	var pd, qd []int8
+	if a.Sign() != 0 && !p.IsInfinity() {
+		c.fpOddMultiples(p, &pTab, &s)
+		pd = wnafFixed(a, wnafWindow, pBuf[:])
+	}
+	if b.Sign() != 0 && !q.IsInfinity() {
+		c.fpOddMultiples(q, &qTab, &s)
+		qd = wnafFixed(b, wnafWindow, qBuf[:])
+	}
+	var acc fpJac
+	c.fpSetInfinity(&acc)
+	for i := max(len(pd), len(qd)) - 1; i >= 0; i-- {
+		c.fpDouble(&acc, &s)
+		if i < len(pd) {
+			c.wnafAdd(&acc, &pTab, pd[i], &s)
+		}
+		if i < len(qd) {
+			c.wnafAdd(&acc, &qTab, qd[i], &s)
+		}
+	}
+	pqZero := c.fpIsInfinity(&acc)
+	if u1.Sign() != 0 {
+		c.combAccumulate(&acc, u1, &s)
+	}
+	return c.fpToPoint(&acc), pqZero
 }
 
 // addFP is the group addition at the public API boundary.

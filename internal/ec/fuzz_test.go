@@ -18,12 +18,19 @@ import (
 // Each of a and b is run through ScalarMult, ScalarBaseMult and a
 // MultTable's ScalarMult, and the pair through CombinedMult and a
 // MultTable's CombinedMult and CombinedMultDeferred in both orders.
+// CombinedMult2 runs with P = Q, the second point G and u1 = s, again
+// in both orders of a and b, and its infinity report is checked
+// against both references' a·P + b·Q; crypto/elliptic sums its three
+// terms with Add.
 //
 // The committed corpus (testdata/fuzz/FuzzPointMult) names the edge
 // scalars of each curve: 0, 1, 2, n − 2, n − 1, n, n + 1, the
 // all-ones 2^(bitlen(n)−1) − 1 (a carry through every signed window)
 // and an even and an odd scalar, plus Q = G and Q = −G with a = b,
-// whose combined results double and cancel.
+// whose combined results double and cancel. For CombinedMult2 it also
+// names a ≡ 0 and b ≡ 0 (mult2-a-zero, mult2-b-zero), P = Q and
+// P = −Q with full-length a = b (mult2-p-eq-q, mult2-p-neg-q, where
+// a·P + b·Q is infinity), and a·P = −b·Q for P = 2G (mult2-cancel).
 func FuzzPointMult(f *testing.F) {
 	curves := []struct {
 		c   *Curve
@@ -81,6 +88,22 @@ func checkPointMult(t *testing.T, c *Curve, std elliptic.Curve, s, a, b []byte) 
 		same(tab.CombinedMult(u1, u2), want, wantStd, "MultTable.CombinedMult(%x, %x)", u[0], u[1])
 		deferred := tab.CombinedMultDeferred(u1, u2)
 		same(deferred.Normalize(), want, wantStd, "MultTable.CombinedMultDeferred(%x, %x)", u[0], u[1])
+	}
+
+	g, u1 := c.Generator(), new(big.Int).SetBytes(s)
+	sx, sy := std.ScalarBaseMult(s)
+	for _, u := range [][2][]byte{{a, b}, {b, a}} {
+		x, y := new(big.Int).SetBytes(u[0]), new(big.Int).SetBytes(u[1])
+		px, py := std.ScalarMult(q.X, q.Y, u[0])
+		gx, gy := std.ScalarBaseMult(u[1])
+		pqx, pqy := std.Add(px, py, gx, gy)
+		want, wantZero := c.combinedMult2Big(q, g, u1, x, y)
+		got, zero := c.CombinedMult2(q, g, u1, x, y)
+		same(got, want, fromStd(std.Add(sx, sy, pqx, pqy)), "CombinedMult2(%x; %x, %x)", s, u[0], u[1])
+		if stdZero := fromStd(pqx, pqy).IsInfinity(); zero != wantZero || wantZero != stdZero {
+			t.Fatalf("%s: CombinedMult2(%x; %x, %x) reports a·P + b·Q infinite %v: math/big oracle %v, crypto/elliptic %v",
+				c.Name, s, u[0], u[1], zero, wantZero, stdZero)
+		}
 	}
 }
 

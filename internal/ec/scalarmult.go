@@ -9,6 +9,8 @@ import "math/big"
 //   - ScalarBaseMult: fixed-base comb over a cached per-curve table
 //     (no doublings at all on the default backend).
 //   - CombinedMult: u1·G + u2·Q, the hot path of ECDSA verification.
+//   - CombinedMult2: u1·G + a·P + b·Q, ECDSA verification under an
+//     ECQV key Q_U = e·P_U + Q_CA that was never reconstructed.
 //
 // Each strategy has two implementations: the default fixed-limb
 // Montgomery backend (backend_fp.go, O(1) allocations per call) and
@@ -247,6 +249,37 @@ func (c *Curve) CombinedMult(q Point, u1, u2 *big.Int) Point {
 		return c.combinedMultFP(q, u1r, u2r)
 	}
 	return c.combinedMultBigReduced(q, u1r, u2r)
+}
+
+// CombinedMult2 returns u1·G + a·P + b·Q and reports whether
+// a·P + b·Q is the point at infinity. The scalars are reduced modulo
+// the group order; a zero scalar or an infinity point drops its term.
+// On the default backend the wNAF digits of a and b share one doubling
+// chain over per-call odd-multiple tables of P and Q, and u1·G comes
+// through the comb table, with one affine conversion at the end; the
+// oracle path sums three independent multiplications.
+//
+// It verifies an ECDSA signature under an implicit-certificate key
+// Q_U = e·P_U + Q_CA (the paper's equation (1)) without reconstructing
+// Q_U: u2·Q_U = (u2·e)·P_U + u2·Q_CA. The infinity report keeps the
+// identity check: on these prime-order curves u2·Q_U is infinity for
+// a nonzero u2 exactly when Q_U is.
+func (c *Curve) CombinedMult2(p, q Point, u1, a, b *big.Int) (Point, bool) {
+	u1r := new(big.Int).Mod(u1, c.N)
+	ar := new(big.Int).Mod(a, c.N)
+	br := new(big.Int).Mod(b, c.N)
+	if c.useFP() {
+		return c.combinedMult2FP(p, q, u1r, ar, br)
+	}
+	return c.combinedMult2Big(p, q, u1r, ar, br)
+}
+
+// combinedMult2Big is the math/big twin of CombinedMult2 (the oracle
+// backend and its differential reference): three independent
+// multiplications and two additions.
+func (c *Curve) combinedMult2Big(p, q Point, u1, a, b *big.Int) (Point, bool) {
+	pq := c.addBig(c.scalarMultBig(p, a), c.scalarMultBig(q, b))
+	return c.addBig(c.scalarBaseMultBig(u1), pq), pq.IsInfinity()
 }
 
 // combinedMultBig is the math/big Strauss–Shamir path (differential

@@ -156,6 +156,45 @@ func (p *PublicKey) Verify(msg []byte, sig Signature) bool {
 // VerifyDigest checks sig over a precomputed digest.
 func (p *PublicKey) VerifyDigest(digest []byte, sig Signature) bool {
 	c := p.Curve
+	var u1, u2 big.Int
+	if !verifyScalars(c, digest, sig, &u1, &u2) || p.Q.IsInfinity() || !c.IsOnCurve(p.Q) {
+		return false
+	}
+	// R' = u1·G + u2·Q, through the precomputed table when attached.
+	var rp ec.Point
+	if p.table != nil {
+		rp = p.table.CombinedMult(&u1, &u2)
+	} else {
+		rp = c.CombinedMult(p.Q, &u1, &u2)
+	}
+	return matchesR(c, rp, sig.R)
+}
+
+// VerifyImplicit checks sig over digest under the implicit-certificate
+// key Q_U = e·pU + qCA (the paper's equation (1)) without
+// reconstructing Q_U, for a certificate whose key verifies exactly
+// once. Since u2·Q_U = (u2·e)·pU + u2·qCA, R' = u1·G + u2·Q_U is one
+// ec.Curve.CombinedMult2 chain. The verdict is VerifyDigest's under
+// the extracted key, an identity Q_U (which extraction refuses) being
+// a reject: for u2 in [1, n−1] on these prime-order curves, the
+// chain's u2·Q_U is infinity exactly when Q_U is. pU and qCA must be
+// finite points on c; e is reduced modulo the group order.
+func VerifyImplicit(c *ec.Curve, pU ec.Point, e *big.Int, qCA ec.Point, digest []byte, sig Signature) bool {
+	var u1, u2, u2e big.Int
+	if !verifyScalars(c, digest, sig, &u1, &u2) ||
+		pU.IsInfinity() || !c.IsOnCurve(pU) || qCA.IsInfinity() || !c.IsOnCurve(qCA) {
+		return false
+	}
+	u2e.Mul(&u2, e) // CombinedMult2 reduces it mod n
+	rp, identity := c.CombinedMult2(pU, qCA, &u1, &u2e, &u2)
+	return !identity && matchesR(c, rp, sig.R)
+}
+
+// verifyScalars is the preamble of every verification: it rejects r
+// or s outside [1, n−1] and sets u1 = e·w and u2 = r·w mod n, with
+// w = s⁻¹ and e the digest as a scalar. The outputs are the caller's,
+// so that they stay on its stack.
+func verifyScalars(c *ec.Curve, digest []byte, sig Signature, u1, u2 *big.Int) bool {
 	if sig.R == nil || sig.S == nil {
 		return false
 	}
@@ -163,31 +202,24 @@ func (p *PublicKey) VerifyDigest(digest []byte, sig Signature) bool {
 		sig.S.Sign() <= 0 || sig.S.Cmp(c.N) >= 0 {
 		return false
 	}
-	if p.Q.IsInfinity() || !c.IsOnCurve(p.Q) {
-		return false
-	}
 	e := c.HashToInt(digest)
 	w := new(big.Int).ModInverse(sig.S, c.N)
 	if w == nil {
 		return false
 	}
-	u1 := new(big.Int).Mul(e, w)
-	u1.Mod(u1, c.N)
-	u2 := new(big.Int).Mul(sig.R, w)
-	u2.Mod(u2, c.N)
+	u1.Mul(e, w).Mod(u1, c.N)
+	u2.Mul(sig.R, w).Mod(u2, c.N)
+	return true
+}
 
-	// R' = u1·G + u2·Q, through the precomputed table when attached.
-	var rp ec.Point
-	if p.table != nil {
-		rp = p.table.CombinedMult(u1, u2)
-	} else {
-		rp = c.CombinedMult(p.Q, u1, u2)
-	}
+// matchesR is the final check of every verification: R' is finite
+// and x(R') ≡ r (mod n).
+func matchesR(c *ec.Curve, rp ec.Point, r *big.Int) bool {
 	if rp.IsInfinity() {
 		return false
 	}
 	v := new(big.Int).Mod(rp.X, c.N)
-	return v.Cmp(sig.R) == 0
+	return v.Cmp(r) == 0
 }
 
 // Raw signature encoding: fixed-width big-endian r ‖ s, 2·ByteLen
@@ -205,16 +237,21 @@ func (s Signature) EncodeRaw(c *ec.Curve) []byte {
 	return out
 }
 
-// DecodeRaw parses a fixed-width r ‖ s signature.
+// ErrInvalidSignature is returned, wrapped, when DecodeRaw rejects a
+// byte string.
+var ErrInvalidSignature = errors.New("ecdsa: invalid raw signature")
+
+// DecodeRaw parses a fixed-width r ‖ s signature, rejecting a wrong
+// length and a component outside [1, n−1].
 func DecodeRaw(c *ec.Curve, data []byte) (Signature, error) {
 	if len(data) != 2*c.ByteLen() {
-		return Signature{}, fmt.Errorf("ecdsa: raw signature length %d, want %d",
-			len(data), 2*c.ByteLen())
+		return Signature{}, fmt.Errorf("%w: length %d, want %d",
+			ErrInvalidSignature, len(data), 2*c.ByteLen())
 	}
 	r := new(big.Int).SetBytes(data[:c.ByteLen()])
 	s := new(big.Int).SetBytes(data[c.ByteLen():])
 	if r.Sign() <= 0 || r.Cmp(c.N) >= 0 || s.Sign() <= 0 || s.Cmp(c.N) >= 0 {
-		return Signature{}, errors.New("ecdsa: raw signature component out of range")
+		return Signature{}, fmt.Errorf("%w: component out of range", ErrInvalidSignature)
 	}
 	return Signature{R: r, S: s}, nil
 }

@@ -371,3 +371,72 @@ func TestVerifyDigestAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// verifyImplicitAllocBudget is the heap-allocation ceiling of one
+// VerifyImplicit on P-256 — the first-sight verification of every STS
+// handshake with a certificate the verifier has not seen before —
+// enforced by CI next to the VerifyDigest gate. The point arithmetic,
+// two per-call odd-multiple tables included, is allocation-free; what
+// remains is big.Int boundary work (digest, w, u1, u2, u2·e, three
+// scalar reductions, two on-curve checks and the affine conversion),
+// the same for even and odd u2.
+const verifyImplicitAllocBudget = 52
+
+func TestVerifyImplicitAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget needs steady-state measurement")
+	}
+	if !ec.UsesFPBackend() {
+		t.Skip("built with -tags ec_purebig: the math/big oracle allocates freely by design")
+	}
+	if raceEnabled {
+		t.Skip("built with -race: sync.Pool drops math/big's scratch at random, so counts vary")
+	}
+	c := ec.P256()
+	rng := newDetRand(44)
+	// An implicit key Q_U = e·P_U + Q_CA with its private key
+	// d_U = e·k + d_CA for P_U = k·G, as ECQV issuance produces.
+	var k, dCA, e *big.Int
+	for _, s := range []**big.Int{&k, &dCA, &e} {
+		v, err := c.RandomScalar(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*s = v
+	}
+	pU, qCA := c.ScalarBaseMult(k), c.ScalarBaseMult(dCA)
+	d := new(big.Int).Mul(e, k)
+	d.Add(d, dCA).Mod(d, c.N)
+	key, err := NewPrivateKey(c, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sigs [2]Signature
+	var digests [2][]byte
+	for i, found := 0, 0; found < 2; i++ {
+		digest := sha256.Sum256([]byte{byte(i)})
+		sig, err := key.SignDigest(digest[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		u2 := new(big.Int).ModInverse(sig.S, c.N)
+		u2.Mul(u2, sig.R).Mod(u2, c.N)
+		if p := u2.Bit(0); digests[p] == nil {
+			sigs[p], digests[p] = sig, digest[:]
+			found++
+		}
+	}
+	for parity, name := range []string{"even u2", "odd u2"} {
+		verify := func() {
+			if !VerifyImplicit(c, pU, e, qCA, digests[parity], sigs[parity]) {
+				t.Fatal("valid signature rejected")
+			}
+		}
+		verify() // warm the comb table outside the measurement
+		got := testing.AllocsPerRun(20, verify)
+		t.Logf("VerifyImplicit, %s: %.0f allocs/op (budget %d)", name, got, verifyImplicitAllocBudget)
+		if got > verifyImplicitAllocBudget {
+			t.Errorf("VerifyImplicit, %s: %.0f allocs/op, budget %d", name, got, verifyImplicitAllocBudget)
+		}
+	}
+}

@@ -103,17 +103,19 @@ type Stats struct {
 	// totals wash out.
 	WorstAttempts int
 
-	// KeyCache reports the local device's per-peer key cache: after
-	// the first handshake with a peer, its certificate extraction and
-	// verification table are served from cache on every rekey, so a
-	// steady-state fleet shows hits growing with rekeys.
+	// KeyCache reports the local device's per-peer key cache: the
+	// first handshake with a peer verifies straight from its
+	// certificate (one miss), the second extracts and builds its
+	// verification table, and every later rekey is served from cache,
+	// so a steady-state fleet shows hits growing with rekeys.
 	KeyCache core.CacheStats
 
 	// SharedTables reports the process-global precomputed-table cache
-	// that all parties' key caches consult before building. In an
-	// EstablishAll wave every responder verifies the same initiator
-	// key, so one build serves the whole wave; the counters are global
-	// to the process, not to this manager.
+	// that all parties' key caches consult before building a table for
+	// a key they see again. When the same peers handshake a second
+	// time, every responder verifies the same initiator key, so one
+	// build serves the whole wave; the counters are global to the
+	// process, not to this manager.
 	SharedTables core.SharedTableStats
 }
 
