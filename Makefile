@@ -80,8 +80,9 @@ bench-compare:
 # same fixed-limb no-alloc contract, per op, per batched item, per
 # cached-key verification and per first-sight verification straight
 # from a certificate (even and odd u2 alike). The Seal+Open gate
-# guards the record layer's one-key-schedule-per-session contract: a
-# return to per-record key derivation triples its allocations. The
+# guards the record layer's key-once-per-session contract: keying the
+# MAC again for every record (hmac.New per tag) more than doubles its
+# allocations, and per-record key derivation multiplies them. The
 # Deliver gate guards the CAN fabric's one-allocation broadcast and
 # non-reallocating receive queues: a return to a payload copy per
 # receiver multiplies its allocations several times over.
@@ -247,8 +248,9 @@ bench-scenarios:
 		-segments 3 -parallelism 8 -stream \
 		-bench BENCH_scenarios.json >/dev/null
 
-# Brief fuzzing of the protocol parsers, of the point, signature and
-# certificate decoders, of the field kernels against math/big, of point
+# Brief fuzzing of the protocol parsers, of the point, signature,
+# certificate and enrollment decoders, of the scenario result gate
+# (ValidateJSON), of the field kernels against math/big, of point
 # multiplication against math/big and crypto/elliptic, and of the
 # first-sight verification against explicit extraction (committed
 # corpora under testdata/fuzz replay in every plain `go test` run;
@@ -271,6 +273,8 @@ fuzz-smoke:
 	$(GO) test ./internal/core -fuzz FuzzDecodePointRaw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzSTSEngine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -fuzz FuzzChannelOpen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/enroll -fuzz FuzzEnrollDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scenario -fuzz FuzzValidateJSON -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .

@@ -81,7 +81,9 @@ func EncodeResponse(curve *ec.Curve, cert *ecqv.Certificate, r *big.Int) []byte 
 	return out
 }
 
-// DecodeResponse parses an issuance response.
+// DecodeResponse parses an issuance response. The certificate must be
+// on the enrollment curve: a certificate's encoding names its own
+// curve, and one on another curve can still fit the response length.
 func DecodeResponse(curve *ec.Curve, data []byte) (*ecqv.Certificate, *big.Int, error) {
 	if len(data) < 3 {
 		return nil, nil, fmt.Errorf("%w: short response", ErrWire)
@@ -99,6 +101,9 @@ func DecodeResponse(curve *ec.Curve, data []byte) (*ecqv.Certificate, *big.Int, 
 	cert, err := ecqv.Decode(data[3 : 3+certLen])
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrWire, err)
+	}
+	if cert.Curve != curve {
+		return nil, nil, fmt.Errorf("%w: %s certificate, enrolling on %s", ErrWire, cert.Curve.Name, curve.Name)
 	}
 	r, err := curve.ScalarFromBytes(data[3+certLen:])
 	if err != nil {

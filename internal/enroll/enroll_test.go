@@ -1,6 +1,7 @@
 package enroll
 
 import (
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -160,5 +161,38 @@ func TestSubjectMismatchRejected(t *testing.T) {
 	respB := gw.Handle(reqB)
 	if _, _, err := devA.Finish(respB); err == nil {
 		t.Fatal("response for another subject accepted")
+	}
+}
+
+// TestCrossCurveCertificateRejected: a certificate's encoding names its
+// own curve, so a P-192 certificate followed by a 32-byte r has the
+// length of a P-256 response. DecodeResponse must refuse it as
+// malformed, and Finish must report that, not a failed reconstruction.
+func TestCrossCurveCertificateRejected(t *testing.T) {
+	ca, err := ecqv.NewCA(ec.P192(), ecqv.NewID("p192-ca"), newDetRand(18))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := &Gateway{CA: ca, Clock: func() time.Time { return time.Unix(1700000000, 0) }}
+	dev192 := &Device{Curve: ec.P192(), ID: ecqv.NewID("ecu"), CAPub: ca.PublicKey(), Rand: newDetRand(19)}
+	req, err := dev192.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, r, err := DecodeResponse(ec.P192(), gw.Handle(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := EncodeResponse(ec.P256(), cert, r)
+
+	if got, _, err := DecodeResponse(ec.P256(), cross); !errors.Is(err, ErrWire) {
+		t.Fatalf("P-192 certificate in a P-256 response: cert %v, err %v; want ErrWire", got, err)
+	}
+	dev := &Device{Curve: ec.P256(), ID: ecqv.NewID("ecu"), CAPub: newGateway(t, 20).CA.PublicKey(), Rand: newDetRand(21)}
+	if _, err := dev.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dev.Finish(cross); !errors.Is(err, ErrWire) {
+		t.Fatalf("Finish of a P-192 certificate: %v, want ErrWire", err)
 	}
 }

@@ -83,7 +83,8 @@ func WriteCSV(w io.Writer, r *Result) error {
 // attack-workload results it additionally refuses any point with
 // accepted replays: a curve claiming a successful replay is a
 // security regression, not a measurement. It returns the decoded
-// result on success. Pure function of its input — safe as a CI gate.
+// result on success, with an empty attack or phase list nil, as
+// WriteJSON omits it. Pure function of its input — safe as a CI gate.
 func ValidateJSON(data []byte) (*Result, error) {
 	// Version first, leniently: version mismatches must report as
 	// version mismatches regardless of which fields came or went.
@@ -128,6 +129,14 @@ func ValidateJSON(data []byte) (*Result, error) {
 		return nil, fmt.Errorf("scenario: result has no points")
 	}
 	for i, p := range r.Points {
+		// An explicit [] decodes as the omitted list WriteJSON writes,
+		// so the result survives its own rewrite.
+		if len(p.Attacks) == 0 {
+			r.Points[i].Attacks = nil
+		}
+		if len(p.Phases) == 0 {
+			r.Points[i].Phases = nil
+		}
 		if p.Axis == "" {
 			return nil, fmt.Errorf("scenario: point %d has no axis", i)
 		}

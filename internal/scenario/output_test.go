@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // validResultJSON builds a minimal valid current-version result
 // document for mutation-based ValidateJSON tests.
-func validResultJSON(t *testing.T) []byte {
+func validResultJSON(t testing.TB) []byte {
 	t.Helper()
 	res, _, err := RunWith(smallScenario(WorkloadLatency), Options{Workers: 1})
 	if err != nil {
@@ -21,6 +22,36 @@ func validResultJSON(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// spellEmptyLists returns doc with empty attack and phase lists
+// written out in its first point, where WriteJSON omits them.
+func spellEmptyLists(t testing.TB, doc []byte) []byte {
+	t.Helper()
+	out := bytes.Replace(doc, []byte(`"steps": [`), []byte(`"attacks": [], "phases": [], "steps": [`), 1)
+	if bytes.Equal(out, doc) {
+		t.Fatal("no steps list in the document")
+	}
+	return out
+}
+
+// TestValidateJSONEmptyLists: WriteJSON omits an empty attack or phase
+// list, so a document that spells one out as [] must validate to the
+// same Result as the one that omits it. Otherwise the Result differs
+// from its own rewrite, which breaks FuzzValidateJSON's round trip.
+func TestValidateJSONEmptyLists(t *testing.T) {
+	doc := validResultJSON(t)
+	want, err := ValidateJSON(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ValidateJSON(spellEmptyLists(t, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("explicit empty lists validate to %+v, omitted ones to %+v", got.Points[0], want.Points[0])
+	}
 }
 
 // TestValidateJSONRejectsTrailingContent: a decoder stops at the end

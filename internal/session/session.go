@@ -34,10 +34,15 @@
 // The CTR counter runs in the IV's seven zero low bytes, so it cannot
 // carry into the direction byte before 2⁶⁰ bytes of one record.
 //
+// The MAC is keyed once per session as well (RFC 2104 §4): NewPair
+// hashes the mac⊕ipad and mac⊕opad blocks once and keeps the two
+// SHA-256 states, which both channels share read-only. Every record's
+// tag resumes from them instead of hashing the padded key again.
+//
 // A Channel is not safe for concurrent use: its sequence and replay
 // state belong to one goroutine at a time. The two channels of a pair
 // may run on different goroutines; they share only the read-only
-// cipher and MAC key.
+// cipher and keyed MAC states.
 package session
 
 import (
@@ -45,9 +50,11 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"time"
 
 	"repro/internal/kdf"
@@ -115,11 +122,11 @@ const Overhead = recordHeader + tagSize
 
 // Channel is one endpoint's view of an established communication
 // session. A Channel is not safe for concurrent use; the two channels
-// of a pair may run on different goroutines.
+// of a pair may run on different goroutines, since all they share is
+// the pair's read-only cipher and keyed MAC states.
 type Channel struct {
-	dir     Direction    // the direction this endpoint sends in
-	block   cipher.Block // AES-128 under the record key, shared by the pair
-	macKey  []byte       // shared by the pair
+	dir     Direction   // the direction this endpoint sends in
+	keys    *recordKeys // shared by the pair, read-only
 	policy  Policy
 	started time.Time
 	now     func() time.Time
@@ -134,9 +141,19 @@ type Channel struct {
 	winPrimed bool
 }
 
+// recordKeys is the keyed state of one session, computed once by
+// NewPair and shared read-only by both channels of the pair.
+type recordKeys struct {
+	block cipher.Block // AES-128 under the record key
+	// inner and outer are the marshaled SHA-256 states after the
+	// mac⊕ipad and mac⊕opad blocks: HMAC-SHA-256 keyed once.
+	inner, outer []byte
+}
+
 // NewPair derives both endpoints of a session from a KD key block
-// (enc ‖ mac, as produced by the protocols in internal/core): the
-// record key and its AES key schedule once, shared by both channels
+// (enc ‖ mac, as produced by the protocols in internal/core). It
+// computes the record key's AES key schedule and the MAC key's inner
+// and outer SHA-256 states once; both channels share them read-only
 // (see the package comment). The policy applies to both directions.
 func NewPair(keyBlock []byte, policy Policy) (*Channel, *Channel, error) {
 	if len(keyBlock) != kdf.SessionKeySize+kdf.MACKeySize {
@@ -147,22 +164,43 @@ func NewPair(keyBlock []byte, policy Policy) (*Channel, *Channel, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("session: record key: %w", err)
 	}
-	block, err := aes.NewCipher(recordKey)
-	if err != nil {
+	keys := &recordKeys{}
+	if keys.block, err = aes.NewCipher(recordKey); err != nil {
 		return nil, nil, fmt.Errorf("session: record cipher: %w", err)
 	}
-	macKey := append([]byte(nil), keyBlock[kdf.SessionKeySize:]...)
+	mac := keyBlock[kdf.SessionKeySize:]
+	if keys.inner, err = padState(mac, 0x36); err == nil {
+		keys.outer, err = padState(mac, 0x5c)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("session: record MAC: %w", err)
+	}
 	mk := func(dir Direction) *Channel {
 		return &Channel{
 			dir:     dir,
-			block:   block,
-			macKey:  macKey,
+			keys:    keys,
 			policy:  policy,
 			started: time.Now(),
 			now:     time.Now,
 		}
 	}
 	return mk(DirAtoB), mk(DirBtoA), nil
+}
+
+// padState returns the marshaled SHA-256 state after one block of the
+// HMAC key XORed with pad (RFC 2104: 0x36 for ipad, 0x5c for opad). The
+// key is shorter than a block, so it is used as is, zero-padded.
+func padState(key []byte, pad byte) ([]byte, error) {
+	var block [sha256.BlockSize]byte
+	for i := range block {
+		block[i] = pad
+	}
+	for i, k := range key {
+		block[i] ^= k
+	}
+	h := sha256.New()
+	h.Write(block[:])
+	return h.(encoding.BinaryMarshaler).MarshalBinary()
 }
 
 // SetClock injects a time source for tests.
@@ -205,7 +243,9 @@ func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(out[:8], c.sendSeq)
 	out[8] = byte(c.dir)
 	c.crypt(out[recordHeader:body], plaintext, out[:recordHeader])
-	copy(out[body:], c.tag(out[:body]))
+	var tag [sha256.Size]byte
+	c.tag(&tag, out[:body])
+	copy(out[body:], tag[:tagSize])
 
 	c.sendSeq++
 	return out, nil
@@ -228,8 +268,9 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 	}
 
 	body := record[:len(record)-tagSize]
-	tag := record[len(record)-tagSize:]
-	if !hmac.Equal(c.tag(body), tag) {
+	var tag [sha256.Size]byte
+	c.tag(&tag, body)
+	if !hmac.Equal(tag[:tagSize], record[len(record)-tagSize:]) {
 		return nil, ErrAuth
 	}
 	// Authenticate BEFORE the replay check so an attacker cannot probe
@@ -318,13 +359,27 @@ func (c *Channel) crypt(dst, src, hdr []byte) {
 	}
 	var iv [aes.BlockSize]byte
 	copy(iv[:], hdr)
-	cipher.NewCTR(c.block, iv[:]).XORKeyStream(dst, src)
+	cipher.NewCTR(c.keys.block, iv[:]).XORKeyStream(dst, src)
 }
 
-// tag computes the truncated record MAC.
-func (c *Channel) tag(body []byte) []byte {
-	m := hmac.New(sha256.New, c.macKey)
-	m.Write([]byte("session-record"))
-	m.Write(body)
-	return m.Sum(nil)[:tagSize]
+// tag writes the record MAC of body, before truncation, to dst. It
+// resumes a fresh digest from the pair's keyed inner state, then from
+// its keyed outer state, and never writes to either.
+func (c *Channel) tag(dst *[sha256.Size]byte, body []byte) {
+	h := sha256.New()
+	restore(h, c.keys.inner)
+	h.Write([]byte("session-record"))
+	h.Write(body)
+	h.Sum(dst[:0])
+	restore(h, c.keys.outer)
+	h.Write(dst[:])
+	h.Sum(dst[:0])
+}
+
+// restore sets h to a state that padState marshaled from the same
+// digest type, which cannot fail.
+func restore(h hash.Hash, state []byte) {
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic("session: restore MAC state: " + err.Error())
+	}
 }

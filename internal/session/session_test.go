@@ -307,12 +307,53 @@ func TestRecordPinned(t *testing.T) {
 	}
 }
 
+// TestTagStateAcrossRecords seals 1,000 records in each direction,
+// interleaved, and holds every tag to HMAC-SHA-256 keyed from scratch
+// by crypto/hmac over "session-record" ‖ header ‖ ct, so a keyed MAC
+// state that one record changes shows in the next. Halfway through, a
+// copy with a forged tag must fail with ErrAuth and the honest record
+// must still open: a failed Open leaves no state behind.
+func TestTagStateAcrossRecords(t *testing.T) {
+	kb := testKeyBlock()
+	a, b := newPair(t, Policy{})
+	want := func(rec []byte) []byte {
+		m := hmac.New(sha256.New, kb[16:])
+		m.Write([]byte("session-record"))
+		m.Write(rec[:len(rec)-tagSize])
+		return m.Sum(nil)[:tagSize]
+	}
+	const records = 1000
+	for i := 0; i < records; i++ {
+		for _, ends := range [][2]*Channel{{a, b}, {b, a}} {
+			from, to := ends[0], ends[1]
+			msg := bytes.Repeat([]byte{byte(i), byte(from.dir)}, i%70)
+			rec, err := from.Seal(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rec[len(rec)-tagSize:]; !bytes.Equal(got, want(rec)) {
+				t.Fatalf("dir %#x record %d: tag %x, want %x", byte(from.dir), i, got, want(rec))
+			}
+			if i == records/2 {
+				forged := append([]byte(nil), rec...)
+				forged[len(forged)-1] ^= 0x80
+				if _, err := to.Open(forged); !errors.Is(err, ErrAuth) {
+					t.Fatalf("dir %#x record %d: forged tag: %v, want ErrAuth", byte(from.dir), i, err)
+				}
+			}
+			if got, err := to.Open(rec); err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("dir %#x record %d: Open = %x, %v", byte(from.dir), i, got, err)
+			}
+		}
+	}
+}
+
 // TestPairChannelsConcurrent runs each channel of a pair on its own
 // goroutine: both seal at the same time, then each opens the other's
-// records. The two channels share one AES block and MAC key, which
-// must stay read-only; run it under go test -race -count=10. (A single
-// Channel is not shared: its sequence state is not safe for concurrent
-// use.)
+// records. The two channels share one AES block and the keyed MAC's
+// inner and outer states, which must stay read-only; run it under go
+// test -race -count=10. (A single Channel is not shared: its sequence
+// state is not safe for concurrent use.)
 func TestPairChannelsConcurrent(t *testing.T) {
 	a, b := newPair(t, Policy{})
 	chans := [2]*Channel{a, b}
@@ -357,11 +398,12 @@ func TestPairChannelsConcurrent(t *testing.T) {
 }
 
 // sealOpenAllocBudget is the heap-allocation ceiling of one 64 B
-// Seal+Open, enforced by CI next to the EC budgets: the record and
-// plaintext buffers, one CTR stream per side and the two HMAC
-// computations. A regression to per-record key derivation (62 allocs)
-// fails it.
-const sealOpenAllocBudget = 24
+// Seal+Open, enforced by CI next to the EC budgets. It measures 8: the
+// record and plaintext buffers, an IV and a CTR stream per side, and
+// one digest per tag resumed from the pair's keyed MAC states. Keying
+// the MAC again for every record (hmac.New per tag: 20 allocs) fails
+// it, as does per-record key derivation (62 allocs).
+const sealOpenAllocBudget = 10
 
 func TestSealOpenAllocBudget(t *testing.T) {
 	a, b := newPair(t, Policy{})
