@@ -75,7 +75,9 @@ bench-compare:
 
 # Scalar-mult ablation with allocation counts plus the hard per-op
 # allocation budgets on the fp backend (used by CI; fails on regression
-# into per-digit heap allocation). The ScalarMult, VerifyBatch,
+# into per-digit heap allocation). The field kernels (Mul, Sqr, Add,
+# Sub, Dbl, Neg, Half, Inv, Sqrt) must allocate nothing at all: every
+# point formula and inversion runs on them. The ScalarMult, VerifyBatch,
 # VerifyDigest and VerifyImplicit gates ride together: all guard the
 # same fixed-limb no-alloc contract, per op, per batched item, per
 # cached-key verification and per first-sight verification straight
@@ -88,6 +90,7 @@ bench-compare:
 # receiver multiplies its allocations several times over.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
+	$(GO) test -run='TestFieldKernelsAllocFree' -v ./internal/ec/fp/
 	$(GO) test -run='TestScalarMultAllocBudget' -v ./internal/ec/
 	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestVerifyDigestAllocBudget' -v ./internal/ecdsa/
@@ -97,7 +100,7 @@ bench-alloc:
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs Mul(x, x), Montgomery-
-# trick BatchInv vs sequential Fermat inversions, wave VerifyBatch vs
+# trick BatchInv vs sequential inversions, wave VerifyBatch vs
 # N independent Verifies, and the shared-inversion table build.
 # Summarized by benchstat when installed.
 BENCH_BATCH ?= BenchmarkSqr$$|BenchmarkSqrViaMul|BenchmarkBatchInv|BenchmarkInvSequential|BenchmarkVerifyBatch|BenchmarkVerifySequential|BenchmarkMultTableBuild|BenchmarkBatchNormalize

@@ -68,8 +68,8 @@ var approvedBigFiles = map[string]bool{
 // hotpathRoots name the entry points of the hot call graph, across
 // both packages: the scalar-multiplication and batch-verification
 // API in ec, and the field operations in fp — among them the square
-// root that point decompression runs on every handshake and the
-// fixed-window exponentiation (pow) that it shares with Inv.
+// root that point decompression runs on every handshake, its
+// fixed-window exponentiation (pow), and the safegcd Inv.
 var hotpathRoots = map[string]bool{
 	"ScalarMult":           true,
 	"ScalarBaseMult":       true,
@@ -84,6 +84,7 @@ var hotpathRoots = map[string]bool{
 	"Sub":                  true,
 	"Dbl":                  true,
 	"Neg":                  true,
+	"Half":                 true,
 	"Inv":                  true,
 	"BatchInv":             true,
 	"Sqrt":                 true,

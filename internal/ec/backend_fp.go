@@ -40,7 +40,7 @@ type fpAffine struct {
 // group operations. One scratch serves an entire scalar-multiplication
 // loop; it carries no state between calls.
 type fpScratch struct {
-	t [12]fp.Element
+	t [8]fp.Element
 }
 
 func (c *Curve) fpSetInfinity(p *fpJac) {
@@ -94,53 +94,59 @@ func (c *Curve) rhsSqrtFP(x *big.Int) (*big.Int, bool) {
 	return f.ToBig(&rhs), true
 }
 
-// fpDouble sets p = 2p in place: dbl-2001-b, 3M + 5S. It takes the
-// a = −3 shortcut α = 3(X − Z²)(X + Z²) unconditionally; newCurve
-// admits no other curve.
+// fpDouble sets p = 2p in place: dbl-2001-b evaluated over Y′ = 2Y,
+// 4M + 4S and 10 field additions where the textbook order spends
+// 3M + 5S and 16. It takes the a = −3 shortcut α = 3(X − δ)(X + δ)
+// unconditionally; newCurve admits no other curve. Over Y′, Y′² = 4γ
+// gives 4β = X·Y′² with no doublings, Z3 = 2YZ = Y′·Z needs no
+// (Y + Z)² − γ − δ, and 8γ² = Y′⁴/2 is one Half. The output limbs
+// equal dbl-2001-b's:
 //
 //	δ = Z², γ = Y², β = X·γ, α = 3(X − δ)(X + δ)
-//	X3 = α² − 8β, Z3 = (Y + Z)² − γ − δ, Y3 = α(4β − X3) − 8γ²
+//	X3 = α² − 8β, Z3 = 2Y·Z, Y3 = α(4β − X3) − 8γ²
 func (c *Curve) fpDouble(p *fpJac, s *fpScratch) {
 	f := c.fpF
 	if f.IsZero(&p.z) || f.IsZero(&p.y) {
 		c.fpSetInfinity(p)
 		return
 	}
-	delta, gamma, beta, alpha, tmp := &s.t[0], &s.t[1], &s.t[2], &s.t[3], &s.t[4]
+	delta, alpha, yy, beta4, tmp := &s.t[0], &s.t[1], &s.t[2], &s.t[3], &s.t[4]
 
 	f.Sqr(delta, &p.z)
-	f.Sqr(gamma, &p.y)
-	f.Mul(beta, &p.x, gamma)
 	f.Sub(alpha, &p.x, delta)
 	f.Add(tmp, &p.x, delta)
 	f.Mul(alpha, alpha, tmp)
 	f.Dbl(tmp, alpha)
-	f.Add(alpha, tmp, alpha)
+	f.Add(alpha, tmp, alpha) // α
 
-	// Z3 first: it is the last reader of Y and Z.
-	f.Add(tmp, &p.y, &p.z)
-	f.Sqr(&p.z, tmp)
-	f.Sub(&p.z, &p.z, gamma)
-	f.Sub(&p.z, &p.z, delta)
+	f.Dbl(&p.y, &p.y)       // Y′ = 2Y
+	f.Mul(&p.z, &p.z, &p.y) // Z3 = Y′·Z
+	f.Sqr(yy, &p.y)         // Y′² = 4γ
+	f.Mul(beta4, &p.x, yy)  // 4β
 
-	f.Dbl(beta, beta)
-	f.Dbl(beta, beta) // 4β
-	f.Dbl(tmp, beta)  // 8β
 	f.Sqr(&p.x, alpha)
-	f.Sub(&p.x, &p.x, tmp)
+	f.Sub(&p.x, &p.x, beta4)
+	f.Sub(&p.x, &p.x, beta4) // X3 = α² − 8β
 
-	f.Sub(tmp, beta, &p.x)
+	f.Sub(tmp, beta4, &p.x)
 	f.Mul(&p.y, alpha, tmp)
-	f.Sqr(gamma, gamma)
-	f.Dbl(gamma, gamma)
-	f.Dbl(gamma, gamma)
-	f.Dbl(gamma, gamma) // 8γ²
-	f.Sub(&p.y, &p.y, gamma)
+	f.Sqr(yy, yy)
+	f.Half(yy, yy)        // Y′⁴/2 = 8γ²
+	f.Sub(&p.y, &p.y, yy) // Y3 = α(4β − X3) − 8γ²
 }
 
-// fpAddJac sets p = p + q (or p − q when neg) in place, add-2007-bl.
-// q must not alias p; the doubling and inverse cases fall back
-// correctly.
+// fpAddJac sets p = p + q (or p − q when neg) in place: add-1998-cmo-2,
+// 12M + 4S and 7 field additions. q must not alias p. When the
+// abscissas agree (H = 0) the sum is the point at infinity (p = −q′)
+// or a doubling (p = q′), q′ being q or −q.
+//
+//	U1 = X1·Z2², U2 = X2·Z1², S1 = Y1·Z2³, S2 = ±Y2·Z1³
+//	H = U2 − U1, R = S2 − S1, V = U1·H²
+//	X3 = R² − H³ − 2V, Y3 = R(V − X3) − S1·H³, Z3 = Z1·Z2·H
+//
+// When neg, R is held negated — S2 + S1 for Y2·Z1³ — which leaves R²
+// and the test R = 0 unchanged and turns R(V − X3) into R(X3 − V), so
+// −q costs no negation.
 func (c *Curve) fpAddJac(p *fpJac, q *fpJac, neg bool, s *fpScratch) {
 	f := c.fpF
 	if c.fpIsInfinity(q) {
@@ -153,64 +159,61 @@ func (c *Curve) fpAddJac(p *fpJac, q *fpJac, neg bool, s *fpScratch) {
 		}
 		return
 	}
-	z1z1, z2z2 := &s.t[0], &s.t[1]
-	u1, u2, s1, s2 := &s.t[2], &s.t[3], &s.t[4], &s.t[5]
-	h, i, j, r, v, tmp := &s.t[6], &s.t[7], &s.t[8], &s.t[9], &s.t[10], &s.t[11]
+	z1z1, z2z2, u1, h := &s.t[0], &s.t[1], &s.t[2], &s.t[3]
+	s1, r, hh, hhh := &s.t[4], &s.t[5], &s.t[6], &s.t[7]
 
 	f.Sqr(z1z1, &p.z)
 	f.Sqr(z2z2, &q.z)
 	f.Mul(u1, &p.x, z2z2)
-	f.Mul(u2, &q.x, z1z1)
+	f.Mul(h, &q.x, z1z1)
 	f.Mul(s1, &q.z, z2z2)
 	f.Mul(s1, &p.y, s1)
-	f.Mul(s2, &p.z, z1z1)
-	f.Mul(s2, &q.y, s2)
+	f.Mul(r, &p.z, z1z1)
+	f.Mul(r, &q.y, r)
+	f.Sub(h, h, u1) // H
 	if neg {
-		f.Neg(s2, s2)
+		f.Add(r, r, s1) // −R
+	} else {
+		f.Sub(r, r, s1) // R
 	}
-
-	if f.Equal(u1, u2) {
-		if !f.Equal(s1, s2) {
-			c.fpSetInfinity(p) // p = −q' (group inverse)
+	if f.IsZero(h) {
+		if !f.IsZero(r) {
+			c.fpSetInfinity(p) // p = −q′ (group inverse)
 			return
 		}
-		c.fpDouble(p, s) // p = q' as group elements
+		c.fpDouble(p, s) // p = q′ as group elements
 		return
 	}
 
-	f.Sub(h, u2, u1)
-	f.Dbl(i, h)
-	f.Sqr(i, i)
-	f.Mul(j, h, i)
-	f.Sub(r, s2, s1)
-	f.Dbl(r, r)
-	f.Mul(v, u1, i) // i free after this
+	f.Sqr(hh, h)
+	f.Mul(hhh, h, hh)
+	f.Mul(u1, u1, hh) // V
 
-	// X3 = r² − J − 2V
-	f.Sqr(i, r)
-	f.Sub(i, i, j)
-	f.Dbl(tmp, v)
-	f.Sub(i, i, tmp) // x3 in i
+	f.Mul(&p.z, &p.z, &q.z)
+	f.Mul(&p.z, &p.z, h) // Z3
 
-	// Y3 = r·(V − X3) − 2·S1·J
-	f.Sub(tmp, v, i)
-	f.Mul(tmp, r, tmp)
-	f.Mul(s1, s1, j)
-	f.Dbl(s1, s1)
-	f.Sub(tmp, tmp, s1) // y3 in tmp
+	f.Sqr(&p.x, r)
+	f.Sub(&p.x, &p.x, hhh)
+	f.Dbl(h, u1)
+	f.Sub(&p.x, &p.x, h) // X3
 
-	// Z3 = ((Z1+Z2)² − Z1Z1 − Z2Z2)·H
-	f.Add(r, &p.z, &q.z)
-	f.Sqr(r, r)
-	f.Sub(r, r, z1z1)
-	f.Sub(r, r, z2z2)
-	f.Mul(r, r, h) // z3 in r
-
-	p.x, p.y, p.z = *i, *tmp, *r
+	if neg {
+		f.Sub(u1, &p.x, u1)
+	} else {
+		f.Sub(u1, u1, &p.x)
+	}
+	f.Mul(u1, u1, r)
+	f.Mul(s1, s1, hhh)
+	f.Sub(&p.y, u1, s1) // Y3
 }
 
-// fpAddAffine sets p = p + q (or p − q when neg) for an affine q —
-// the mixed addition (madd-2007-bl) used against precomputed tables.
+// fpAddAffine sets p = p + q (or p − q when neg) for an affine q — the
+// mixed addition madd-2004-hmv used against precomputed tables, 8M + 3S
+// and 7 field additions. Its cases and its negated R for −q are
+// fpAddJac's with Z2 = 1:
+//
+//	U2 = X2·Z1², S2 = ±Y2·Z1³, H = U2 − X1, R = S2 − Y1, V = X1·H²
+//	X3 = R² − H³ − 2V, Y3 = R(V − X3) − Y1·H³, Z3 = Z1·H
 func (c *Curve) fpAddAffine(p *fpJac, q *fpAffine, neg bool, s *fpScratch) {
 	f := c.fpF
 	if c.fpIsInfinity(p) {
@@ -222,19 +225,20 @@ func (c *Curve) fpAddAffine(p *fpJac, q *fpAffine, neg bool, s *fpScratch) {
 		p.z = c.fpF.One()
 		return
 	}
-	z1z1, u2, s2 := &s.t[0], &s.t[1], &s.t[2]
-	h, hh, i, j, r, v, tmp := &s.t[3], &s.t[4], &s.t[5], &s.t[6], &s.t[7], &s.t[8], &s.t[9]
+	h, r, hh, hhh := &s.t[0], &s.t[1], &s.t[2], &s.t[3]
 
-	f.Sqr(z1z1, &p.z)
-	f.Mul(u2, &q.x, z1z1)
-	f.Mul(s2, &p.z, z1z1)
-	f.Mul(s2, &q.y, s2)
+	f.Sqr(hh, &p.z)
+	f.Mul(r, hh, &p.z)
+	f.Mul(h, hh, &q.x)
+	f.Mul(r, r, &q.y)
+	f.Sub(h, h, &p.x) // H
 	if neg {
-		f.Neg(s2, s2)
+		f.Add(r, r, &p.y) // −R
+	} else {
+		f.Sub(r, r, &p.y) // R
 	}
-
-	if f.Equal(&p.x, u2) {
-		if !f.Equal(&p.y, s2) {
+	if f.IsZero(h) {
+		if !f.IsZero(r) {
 			c.fpSetInfinity(p)
 			return
 		}
@@ -242,35 +246,24 @@ func (c *Curve) fpAddAffine(p *fpJac, q *fpAffine, neg bool, s *fpScratch) {
 		return
 	}
 
-	f.Sub(h, u2, &p.x)
+	f.Mul(&p.z, &p.z, h) // Z3
 	f.Sqr(hh, h)
-	f.Dbl(i, hh)
-	f.Dbl(i, i)
-	f.Mul(j, h, i)
-	f.Sub(r, s2, &p.y)
-	f.Dbl(r, r)
-	f.Mul(v, &p.x, i) // i free after this
+	f.Mul(hhh, hh, h)
+	f.Mul(hh, hh, &p.x) // V
 
-	// X3 = r² − J − 2V
-	f.Sqr(i, r)
-	f.Sub(i, i, j)
-	f.Dbl(tmp, v)
-	f.Sub(i, i, tmp) // x3 in i
+	f.Sqr(&p.x, r)
+	f.Sub(&p.x, &p.x, hhh)
+	f.Dbl(h, hh)
+	f.Sub(&p.x, &p.x, h) // X3
 
-	// Y3 = r·(V − X3) − 2·Y1·J
-	f.Sub(tmp, v, i)
-	f.Mul(tmp, r, tmp)
-	f.Mul(j, &p.y, j)
-	f.Dbl(j, j)
-	f.Sub(tmp, tmp, j) // y3 in tmp
-
-	// Z3 = (Z1+H)² − Z1Z1 − HH
-	f.Add(r, &p.z, h)
-	f.Sqr(r, r)
-	f.Sub(r, r, z1z1)
-	f.Sub(r, r, hh) // z3 in r
-
-	p.x, p.y, p.z = *i, *tmp, *r
+	if neg {
+		f.Sub(hh, &p.x, hh)
+	} else {
+		f.Sub(hh, hh, &p.x)
+	}
+	f.Mul(hh, hh, r)
+	f.Mul(hhh, hhh, &p.y)
+	f.Sub(&p.y, hh, hhh) // Y3
 }
 
 // fpBatchToAffine converts Jacobian points to fpAffine through one

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/ec/fp"
 )
 
 // Differential tests of the fixed-limb Montgomery backend against the
@@ -329,5 +331,71 @@ func BenchmarkMultTableCombinedMult(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.CombinedMult(u1, u2)
+	}
+}
+
+// dbl2001b is the textbook evaluation order of dbl-2001-b (3M + 5S):
+// the reference the Y′ = 2Y doubling of fpDouble must match limb for
+// limb.
+func dbl2001b(f *fp.Field, p *fpJac) {
+	var delta, gamma, beta, alpha, tmp fp.Element
+	f.Sqr(&delta, &p.z)
+	f.Sqr(&gamma, &p.y)
+	f.Mul(&beta, &p.x, &gamma)
+	f.Sub(&alpha, &p.x, &delta)
+	f.Add(&tmp, &p.x, &delta)
+	f.Mul(&alpha, &alpha, &tmp)
+	f.Dbl(&tmp, &alpha)
+	f.Add(&alpha, &tmp, &alpha)
+	f.Add(&tmp, &p.y, &p.z)
+	f.Sqr(&p.z, &tmp)
+	f.Sub(&p.z, &p.z, &gamma)
+	f.Sub(&p.z, &p.z, &delta)
+	f.Dbl(&beta, &beta)
+	f.Dbl(&beta, &beta)
+	f.Dbl(&tmp, &beta)
+	f.Sqr(&p.x, &alpha)
+	f.Sub(&p.x, &p.x, &tmp)
+	f.Sub(&tmp, &beta, &p.x)
+	f.Mul(&p.y, &alpha, &tmp)
+	f.Sqr(&gamma, &gamma)
+	f.Dbl(&gamma, &gamma)
+	f.Dbl(&gamma, &gamma)
+	f.Dbl(&gamma, &gamma)
+	f.Sub(&p.y, &p.y, &gamma)
+}
+
+// TestDoubleMatchesDbl2001b requires fpDouble's output limbs to equal
+// the textbook dbl-2001-b's on every curve, for 500 random points k·G
+// each put in a random Jacobian representative (X·λ², Y·λ³, λ), and
+// for the same points in affine form (Z = 1).
+func TestDoubleMatchesDbl2001b(t *testing.T) {
+	requireFP(t)
+	r := rand.New(rand.NewSource(41))
+	for _, c := range Curves() {
+		f := c.fpF
+		var s fpScratch
+		for i := 0; i < 500; i++ {
+			var p fpJac
+			c.fpFromAffinePoint(&p, c.ScalarBaseMult(new(big.Int).Rand(r, c.N)))
+			if i%2 == 1 {
+				var l, l2 fp.Element
+				f.FromBig(&l, new(big.Int).Rand(r, c.P))
+				if f.IsZero(&l) {
+					continue
+				}
+				f.Sqr(&l2, &l)
+				f.Mul(&p.x, &p.x, &l2)
+				f.Mul(&l2, &l2, &l)
+				f.Mul(&p.y, &p.y, &l2)
+				p.z = l
+			}
+			got, want := p, p
+			c.fpDouble(&got, &s)
+			dbl2001b(f, &want)
+			if got != want {
+				t.Fatalf("%s: fpDouble(%v) = %v, dbl-2001-b %v", c.Name, p, got, want)
+			}
+		}
 	}
 }

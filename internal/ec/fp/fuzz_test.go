@@ -73,6 +73,8 @@ func (o *fieldOracle) check(t *testing.T, a, b []byte) {
 	want("Dbl", new(big.Int).Lsh(vx, 1))
 	o.f.Neg(&z, &x)
 	want("Neg", new(big.Int).Neg(vx))
+	o.f.Half(&z, &x)
+	want("Half", new(big.Int).Mul(vx, new(big.Int).ModInverse(big.NewInt(2), o.p)))
 	o.f.Mul(&z, &x, &y)
 	want("Mul", new(big.Int).Mul(vx, vy))
 	o.f.Sqr(&z, &x)
@@ -102,8 +104,8 @@ func (o *fieldOracle) check(t *testing.T, a, b []byte) {
 	want("Sqrt", new(big.Int).Exp(vx, e.Rsh(e, 2), o.p))
 }
 
-// FuzzFieldOps diffs Add, Sub, Dbl, Neg, Mul, Sqr, Inv and Sqrt
-// against math/big on the three curve primes. The two 32-byte inputs
+// FuzzFieldOps diffs Add, Sub, Dbl, Neg, Half (against x·2⁻¹ mod p),
+// Mul, Sqr, Inv and Sqrt against math/big on the three curve primes. The two 32-byte inputs
 // are big-endian values taken mod p as raw Montgomery limbs, so the
 // committed corpus (testdata/fuzz/FuzzFieldOps) can aim at the
 // limb-level boundaries of the masked selects: x + y = p, p − 1 and

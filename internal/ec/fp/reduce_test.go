@@ -14,7 +14,7 @@ func limbsOf(v *big.Int) Element {
 }
 
 // TestNewSelectsP256Reduction pins the dispatch: New flags the P-256
-// prime, and only it, for redP256. A typo in the limb match would
+// prime, and only it, for the P-256 fold. A typo in the limb match would
 // otherwise send P-256 down the generic path with every correctness
 // test still passing.
 func TestNewSelectsP256Reduction(t *testing.T) {
@@ -29,52 +29,58 @@ func TestNewSelectsP256Reduction(t *testing.T) {
 	}
 }
 
-// TestRedP256MatchesSOS diffs redP256 against the generic SOS rows of
-// redSOS on the same 512-bit products — 10^5 random products and
-// squares, plus crafted products that reach the corners of the final
-// select — and requires the same overflow bit and limbs. Each product
-// is checked against math/big first.
+// TestRedP256MatchesSOS diffs the P-256 fold against the generic SOS
+// and CIOS reductions: a copy of the P-256 Field with the fold
+// switched off runs mulCIOS and sqrSOS, and on 10^5 random products
+// and squares, plus crafted products that reach the corners of the
+// final select, Mul and Sqr must return the same limbs from both
+// Fields and the math/big value x·y·R⁻¹ mod p.
 func TestRedP256MatchesSOS(t *testing.T) {
 	p := mustPrime(t, testPrimes[0])
 	f, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	generic := *f
+	generic.p256 = false
 	two256 := new(big.Int).Lsh(big.NewInt(1), 256)
+	rInv := new(big.Int).ModInverse(new(big.Int).Mod(two256, p), p)
+	pInv := new(big.Int).ModInverse(p, two256)
 
-	// reduced runs both reductions on the product w of x and y and
-	// returns the value before the final select, hi·2^256 + r.
-	reduced := func(name string, x, y *Element, w [2 * Limbs]uint64) *big.Int {
+	// reduced runs both Fields' Mul, and Sqr too when x = y, on the raw
+	// limbs x and y, and returns the value before the final select:
+	// u = (x·y + m·p)/2^256 with m = −x·y·p⁻¹ mod 2^256, which every
+	// Montgomery reduction of x·y computes.
+	reduced := func(name string, x, y *Element) *big.Int {
 		t.Helper()
-		want := new(big.Int).Mul(limbsValue(x[:]...), limbsValue(y[:]...))
-		if got := limbsValue(w[:]...); got.Cmp(want) != 0 {
-			t.Fatalf("%s: product of %x, %x = %x, want %x", name, *x, *y, got, want)
+		xy := new(big.Int).Mul(limbsValue(x[:]...), limbsValue(y[:]...))
+		want := limbsOf(new(big.Int).Mod(new(big.Int).Mul(xy, rInv), p))
+		var fold, sos Element
+		f.Mul(&fold, x, y)
+		generic.Mul(&sos, x, y)
+		if fold != want || sos != want {
+			t.Fatalf("%s: Mul(%x, %x): P-256 fold %x, CIOS %x, want %x", name, *x, *y, fold, sos, want)
 		}
-		hi, r0, r1, r2, r3 := redP256(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7])
-		shi, s0, s1, s2, s3 := f.redSOS(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7])
-		if hi != shi || r0 != s0 || r1 != s1 || r2 != s2 || r3 != s3 {
-			t.Fatalf("%s: %x·%x: redP256 = %d %x, redSOS = %d %x",
-				name, *x, *y, hi, [4]uint64{r0, r1, r2, r3}, shi, [4]uint64{s0, s1, s2, s3})
+		if *x == *y {
+			f.Sqr(&fold, x)
+			generic.Sqr(&sos, x)
+			if fold != want || sos != want {
+				t.Fatalf("%s: Sqr(%x): P-256 fold %x, SOS %x, want %x", name, *x, fold, sos, want)
+			}
 		}
-		return limbsValue(r0, r1, r2, r3, hi)
-	}
-	product := func(x, y *Element) (w [2 * Limbs]uint64) {
-		w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = mul512(x, y)
-		return w
-	}
-	square := func(x *Element) (w [2 * Limbs]uint64) {
-		w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = sqr512(x)
-		return w
+		m := new(big.Int).Mul(xy, pInv)
+		m.Neg(m).Mod(m, two256)
+		return m.Mul(m, p).Add(m, xy).Rsh(m, 256)
 	}
 
 	r := rand.New(rand.NewSource(29))
 	overflows := 0
 	for i := 0; i < 100000; i++ {
 		x, y := limbsOf(new(big.Int).Rand(r, p)), limbsOf(new(big.Int).Rand(r, p))
-		if reduced("random product", &x, &y, product(&x, &y)).Cmp(two256) >= 0 {
+		if reduced("random product", &x, &y).Cmp(two256) >= 0 {
 			overflows++
 		}
-		reduced("random square", &x, &x, square(&x))
+		reduced("random square", &x, &x)
 	}
 	if overflows == 0 {
 		t.Fatal("no random product set the overflow bit")
@@ -99,7 +105,7 @@ func TestRedP256MatchesSOS(t *testing.T) {
 		{"u = 2^256, overflow bit set", negZR(rModP), two256},
 	} {
 		x, y := limbsOf(pm1), limbsOf(c.y)
-		u := reduced(c.name, &x, &y, product(&x, &y))
+		u := reduced(c.name, &x, &y)
 		if (c.u == nil && u.Cmp(p) >= 0) || (c.u != nil && u.Cmp(c.u) != 0) {
 			t.Fatalf("%s: u = %x, the case no longer reaches its corner", c.name, u)
 		}

@@ -64,22 +64,6 @@ func TestSqrMatchesMul(t *testing.T) {
 	}
 }
 
-// TestSqrZeroAlloc pins the no-heap-allocation contract of the
-// dedicated squaring (and, while here, of BatchInv beyond its single
-// documented prefix-scratch slice).
-func TestSqrZeroAlloc(t *testing.T) {
-	p := mustPrime(t, testPrimes[0])
-	f, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var x Element
-	f.FromBig(&x, big.NewInt(0xfeedface))
-	if n := testing.AllocsPerRun(100, func() { f.Sqr(&x, &x) }); n != 0 {
-		t.Fatalf("Sqr allocates %.1f times per op, want 0", n)
-	}
-}
-
 func TestBatchInvEmpty(t *testing.T) {
 	p := mustPrime(t, testPrimes[0])
 	f, err := New(p)
@@ -190,7 +174,7 @@ func BenchmarkSqr(b *testing.B) {
 // BenchmarkSqrViaMul is the baseline the dedicated squaring is judged
 // against: the same op through Mul(x, x), whose product spends sixteen
 // word multiplications where Sqr's spends ten. On P-256 both reduce
-// with redP256, so the gap is the product alone; on the other primes
+// with the P-256 fold, so the gap is the product alone; on the other primes
 // Sqr's SOS rows also face Mul's interleaved CIOS ones.
 func BenchmarkSqrViaMul(b *testing.B) {
 	benchPerPrime(b, func(b *testing.B, f *Field, x, _ Element) {
@@ -201,7 +185,7 @@ func BenchmarkSqrViaMul(b *testing.B) {
 }
 
 // BenchmarkBatchInv measures Montgomery's trick against
-// BenchmarkInvSequential's per-element Fermat baseline at batch size
+// BenchmarkInvSequential's per-element Inv baseline at batch size
 // 8 (one MultTable comb) and at 15 and 64, the other sizes of the
 // batch_ops trajectory in BENCH_ec_backend.json.
 func BenchmarkBatchInv(b *testing.B) {

@@ -31,6 +31,13 @@ import (
 // names a ≡ 0 and b ≡ 0 (mult2-a-zero, mult2-b-zero), P = Q and
 // P = −Q with full-length a = b (mult2-p-eq-q, mult2-p-neg-q, where
 // a·P + b·Q is infinity), and a·P = −b·Q for P = 2G (mult2-cancel).
+// Four more drive the additions into their doubling and cancellation
+// branches with a negated addend, the case where R is held negated:
+// with Q = G, CombinedMult's first comb digit −1 meets (n − 1)·G
+// (madd-neg-double) or G (madd-neg-cancel) in the mixed addition, and
+// CombinedMult2's last wNAF digit −1 meets a sum ≡ −1 or +1 when
+// a + b ≡ −2 or 0 (mod n) in the Jacobian one (jadd-neg-double,
+// jadd-neg-cancel).
 func FuzzPointMult(f *testing.F) {
 	curves := []struct {
 		c   *Curve

@@ -52,6 +52,13 @@ func EncodeRequest(curve *ec.Curve, req Request) []byte {
 // ErrWire wraps malformed enrollment messages.
 var ErrWire = errors.New("enroll: malformed message")
 
+// ErrRejected wraps a gateway's OpError reply: a well-formed refusal.
+var ErrRejected = errors.New("enroll: gateway rejected request")
+
+// maxReasonLen caps the bytes of a gateway's rejection reason that
+// DecodeResponse quotes into its error.
+const maxReasonLen = 128
+
 // DecodeRequest parses and validates a request.
 func DecodeRequest(curve *ec.Curve, data []byte) (Request, error) {
 	want := 1 + ecqv.IDSize + curve.UncompressedPointSize()
@@ -84,12 +91,19 @@ func EncodeResponse(curve *ec.Curve, cert *ecqv.Certificate, r *big.Int) []byte 
 // DecodeResponse parses an issuance response. The certificate must be
 // on the enrollment curve: a certificate's encoding names its own
 // curve, and one on another curve can still fit the response length.
+// An OpError reply returns an error wrapping ErrRejected, with the
+// gateway's reason quoted (%q, so control bytes arrive escaped) and
+// cut to maxReasonLen bytes; every other failure wraps ErrWire.
 func DecodeResponse(curve *ec.Curve, data []byte) (*ecqv.Certificate, *big.Int, error) {
 	if len(data) < 3 {
 		return nil, nil, fmt.Errorf("%w: short response", ErrWire)
 	}
 	if data[0] == OpError {
-		return nil, nil, fmt.Errorf("enroll: gateway rejected request: %s", string(data[1:]))
+		reason := data[1:]
+		if len(reason) > maxReasonLen {
+			return nil, nil, fmt.Errorf("%w: %q (cut from %d bytes)", ErrRejected, reason[:maxReasonLen], len(reason))
+		}
+		return nil, nil, fmt.Errorf("%w: %q", ErrRejected, reason)
 	}
 	if data[0] != OpResponse {
 		return nil, nil, fmt.Errorf("%w: op %#x", ErrWire, data[0])

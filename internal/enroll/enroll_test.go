@@ -3,8 +3,11 @@ package enroll
 import (
 	"errors"
 	"io"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+	"unicode"
 
 	"repro/internal/detrand"
 	"repro/internal/ec"
@@ -194,5 +197,32 @@ func TestCrossCurveCertificateRejected(t *testing.T) {
 	}
 	if _, _, err := dev.Finish(cross); !errors.Is(err, ErrWire) {
 		t.Fatalf("Finish of a P-192 certificate: %v, want ErrWire", err)
+	}
+}
+
+// TestRejectionReasonQuoted sends OpError replies whose reasons carry
+// control characters, and one longer than maxReasonLen: the error
+// wraps ErrRejected (not ErrWire), quotes the reason with its control
+// bytes escaped, and quotes at most maxReasonLen bytes of it.
+func TestRejectionReasonQuoted(t *testing.T) {
+	for _, reason := range []string{
+		"subject\x1b[2J blocked\r\nOK enrolled\x00",
+		strings.Repeat("\a", 3*maxReasonLen),
+	} {
+		_, _, err := DecodeResponse(ec.P256(), EncodeError(reason))
+		if !errors.Is(err, ErrRejected) || errors.Is(err, ErrWire) {
+			t.Fatalf("OpError reply %q: error %v, want ErrRejected alone", reason, err)
+		}
+		msg := err.Error()
+		if strings.ContainsFunc(msg, unicode.IsControl) {
+			t.Fatalf("error %q carries a control character of the reason", msg)
+		}
+		quoted := strconv.Quote(reason[:min(len(reason), maxReasonLen)])
+		if !strings.Contains(msg, quoted) {
+			t.Fatalf("error %q does not quote the reason as %s", msg, quoted)
+		}
+		if len(reason) > maxReasonLen && strings.Contains(msg, strconv.Quote(reason[:maxReasonLen+1])) {
+			t.Fatalf("error %q quotes more than %d bytes of the reason", msg, maxReasonLen)
+		}
 	}
 }

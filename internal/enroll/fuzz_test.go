@@ -3,7 +3,9 @@ package enroll
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/ec"
 )
@@ -13,8 +15,9 @@ import (
 // reads the gateway's reply, both on P-256. The properties:
 //
 //   - no panic;
-//   - every rejection wraps ErrWire, except a well-formed OpError
-//     reply, which reports the gateway's own rejection;
+//   - every rejection wraps ErrWire, or for a response ErrRejected
+//     when it is the gateway's OpError refusal, whose reason arrives
+//     quoted: the error text holds no control byte;
 //   - a decoded point (the request's R, the certificate's
 //     reconstruction point) is on P-256 by the math/big check
 //     (ec.Curve.IsOnCurve);
@@ -43,8 +46,11 @@ func FuzzEnrollDecode(f *testing.F) {
 
 		cert, r, err := DecodeResponse(curve, data)
 		if err != nil {
-			if !errors.Is(err, ErrWire) && !(len(data) >= 3 && data[0] == OpError) {
-				t.Fatalf("DecodeResponse(%x): error %v does not wrap ErrWire", data, err)
+			if !errors.Is(err, ErrWire) && !errors.Is(err, ErrRejected) {
+				t.Fatalf("DecodeResponse(%x): error %v wraps neither ErrWire nor ErrRejected", data, err)
+			}
+			if strings.ContainsFunc(err.Error(), unicode.IsControl) {
+				t.Fatalf("DecodeResponse(%x): error %q carries a control character", data, err)
 			}
 			return
 		}

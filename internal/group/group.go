@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/aead"
 	"repro/internal/core"
@@ -31,11 +32,16 @@ import (
 // MAC keys are derived from it per epoch.
 const GroupKeySize = 32
 
-// Keys is one epoch's group keying material.
+// Keys is one epoch's group keying material, plus the receive state
+// of that epoch: the highest seq Open has accepted from each sender.
+// A Keys is safe for concurrent use.
 type Keys struct {
 	Epoch  uint32
 	encKey []byte
 	macKey []byte
+
+	mu   sync.Mutex
+	high map[ecqv.ID]uint64 // sender → highest seq opened this epoch
 }
 
 // deriveKeys expands a group secret into the epoch keys.
@@ -50,6 +56,7 @@ func deriveKeys(secret []byte, epoch uint32) (*Keys, error) {
 		Epoch:  epoch,
 		encKey: okm[:kdf.SessionKeySize],
 		macKey: okm[kdf.SessionKeySize:],
+		high:   make(map[ecqv.ID]uint64),
 	}, nil
 }
 
@@ -256,8 +263,17 @@ func (k *Keys) Seal(sender ecqv.ID, seq uint64, payload []byte) ([]byte, error) 
 // target another epoch.
 var ErrGroupAuth = errors.New("group: datagram rejected")
 
+// ErrGroupReplay is returned for an authentic datagram whose seq is not
+// above the highest one already opened from its sender this epoch: a
+// replay, or a datagram that arrived after a later one.
+var ErrGroupReplay = errors.New("group: datagram replayed")
+
 // Open verifies and decrypts a group datagram, returning the sender
-// and payload.
+// and payload. Each sender's seq must rise strictly within an epoch:
+// an authentic datagram at or below the sender's highest accepted seq
+// fails with ErrGroupReplay, and the check and the update of the mark
+// are one step, so of concurrent Opens of one datagram exactly one
+// succeeds. A new epoch's Keys starts with no marks.
 func (k *Keys) Open(data []byte) (ecqv.ID, []byte, error) {
 	if len(data) < groupHeader+16 {
 		return ecqv.ID{}, nil, fmt.Errorf("%w: short", ErrGroupAuth)
@@ -272,6 +288,9 @@ func (k *Keys) Open(data []byte) (ecqv.ID, []byte, error) {
 	}
 	var sender ecqv.ID
 	copy(sender[:], data[4:20])
+	if err := k.advance(sender, binary.BigEndian.Uint64(data[20:groupHeader])); err != nil {
+		return ecqv.ID{}, nil, err
+	}
 	ct := data[groupHeader : len(data)-16]
 	stream, err := datagramStream(k.encKey, data[:groupHeader], len(ct))
 	if err != nil {
@@ -282,6 +301,18 @@ func (k *Keys) Open(data []byte) (ecqv.ID, []byte, error) {
 		pt[i] = b ^ stream[i]
 	}
 	return sender, pt, nil
+}
+
+// advance raises sender's mark to seq, or fails with ErrGroupReplay
+// when seq is not above it.
+func (k *Keys) advance(sender ecqv.ID, seq uint64) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if last, ok := k.high[sender]; ok && seq <= last {
+		return fmt.Errorf("%w: seq %d from %s, have %d", ErrGroupReplay, seq, sender, last)
+	}
+	k.high[sender] = seq
+	return nil
 }
 
 // datagramStream derives the per-datagram keystream; empty payloads

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -285,5 +286,109 @@ func TestDatagramTampering(t *testing.T) {
 	}
 	if _, _, err := lk.Open(dg[:10]); err == nil {
 		t.Error("truncated datagram accepted")
+	}
+}
+
+// TestOpenRejectsReplay opens one datagram twice: the second Open, and
+// an Open of an older seq from the same sender, fail with
+// ErrGroupReplay, while a later seq and another sender's traffic still
+// open. The next epoch's Keys start with no marks.
+func TestOpenRejectsReplay(t *testing.T) {
+	leader, members := buildGroup(t, 6, 2)
+	lk, err := leader.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := ecqv.NewID("gateway")
+	var mk *Keys
+	var other ecqv.ID
+	for id, m := range members {
+		if mk, err = m.Keys(); err != nil {
+			t.Fatal(err)
+		}
+		other = id
+		break
+	}
+	seal := func(k *Keys, sender ecqv.ID, seq uint64) []byte {
+		t.Helper()
+		dg, err := k.Seal(sender, seq, []byte("brake pressure"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dg
+	}
+	dg := seal(lk, gw, 5)
+	if _, _, err := mk.Open(dg); err != nil {
+		t.Fatalf("first Open: %v", err)
+	}
+	if _, _, err := mk.Open(dg); !errors.Is(err, ErrGroupReplay) {
+		t.Fatalf("second Open of the same datagram: %v, want ErrGroupReplay", err)
+	}
+	if _, _, err := mk.Open(seal(lk, gw, 4)); !errors.Is(err, ErrGroupReplay) {
+		t.Fatalf("Open of an older seq: %v, want ErrGroupReplay", err)
+	}
+	if _, _, err := mk.Open(seal(lk, gw, 6)); err != nil {
+		t.Fatalf("Open of a later seq: %v", err)
+	}
+	if _, _, err := mk.Open(seal(lk, other, 5)); err != nil {
+		t.Fatalf("another sender's seq 5: %v", err)
+	}
+
+	dist, err := leader.Remove(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, msg := range dist {
+		if err := members[id].Install(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lk2, _ := leader.Keys()
+	for id, m := range members {
+		if id == other {
+			continue
+		}
+		mk2, _ := m.Keys()
+		if _, _, err := mk2.Open(seal(lk2, gw, 1)); err != nil {
+			t.Fatalf("new epoch, seq 1: %v", err)
+		}
+	}
+}
+
+// TestOpenReplayConcurrent opens one datagram from eight goroutines at
+// once: exactly one Open succeeds and the rest fail with
+// ErrGroupReplay. Run under -race it also checks the marks' locking.
+func TestOpenReplayConcurrent(t *testing.T) {
+	leader, _ := buildGroup(t, 7, 1)
+	lk, err := leader.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := lk.Seal(ecqv.NewID("gateway"), 9, []byte("torque request"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = lk.Open(dg)
+		}()
+	}
+	wg.Wait()
+	opened := 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			opened++
+		case !errors.Is(err, ErrGroupReplay):
+			t.Fatalf("concurrent Open: %v", err)
+		}
+	}
+	if opened != 1 {
+		t.Fatalf("%d of %d concurrent Opens of one datagram succeeded, want 1", opened, n)
 	}
 }
