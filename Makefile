@@ -10,7 +10,7 @@ SHELL := /bin/bash
 BENCH_COMPARE ?= BenchmarkScalarMultAblation|BenchmarkFig3_STSOperations|BenchmarkLiveHandshake
 BENCH_COUNT ?= 5
 
-.PHONY: build test race race-parallel test-purebig test-386 bench bench-smoke bench-check bench-compare bench-batch bench-alloc bench-scenarios scenario-smoke adversarial-smoke parallel-invariance stream-smoke fuzz-smoke fmt fmt-check vet lint doccheck linkcheck detlint cover
+.PHONY: build test race race-parallel test-purebig test-386 bench bench-smoke bench-check bench-compare bench-batch bench-alloc bench-scenarios scenario-smoke adversarial-smoke parallel-invariance stream-smoke fuzz-smoke examples fmt fmt-check vet lint doccheck linkcheck detlint cover
 
 build:
 	$(GO) build ./...
@@ -252,7 +252,8 @@ bench-scenarios:
 		-bench BENCH_scenarios.json >/dev/null
 
 # Brief fuzzing of the protocol parsers, of the point, signature,
-# certificate and enrollment decoders, of the scenario result gate
+# certificate and enrollment decoders, of group datagrams and key
+# messages, of the scenario result gate
 # (ValidateJSON), of the field kernels against math/big, of point
 # multiplication against math/big and crypto/elliptic, and of the
 # first-sight verification against explicit extraction (committed
@@ -276,8 +277,23 @@ fuzz-smoke:
 	$(GO) test ./internal/core -fuzz FuzzDecodePointRaw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzSTSEngine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -fuzz FuzzChannelOpen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/group -fuzz FuzzGroupOpen -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/enroll -fuzz FuzzEnrollDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -fuzz FuzzValidateJSON -fuzztime $(FUZZTIME)
+
+# Every example under examples/ runs twice and the two outputs must be
+# byte-identical (used by CI): an example that prints in map order or
+# wall-clock time reads differently on every run.
+EXAMPLES := $(patsubst examples/%/,%,$(wildcard examples/*/))
+examples:
+	@mkdir -p .examples_out
+	@for e in $(EXAMPLES); do \
+		$(GO) build -o .examples_out/$$e ./examples/$$e && \
+		.examples_out/$$e > .examples_out/$$e.1 && \
+		.examples_out/$$e > .examples_out/$$e.2 && \
+		cmp .examples_out/$$e.1 .examples_out/$$e.2 && \
+		echo "examples: $$e byte-stable" || exit 1; \
+	done
 
 fmt:
 	gofmt -w .
@@ -298,7 +314,7 @@ vet:
 DOCCHECK_PKGS := ./internal/scenario ./internal/canbus ./internal/security \
 	./internal/transport ./internal/fleet ./internal/cantp ./internal/conc \
 	./internal/detrand ./internal/ec ./internal/ecdsa ./internal/session \
-	./internal/core ./internal/group ./internal/prototype
+	./internal/core ./internal/group ./internal/prototype ./internal/aead
 doccheck:
 	$(GO) run ./cmd/doccheck $(DOCCHECK_PKGS)
 

@@ -24,6 +24,7 @@
 package ecqvsts
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -205,9 +206,8 @@ type Session struct {
 	Steps int
 	Bytes int
 
-	encKey []byte
-	macKey []byte
-	scheme aead.Scheme
+	keyBlock []byte     // enc ‖ mac, for Channels
+	keys     *aead.Keys // enc and mac, keyed once for Seal and Open
 }
 
 // Establish runs the selected KD protocol between two enrolled devices
@@ -231,14 +231,17 @@ func Establish(kd KD, a, b *Device) (*Session, error) {
 	if len(key) != kdf.SessionKeySize+kdf.MACKeySize {
 		return nil, fmt.Errorf("ecqvsts: unexpected key block size %d", len(key))
 	}
+	keys, err := aead.New(key[:kdf.SessionKeySize], key[kdf.SessionKeySize:])
+	if err != nil {
+		return nil, err
+	}
 	return &Session{
-		KD:      kd,
-		Dynamic: p.Dynamic(),
-		Steps:   res.Steps(),
-		Bytes:   res.TotalBytes(),
-		encKey:  key[:kdf.SessionKeySize],
-		macKey:  key[kdf.SessionKeySize:],
-		scheme:  aead.Default,
+		KD:       kd,
+		Dynamic:  p.Dynamic(),
+		Steps:    res.Steps(),
+		Bytes:    res.TotalBytes(),
+		keyBlock: key,
+		keys:     keys,
 	}, nil
 }
 
@@ -270,18 +273,19 @@ func EstablishMany(kd KD, self *Device, peers []*Device, parallelism int) ([]*Se
 }
 
 // Seal encrypts and authenticates application data under the session
-// key (AES-128-CTR + HMAC-SHA-256 encrypt-then-MAC).
+// key (AES-128-CTR + HMAC-SHA-256 encrypt-then-MAC) with a fresh nonce
+// from crypto/rand.
 func (s *Session) Seal(plaintext, aad []byte) ([]byte, error) {
-	return s.scheme.Seal(s.encKey, s.macKey, plaintext, aad)
+	return s.keys.Seal(rand.Reader, plaintext, aad)
 }
 
 // Open verifies and decrypts a Seal output.
 func (s *Session) Open(sealed, aad []byte) ([]byte, error) {
-	return s.scheme.Open(s.encKey, s.macKey, sealed, aad)
+	return s.keys.Open(sealed, aad)
 }
 
 // Overhead returns the ciphertext expansion of Seal in bytes.
-func (s *Session) Overhead() int { return s.scheme.Overhead() }
+func (s *Session) Overhead() int { return aead.Overhead }
 
 // Channels opens the bidirectional record layer over this session: a
 // channel pair with per-direction sequence numbers, replay rejection
@@ -289,8 +293,7 @@ func (s *Session) Overhead() int { return s.scheme.Overhead() }
 // return session.ErrRekeyRequired and the caller re-runs Establish —
 // the dynamic-rekey loop the paper advocates.
 func (s *Session) Channels(policy session.Policy) (initiator, responder *session.Channel, err error) {
-	keyBlock := append(append([]byte(nil), s.encKey...), s.macKey...)
-	return session.NewPair(keyBlock, policy)
+	return session.NewPair(s.keyBlock, policy)
 }
 
 // EstimateTime predicts the handshake processing time of a protocol on

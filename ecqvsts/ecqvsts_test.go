@@ -13,7 +13,7 @@ import (
 
 func newDetRand(seed int64) io.Reader { return detrand.NewReader(uint64(seed)) }
 
-func enrollPair(t *testing.T, seed int64) (*Device, *Device) {
+func enrollPair(t testing.TB, seed int64) (*Device, *Device) {
 	t.Helper()
 	authority, err := NewAuthority(WithRand(newDetRand(seed)))
 	if err != nil {
@@ -217,5 +217,27 @@ func TestEstimateTime(t *testing.T) {
 	devices := Devices()
 	if len(devices) != 4 {
 		t.Errorf("%d devices", len(devices))
+	}
+}
+
+// BenchmarkSessionSealOpen prices one 64 B Session.Seal+Open, the
+// public API's message protection under an established session.
+func BenchmarkSessionSealOpen(b *testing.B) {
+	a, peer := enrollPair(b, 11)
+	s, err := Establish(STS, a, peer)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	for b.Loop() {
+		ct, err := s.Seal(payload, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Open(ct, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

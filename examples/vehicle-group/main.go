@@ -101,13 +101,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for id, m := range members {
-		mk, _ := m.Keys()
+	for _, p := range ecus {
+		mk, _ := members[p.ID].Keys()
 		sender, payload, err := mk.Open(dg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-10s received from %s: %q\n", id, sender, payload)
+		fmt.Printf("  %-10s received from %s: %q\n", p.ID, sender, payload)
 	}
 
 	// Evict the dashboard ECU (e.g. aftermarket unit flagged by the
@@ -135,13 +135,13 @@ func main() {
 	} else {
 		log.Fatal("unexpected: stale keys decrypted new traffic")
 	}
-	for id, m := range members {
-		if id == evicted {
+	for _, p := range ecus {
+		if p.ID == evicted {
 			continue
 		}
-		mk, _ := m.Keys()
+		mk, _ := members[p.ID].Keys()
 		if _, _, err := mk.Open(secret); err != nil {
-			log.Fatalf("%s cannot read: %v", id, err)
+			log.Fatalf("%s cannot read: %v", p.ID, err)
 		}
 	}
 	fmt.Println("remaining members read the new epoch normally")

@@ -2,6 +2,12 @@ package aead
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"io"
 	"testing"
 	"testing/quick"
@@ -23,22 +29,85 @@ func testKeys() (enc, mac []byte) {
 	return
 }
 
-func TestSealOpenRoundTrip(t *testing.T) {
-	s := &CTRThenHMAC{Rand: newDetRand(1)}
+func newKeys(t *testing.T, enc, mac []byte) *Keys {
+	t.Helper()
+	k, err := New(enc, mac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// referenceSeal builds nonce ‖ ct ‖ tag from scratch with the standard
+// library only: aes.NewCipher and cipher.NewCTR for the ciphertext,
+// hmac.New over nonce ‖ ct ‖ aad ‖ len64(aad) for the tag.
+func referenceSeal(t *testing.T, enc, mac, nonce, plaintext, aad []byte) []byte {
+	t.Helper()
+	block, err := aes.NewCipher(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]byte, len(plaintext))
+	cipher.NewCTR(block, nonce).XORKeyStream(ct, plaintext)
+	m := hmac.New(sha256.New, mac)
+	m.Write(nonce)
+	m.Write(ct)
+	m.Write(aad)
+	var aadLen [8]byte
+	binary.BigEndian.PutUint64(aadLen[:], uint64(len(aad)))
+	m.Write(aadLen[:])
+	out := append(append([]byte(nil), nonce...), ct...)
+	return append(out, m.Sum(nil)[:TagSize]...)
+}
+
+// TestSealMatchesReference requires Seal under a fixed nonce reader to
+// produce exactly the reference construction, for plaintexts around the
+// AES block size, with nil and non-nil aad, under a MAC key of the
+// module's 32 bytes and one of a full SHA-256 block.
+func TestSealMatchesReference(t *testing.T) {
 	enc, mac := testKeys()
+	longMAC := bytes.Repeat([]byte{0xa5}, sha256.BlockSize)
+	for _, mac := range [][]byte{mac, longMAC} {
+		k := newKeys(t, enc, mac)
+		for _, aad := range [][]byte{nil, []byte("epoch ‖ leader ‖ member")} {
+			for _, n := range []int{0, 1, 15, 16, 17, 64, 1000} {
+				pt := make([]byte, n)
+				for i := range pt {
+					pt[i] = byte(i*7 + n)
+				}
+				nonce := make([]byte, NonceSize)
+				if _, err := io.ReadFull(newDetRand(int64(n)), nonce); err != nil {
+					t.Fatal(err)
+				}
+				sealed, err := k.Seal(newDetRand(int64(n)), pt, aad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceSeal(t, enc, mac, nonce, pt, aad); !bytes.Equal(sealed, want) {
+					t.Errorf("mac %d B, aad %q, %d B:\n got %x\nwant %x", len(mac), aad, n, sealed, want)
+				}
+			}
+		}
+	}
+}
+
+func TestSealOpenRoundTrip(t *testing.T) {
+	enc, mac := testKeys()
+	k := newKeys(t, enc, mac)
+	rng := newDetRand(1)
 	for _, size := range []int{0, 1, 15, 16, 17, 64, 1000} {
 		pt := make([]byte, size)
 		for i := range pt {
 			pt[i] = byte(i * 7)
 		}
-		sealed, err := s.Seal(enc, mac, pt, []byte("aad"))
+		sealed, err := k.Seal(rng, pt, []byte("aad"))
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
-		if len(sealed) != size+s.Overhead() {
-			t.Errorf("size %d: sealed length %d, want %d", size, len(sealed), size+s.Overhead())
+		if len(sealed) != size+Overhead {
+			t.Errorf("size %d: sealed length %d, want %d", size, len(sealed), size+Overhead)
 		}
-		got, err := s.Open(enc, mac, sealed, []byte("aad"))
+		got, err := k.Open(sealed, []byte("aad"))
 		if err != nil {
 			t.Fatalf("size %d: open: %v", size, err)
 		}
@@ -49,10 +118,10 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 func TestOpenRejectsTampering(t *testing.T) {
-	s := &CTRThenHMAC{Rand: newDetRand(2)}
 	enc, mac := testKeys()
-	pt := []byte("the sts signature payload")
-	sealed, err := s.Seal(enc, mac, pt, []byte("context"))
+	k := newKeys(t, enc, mac)
+	pt := []byte("the group key payload")
+	sealed, err := k.Seal(newDetRand(2), pt, []byte("context"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,27 +130,25 @@ func TestOpenRejectsTampering(t *testing.T) {
 	for _, idx := range []int{0, NonceSize, len(sealed) - 1} {
 		tampered := append([]byte{}, sealed...)
 		tampered[idx] ^= 0x01
-		if _, err := s.Open(enc, mac, tampered, []byte("context")); err == nil {
+		if _, err := k.Open(tampered, []byte("context")); err == nil {
 			t.Errorf("tampering at byte %d accepted", idx)
 		}
 	}
 	// Wrong AAD.
-	if _, err := s.Open(enc, mac, sealed, []byte("other")); err == nil {
+	if _, err := k.Open(sealed, []byte("other")); err == nil {
 		t.Error("wrong AAD accepted")
 	}
 	// Wrong MAC key.
-	otherMac := make([]byte, 32)
-	if _, err := s.Open(enc, otherMac, sealed, []byte("context")); err == nil {
+	if _, err := newKeys(t, enc, make([]byte, 32)).Open(sealed, []byte("context")); err == nil {
 		t.Error("wrong MAC key accepted")
 	}
 	// Truncated.
-	if _, err := s.Open(enc, mac, sealed[:NonceSize+TagSize-1], []byte("context")); err == nil {
+	if _, err := k.Open(sealed[:Overhead-1], []byte("context")); err == nil {
 		t.Error("truncated message accepted")
 	}
 	// Wrong decryption key must still authenticate (EtM property: the
 	// tag covers ciphertext, not plaintext), but yield garbage.
-	otherEnc := make([]byte, 16)
-	got, err := s.Open(otherEnc, mac, sealed, []byte("context"))
+	got, err := newKeys(t, make([]byte, 16), mac).Open(sealed, []byte("context"))
 	if err != nil {
 		t.Fatalf("EtM open with wrong enc key must pass auth: %v", err)
 	}
@@ -91,11 +158,11 @@ func TestOpenRejectsTampering(t *testing.T) {
 }
 
 func TestNonceUniqueness(t *testing.T) {
-	s := &CTRThenHMAC{} // crypto/rand path
 	enc, mac := testKeys()
+	k := newKeys(t, enc, mac)
 	seen := map[string]bool{}
 	for i := 0; i < 32; i++ {
-		sealed, err := s.Seal(enc, mac, []byte("m"), nil)
+		sealed, err := k.Seal(rand.Reader, []byte("m"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,45 +175,31 @@ func TestNonceUniqueness(t *testing.T) {
 }
 
 func TestKeySizeErrors(t *testing.T) {
-	s := &CTRThenHMAC{Rand: newDetRand(3)}
-	_, mac := testKeys()
-	if _, err := s.Seal(make([]byte, 5), mac, []byte("x"), nil); err == nil {
-		t.Error("bad enc key size accepted in Seal")
+	enc, mac := testKeys()
+	if _, err := New(make([]byte, 5), mac); err == nil {
+		t.Error("bad enc key size accepted")
 	}
-	enc, _ := testKeys()
-	sealed, _ := s.Seal(enc, mac, []byte("x"), nil)
-	// Open checks the tag before the cipher; corrupt key size should
-	// still error out — tag passes, cipher construction fails.
-	if _, err := s.Open(make([]byte, 5), mac, sealed, nil); err == nil {
-		t.Error("bad enc key size accepted in Open")
+	if _, err := New(enc, make([]byte, sha256.BlockSize+1)); err == nil {
+		t.Error("MAC key longer than a SHA-256 block accepted")
 	}
-}
-
-func TestSchemeMetadata(t *testing.T) {
-	s := &CTRThenHMAC{}
-	if s.Name() == "" {
-		t.Error("empty scheme name")
-	}
-	if s.Overhead() != NonceSize+TagSize {
-		t.Errorf("Overhead = %d", s.Overhead())
-	}
-	var _ Scheme = s // interface conformance
-	if Default == nil {
-		t.Error("Default scheme is nil")
+	k := newKeys(t, enc, mac)
+	if _, err := k.Seal(bytes.NewReader(make([]byte, NonceSize-1)), []byte("x"), nil); err == nil {
+		t.Error("Seal succeeded on a short nonce read")
 	}
 }
 
 // TestQuickRoundTrip property-tests seal/open across random plaintexts
 // and AADs.
 func TestQuickRoundTrip(t *testing.T) {
-	s := &CTRThenHMAC{Rand: newDetRand(4)}
 	enc, mac := testKeys()
+	k := newKeys(t, enc, mac)
+	rng := newDetRand(4)
 	f := func(pt, aad []byte) bool {
-		sealed, err := s.Seal(enc, mac, pt, aad)
+		sealed, err := k.Seal(rng, pt, aad)
 		if err != nil {
 			return false
 		}
-		got, err := s.Open(enc, mac, sealed, aad)
+		got, err := k.Open(sealed, aad)
 		return err == nil && bytes.Equal(got, pt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 64}); err != nil {

@@ -10,16 +10,27 @@
 // fresh key, so departed members cannot read later traffic and new
 // members cannot read earlier traffic (group-level forward/backward
 // secrecy, inherited from the pairwise DKD).
+//
+// A group key authenticates membership, not the sender: every member
+// holds the same epoch key, so any member can seal a datagram that
+// claims another member's (or the leader's) sender ID. A receiver
+// learns only that some current member sent it.
+//
+// Every key here runs on internal/aead, keyed once: one Keys per
+// pairwise key block, which seals the key-distribution messages, and
+// one per epoch, which protects the datagrams.
 package group
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/aead"
@@ -36,9 +47,8 @@ const GroupKeySize = 32
 // of that epoch: the highest seq Open has accepted from each sender.
 // A Keys is safe for concurrent use.
 type Keys struct {
-	Epoch  uint32
-	encKey []byte
-	macKey []byte
+	Epoch uint32
+	keys  *aead.Keys // the epoch's encryption and MAC keys, read-only
 
 	mu   sync.Mutex
 	high map[ecqv.ID]uint64 // sender → highest seq opened this epoch
@@ -46,35 +56,34 @@ type Keys struct {
 
 // deriveKeys expands a group secret into the epoch keys.
 func deriveKeys(secret []byte, epoch uint32) (*Keys, error) {
-	var info [8]byte
-	binary.BigEndian.PutUint32(info[:4], epoch)
-	okm, err := kdf.HKDF(secret, info[:4], []byte("group-epoch-keys"), kdf.SessionKeySize+kdf.MACKeySize)
+	var info [4]byte
+	binary.BigEndian.PutUint32(info[:], epoch)
+	okm, err := kdf.HKDF(secret, info[:], []byte("group-epoch-keys"), kdf.SessionKeySize+kdf.MACKeySize)
 	if err != nil {
 		return nil, err
 	}
-	return &Keys{
-		Epoch:  epoch,
-		encKey: okm[:kdf.SessionKeySize],
-		macKey: okm[kdf.SessionKeySize:],
-		high:   make(map[ecqv.ID]uint64),
-	}, nil
+	keys, err := aead.New(okm[:kdf.SessionKeySize], okm[kdf.SessionKeySize:])
+	if err != nil {
+		return nil, err
+	}
+	return &Keys{Epoch: epoch, keys: keys, high: make(map[ecqv.ID]uint64)}, nil
 }
 
 // memberState is the leader's view of one member.
 type memberState struct {
 	party    *core.Party
-	pairwise []byte // STS session key block with this member
+	pairwise []byte     // STS session key block with this member
+	keys     *aead.Keys // pairwise, keyed once: seals key messages
 }
 
 // Leader manages a keyed group.
 type Leader struct {
 	self    *core.Party
 	opt     core.STSOptimization
-	rand    io.Reader
+	rand    io.Reader // group secrets and key-message nonces
 	members map[ecqv.ID]*memberState
 	epoch   uint32
 	keys    *Keys
-	scheme  aead.Scheme
 }
 
 // NewLeader creates a group with no members.
@@ -89,7 +98,6 @@ func NewLeader(self *core.Party, opt core.STSOptimization) (*Leader, error) {
 	return &Leader{
 		self: self, opt: opt, rand: rng,
 		members: map[ecqv.ID]*memberState{},
-		scheme:  aead.Default,
 	}, nil
 }
 
@@ -122,7 +130,11 @@ func (l *Leader) Add(member *core.Party) (map[ecqv.ID][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("group: pairwise handshake with %s: %w", member.ID, err)
 	}
-	l.members[member.ID] = &memberState{party: member, pairwise: pairwise}
+	keys, err := pairwiseKeys(pairwise)
+	if err != nil {
+		return nil, err
+	}
+	l.members[member.ID] = &memberState{party: member, pairwise: pairwise, keys: keys}
 	return l.rekey()
 }
 
@@ -137,7 +149,9 @@ func (l *Leader) Remove(id ecqv.ID) (map[ecqv.ID][]byte, error) {
 	return l.rekey()
 }
 
-// rekey draws a fresh group secret and seals it for every member.
+// rekey draws a fresh group secret and seals it for every member, in
+// ID order, so a leader on a deterministic reader draws the same
+// nonces for the same members on every run.
 func (l *Leader) rekey() (map[ecqv.ID][]byte, error) {
 	secret := make([]byte, GroupKeySize)
 	if _, err := io.ReadFull(l.rand, secret); err != nil {
@@ -151,8 +165,9 @@ func (l *Leader) rekey() (map[ecqv.ID][]byte, error) {
 	l.keys = keys
 
 	out := map[ecqv.ID][]byte{}
-	for id, ms := range l.members {
-		msg, err := l.sealKeyMessage(ms, secret)
+	ids := slices.SortedFunc(maps.Keys(l.members), func(a, b ecqv.ID) int { return bytes.Compare(a[:], b[:]) })
+	for _, id := range ids {
+		msg, err := l.sealKeyMessage(l.members[id], secret)
 		if err != nil {
 			return nil, err
 		}
@@ -161,28 +176,35 @@ func (l *Leader) rekey() (map[ecqv.ID][]byte, error) {
 	return out, nil
 }
 
-// sealKeyMessage builds epoch(4) ‖ sealed(pairwise, secret, aad=epoch‖ids).
+// sealKeyMessage builds epoch(4) ‖ sealed(pairwise, secret, aad=epoch‖ids),
+// with the nonce drawn from the leader's reader.
 func (l *Leader) sealKeyMessage(ms *memberState, secret []byte) ([]byte, error) {
-	enc := ms.pairwise[:kdf.SessionKeySize]
-	mac := ms.pairwise[kdf.SessionKeySize:]
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], l.epoch)
 	aad := append(hdr[:], l.self.ID[:]...)
 	aad = append(aad, ms.party.ID[:]...)
-	sealed, err := l.scheme.Seal(enc, mac, secret, aad)
+	sealed, err := ms.keys.Seal(l.rand, secret, aad)
 	if err != nil {
 		return nil, err
 	}
 	return append(hdr[:], sealed...), nil
 }
 
+// pairwiseKeys keys the key-message construction with a pairwise STS
+// key block, enc ‖ mac.
+func pairwiseKeys(block []byte) (*aead.Keys, error) {
+	if len(block) != kdf.SessionKeySize+kdf.MACKeySize {
+		return nil, errors.New("group: bad pairwise key block")
+	}
+	return aead.New(block[:kdf.SessionKeySize], block[kdf.SessionKeySize:])
+}
+
 // Member is the non-leader side.
 type Member struct {
 	self     *core.Party
 	leaderID ecqv.ID
-	pairwise []byte
+	pairwise *aead.Keys // opens key messages
 	keys     *Keys
-	scheme   aead.Scheme
 }
 
 // Join runs the member side of admission: the pairwise handshake was
@@ -190,14 +212,11 @@ type Member struct {
 // captures the resulting key block. Deployments would drive the same
 // engines over their link.
 func Join(self *core.Party, leaderID ecqv.ID, pairwise []byte) (*Member, error) {
-	if len(pairwise) != kdf.SessionKeySize+kdf.MACKeySize {
-		return nil, errors.New("group: bad pairwise key block")
+	keys, err := pairwiseKeys(pairwise)
+	if err != nil {
+		return nil, err
 	}
-	return &Member{
-		self: self, leaderID: leaderID,
-		pairwise: append([]byte(nil), pairwise...),
-		scheme:   aead.Default,
-	}, nil
+	return &Member{self: self, leaderID: leaderID, pairwise: keys}, nil
 }
 
 // Install consumes a key-distribution message.
@@ -206,11 +225,9 @@ func (m *Member) Install(data []byte) error {
 		return errors.New("group: short key message")
 	}
 	epoch := binary.BigEndian.Uint32(data[:4])
-	enc := m.pairwise[:kdf.SessionKeySize]
-	mac := m.pairwise[kdf.SessionKeySize:]
 	aad := append(append([]byte(nil), data[:4]...), m.leaderID[:]...)
 	aad = append(aad, m.self.ID[:]...)
-	secret, err := m.scheme.Open(enc, mac, data[4:], aad)
+	secret, err := m.pairwise.Open(data[4:], aad)
 	if err != nil {
 		return fmt.Errorf("group: key message: %w", err)
 	}
@@ -233,29 +250,32 @@ func (m *Member) Keys() (*Keys, error) {
 	return m.keys, nil
 }
 
-// Group datagram format: epoch(4) ‖ sender(16) ‖ seq(8) ‖ ct ‖ tag(16).
+// Group datagram format:
+//
+//	header = epoch(4) ‖ sender(16) ‖ seq(8, big-endian)
+//	ct     = AES-128-CTR(epoch enc, IV = MAC("group-iv" ‖ header)[:16], payload)
+//	tag    = MAC("group-record" ‖ header ‖ ct)[:16]
+//
+// where MAC is HMAC-SHA-256 under the epoch MAC key. The IV is a
+// pseudorandom function of (epoch, sender, seq): distinct headers get
+// independent counter blocks, whose keystreams overlap only with
+// negligible probability, and the IV costs no wire byte.
 
-const groupHeader = 4 + ecqv.IDSize + 8
+const (
+	groupHeader = 4 + ecqv.IDSize + 8
+	tagSize     = 16
+)
 
 // Seal protects a group datagram under the epoch keys.
 func (k *Keys) Seal(sender ecqv.ID, seq uint64, payload []byte) ([]byte, error) {
-	hdr := make([]byte, groupHeader)
-	binary.BigEndian.PutUint32(hdr[:4], k.Epoch)
-	copy(hdr[4:20], sender[:])
-	binary.BigEndian.PutUint64(hdr[20:], seq)
-
-	// Per-datagram keystream from (epoch key, sender, seq).
-	stream, err := datagramStream(k.encKey, hdr, len(payload))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, groupHeader+len(payload)+16)
-	copy(out, hdr)
-	for i, b := range payload {
-		out[groupHeader+i] = b ^ stream[i]
-	}
-	tag := k.tag(out[:groupHeader+len(payload)])
-	copy(out[groupHeader+len(payload):], tag)
+	body := groupHeader + len(payload)
+	out := make([]byte, body+tagSize)
+	binary.BigEndian.PutUint32(out[:4], k.Epoch)
+	copy(out[4:20], sender[:])
+	binary.BigEndian.PutUint64(out[20:groupHeader], seq)
+	k.crypt(out[groupHeader:body], payload, out[:groupHeader])
+	tag := k.keys.MAC([]byte("group-record"), out[:body])
+	copy(out[body:], tag[:tagSize])
 	return out, nil
 }
 
@@ -275,15 +295,15 @@ var ErrGroupReplay = errors.New("group: datagram replayed")
 // are one step, so of concurrent Opens of one datagram exactly one
 // succeeds. A new epoch's Keys starts with no marks.
 func (k *Keys) Open(data []byte) (ecqv.ID, []byte, error) {
-	if len(data) < groupHeader+16 {
+	if len(data) < groupHeader+tagSize {
 		return ecqv.ID{}, nil, fmt.Errorf("%w: short", ErrGroupAuth)
 	}
 	epoch := binary.BigEndian.Uint32(data[:4])
 	if epoch != k.Epoch {
 		return ecqv.ID{}, nil, fmt.Errorf("%w: epoch %d, have %d", ErrGroupAuth, epoch, k.Epoch)
 	}
-	body := data[:len(data)-16]
-	if !hmac.Equal(k.tag(body), data[len(data)-16:]) {
+	body := data[:len(data)-tagSize]
+	if tag := k.keys.MAC([]byte("group-record"), body); !hmac.Equal(tag[:tagSize], data[len(body):]) {
 		return ecqv.ID{}, nil, ErrGroupAuth
 	}
 	var sender ecqv.ID
@@ -291,15 +311,8 @@ func (k *Keys) Open(data []byte) (ecqv.ID, []byte, error) {
 	if err := k.advance(sender, binary.BigEndian.Uint64(data[20:groupHeader])); err != nil {
 		return ecqv.ID{}, nil, err
 	}
-	ct := data[groupHeader : len(data)-16]
-	stream, err := datagramStream(k.encKey, data[:groupHeader], len(ct))
-	if err != nil {
-		return ecqv.ID{}, nil, err
-	}
-	pt := make([]byte, len(ct))
-	for i, b := range ct {
-		pt[i] = b ^ stream[i]
-	}
+	pt := make([]byte, len(body)-groupHeader)
+	k.crypt(pt, body[groupHeader:], body[:groupHeader])
 	return sender, pt, nil
 }
 
@@ -315,20 +328,14 @@ func (k *Keys) advance(sender ecqv.ID, seq uint64) error {
 	return nil
 }
 
-// datagramStream derives the per-datagram keystream; empty payloads
-// need none.
-func datagramStream(encKey, hdr []byte, n int) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
+// crypt XORs src with the keystream of the datagram whose header is
+// hdr into dst. Empty payloads need no keystream.
+func (k *Keys) crypt(dst, src, hdr []byte) {
+	if len(src) == 0 {
+		return
 	}
-	return kdf.HKDF(encKey, hdr, []byte("group-datagram"), n)
-}
-
-func (k *Keys) tag(body []byte) []byte {
-	m := hmac.New(sha256.New, k.macKey)
-	m.Write([]byte("group-record"))
-	m.Write(body)
-	return m.Sum(nil)[:16]
+	iv := k.keys.MAC([]byte("group-iv"), hdr)
+	k.keys.XORKeyStream(dst, src, iv[:aead.NonceSize])
 }
 
 // pairwiseHandshake drives the STS engine pair to completion.

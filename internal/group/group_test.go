@@ -2,8 +2,16 @@ package group
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"testing"
 
@@ -390,5 +398,210 @@ func TestOpenReplayConcurrent(t *testing.T) {
 	}
 	if opened != 1 {
 		t.Fatalf("%d of %d concurrent Opens of one datagram succeeded, want 1", opened, n)
+	}
+}
+
+// BenchmarkDatagram prices one 64 B group datagram Seal+Open under one
+// epoch's keys; each iteration uses the next seq, so Open's replay
+// check passes.
+func BenchmarkDatagram(b *testing.B) {
+	k, err := deriveKeys(bytes.Repeat([]byte{7}, GroupKeySize), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sender := ecqv.NewID("gateway")
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	var seq uint64
+	for b.Loop() {
+		seq++
+		dg, err := k.Seal(sender, seq, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := k.Open(dg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// referenceDatagram builds a datagram for a group secret from scratch,
+// with the standard library only: the epoch keys are HKDF-SHA-256
+// written out as its HMACs (RFC 5869, salt = epoch, two output blocks),
+// the ciphertext is AES-128-CTR under the first 16 bytes of the epoch
+// MAC of "group-iv" ‖ header, and the tag is the epoch MAC of
+// "group-record" ‖ header ‖ ct.
+func referenceDatagram(t *testing.T, secret []byte, epoch uint32, sender ecqv.ID, seq uint64, payload []byte) []byte {
+	t.Helper()
+	mac := func(key []byte, parts ...[]byte) []byte {
+		m := hmac.New(sha256.New, key)
+		for _, p := range parts {
+			m.Write(p)
+		}
+		return m.Sum(nil)
+	}
+	hdr := binary.BigEndian.AppendUint32(nil, epoch)
+	prk := mac(hdr, secret)
+	t1 := mac(prk, []byte("group-epoch-keys"), []byte{1})
+	t2 := mac(prk, t1, []byte("group-epoch-keys"), []byte{2})
+	enc, macKey := t1[:16], append(t1[16:], t2[:16]...)
+
+	hdr = append(hdr, sender[:]...)
+	hdr = binary.BigEndian.AppendUint64(hdr, seq)
+	block, err := aes.NewCipher(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]byte, len(payload))
+	cipher.NewCTR(block, mac(macKey, []byte("group-iv"), hdr)[:16]).XORKeyStream(ct, payload)
+	dg := append(hdr, ct...)
+	return append(dg, mac(macKey, []byte("group-record"), dg)[:16]...)
+}
+
+func testSecret() []byte {
+	s := make([]byte, GroupKeySize)
+	for i := range s {
+		s[i] = byte(i + 1)
+	}
+	return s
+}
+
+// TestDatagramMatchesReference requires Seal to produce exactly the
+// independently built reference datagram, for two senders, at seq 0
+// and above 2³², for payloads around the AES block size.
+func TestDatagramMatchesReference(t *testing.T) {
+	k, err := deriveKeys(testSecret(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sender := range []ecqv.ID{ecqv.NewID("gateway"), ecqv.NewID("bms")} {
+		for _, seq := range []uint64{0, 1<<32 + 5} {
+			for _, n := range []int{0, 1, 15, 16, 17, 64, 1000} {
+				payload := make([]byte, n)
+				for i := range payload {
+					payload[i] = byte(i*7 + n)
+				}
+				dg, err := k.Seal(sender, seq, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referenceDatagram(t, testSecret(), 7, sender, seq, payload); !bytes.Equal(dg, want) {
+					t.Errorf("%s seq %d %d B:\n got %x\nwant %x", sender, seq, n, dg, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDatagramPinned pins one full datagram for the fixed test secret,
+// so any change to the datagram format has to be made deliberately.
+func TestDatagramPinned(t *testing.T) {
+	k, err := deriveKeys(testSecret(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := k.Seal(ecqv.NewID("gateway"), 0x0102030405060708, []byte("pinned datagram: 17"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "000000036761746577617900000000000000000001020304050607086a30488ffda5f1faedfd2d938b569f5ed7a5af32588a509767233c50fcb0a7454b8de1"
+	if got := hex.EncodeToString(dg); got != want {
+		t.Errorf("datagram changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestLargeDatagramRoundTrip seals and opens payloads past the 8,160 B
+// that a per-datagram HKDF keystream could cover (255 SHA-256 blocks).
+func TestLargeDatagramRoundTrip(t *testing.T) {
+	k, err := deriveKeys(testSecret(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := ecqv.NewID("gateway")
+	for i, n := range []int{8161, 64 << 10} {
+		payload := make([]byte, n)
+		for j := range payload {
+			payload[j] = byte(j * 13)
+		}
+		dg, err := k.Seal(sender, uint64(i), payload)
+		if err != nil {
+			t.Fatalf("%d B: Seal: %v", n, err)
+		}
+		gotSender, got, err := k.Open(dg)
+		if err != nil || gotSender != sender || !bytes.Equal(got, payload) {
+			t.Fatalf("%d B: Open: %v", n, err)
+		}
+	}
+}
+
+// TestDatagramKeystreamsDiffer seals one all-zero payload, whose
+// ciphertext is the keystream itself, under two senders at the same seq
+// and under consecutive seqs of one sender: no two may match.
+func TestDatagramKeystreamsDiffer(t *testing.T) {
+	k, err := deriveKeys(testSecret(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := make([]byte, 64)
+	ct := func(sender string, seq uint64) []byte {
+		dg, err := k.Seal(ecqv.NewID(sender), seq, zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dg[groupHeader : len(dg)-tagSize]
+	}
+	if bytes.Equal(ct("gateway", 5), ct("bms", 5)) {
+		t.Error("two senders at seq 5 share a keystream")
+	}
+	if bytes.Equal(ct("gateway", 5), ct("gateway", 6)) {
+		t.Error("seqs 5 and 6 of one sender share a keystream")
+	}
+}
+
+// TestKeyMessagesDeterministic builds the same group twice on one
+// detrand seed, admitting three members and evicting one, and requires
+// every key-distribution message to match byte for byte: the leader
+// draws its secrets and key-message nonces from its party's reader.
+func TestKeyMessagesDeterministic(t *testing.T) {
+	run := func() map[string][]byte {
+		net, err := core.NewNetwork(ec.P256(), newDetRand(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, err := net.Provision("gateway")
+		if err != nil {
+			t.Fatal(err)
+		}
+		leader, err := NewLeader(lp, core.OptII)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := map[string][]byte{}
+		record := func(dist map[ecqv.ID][]byte, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, msg := range dist {
+				msgs[fmt.Sprintf("epoch %d to %s", leader.Epoch(), id)] = msg
+			}
+		}
+		for _, name := range []string{"bms", "evcc", "dashboard"} {
+			p, err := net.Provision(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			record(leader.Add(p))
+		}
+		record(leader.Remove(ecqv.NewID("evcc")))
+		return msgs
+	}
+	a, b := run(), run()
+	if len(a) != 3+3+2 {
+		t.Fatalf("%d key messages, want 8", len(a))
+	}
+	if !maps.EqualFunc(a, b, bytes.Equal) {
+		t.Error("two leaders on one seed sent different key messages")
 	}
 }

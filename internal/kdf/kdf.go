@@ -1,6 +1,5 @@
-// Package kdf implements the key-derivation functions used by the
-// session-establishment protocols: HKDF (RFC 5869) and the NIST
-// SP 800-108 counter-mode KDF, both over HMAC-SHA-256.
+// Package kdf implements the key-derivation function used by the
+// session-establishment protocols: HKDF (RFC 5869) over HMAC-SHA-256.
 //
 // The paper derives session keys as KS = KDF(KPM, salt) (equation (4));
 // HKDF extract-then-expand is the concrete instantiation used by the
@@ -11,7 +10,6 @@ package kdf
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 )
 
@@ -62,31 +60,6 @@ func Expand(prk, info []byte, length int) ([]byte, error) {
 // HKDF runs extract-then-expand in one call.
 func HKDF(ikm, salt, info []byte, length int) ([]byte, error) {
 	return Expand(Extract(salt, ikm), info, length)
-}
-
-// CounterKDF implements the NIST SP 800-108 counter-mode KDF:
-// K(i) = HMAC(key, [i]₃₂ ‖ label ‖ 0x00 ‖ context ‖ [L]₃₂), the
-// HMAC-based alternative to HKDF. Every protocol in this module
-// derives its keys with HKDF (SessionKeys); nothing here calls it.
-func CounterKDF(key, label, context []byte, length int) ([]byte, error) {
-	if length <= 0 {
-		return nil, errors.New("kdf: non-positive output length")
-	}
-	var (
-		out     = make([]byte, 0, length)
-		lBits   = uint32(length * 8)
-		lBuf    [4]byte
-		ctrBuf  [4]byte
-		counter uint32
-	)
-	binary.BigEndian.PutUint32(lBuf[:], lBits)
-	for len(out) < length {
-		counter++
-		binary.BigEndian.PutUint32(ctrBuf[:], counter)
-		block := hmacSHA256(key, ctrBuf[:], label, []byte{0x00}, context, lBuf[:])
-		out = append(out, block...)
-	}
-	return out[:length], nil
 }
 
 // SessionKeySize is the AES-128 session-key size used throughout the

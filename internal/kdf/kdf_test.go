@@ -85,41 +85,6 @@ func TestExpandBounds(t *testing.T) {
 	}
 }
 
-func TestCounterKDF(t *testing.T) {
-	key := []byte("0123456789abcdef0123456789abcdef")
-	out1, err := CounterKDF(key, []byte("label"), []byte("ctx"), 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out1) != 48 {
-		t.Fatalf("length %d", len(out1))
-	}
-	// Deterministic.
-	out2, _ := CounterKDF(key, []byte("label"), []byte("ctx"), 48)
-	if !bytes.Equal(out1, out2) {
-		t.Error("CounterKDF not deterministic")
-	}
-	// Label and context separation.
-	out3, _ := CounterKDF(key, []byte("label2"), []byte("ctx"), 48)
-	if bytes.Equal(out1, out3) {
-		t.Error("different labels produced identical output")
-	}
-	out4, _ := CounterKDF(key, []byte("label"), []byte("ctx2"), 48)
-	if bytes.Equal(out1, out4) {
-		t.Error("different contexts produced identical output")
-	}
-	// Length separation: SP 800-108 binds the total output length [L]
-	// into every block, so a 16-byte request is NOT a prefix of a
-	// 48-byte request.
-	short, _ := CounterKDF(key, []byte("label"), []byte("ctx"), 16)
-	if bytes.Equal(short, out1[:16]) {
-		t.Error("output length not bound into the KDF stream")
-	}
-	if _, err := CounterKDF(key, nil, nil, 0); err == nil {
-		t.Error("zero length accepted")
-	}
-}
-
 func TestSessionKeys(t *testing.T) {
 	enc, mac, err := SessionKeys([]byte("premaster"), []byte("saltA|saltB"))
 	if err != nil {

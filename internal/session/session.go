@@ -34,29 +34,27 @@
 // The CTR counter runs in the IV's seven zero low bytes, so it cannot
 // carry into the direction byte before 2⁶⁰ bytes of one record.
 //
-// The MAC is keyed once per session as well (RFC 2104 §4): NewPair
-// hashes the mac⊕ipad and mac⊕opad blocks once and keeps the two
-// SHA-256 states, which both channels share read-only. Every record's
-// tag resumes from them instead of hashing the padded key again.
+// The MAC is keyed once per session as well: NewPair builds one
+// internal/aead Keys from the record key and mac, which holds the AES
+// key schedule and the MAC key's inner and outer SHA-256 states (RFC
+// 2104 §4). Both channels share it read-only, and every record's tag
+// resumes from those states instead of hashing the padded key again.
 //
 // A Channel is not safe for concurrent use: its sequence and replay
 // state belong to one goroutine at a time. The two channels of a pair
 // may run on different goroutines; they share only the read-only
-// cipher and keyed MAC states.
+// aead Keys.
 package session
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"time"
 
+	"repro/internal/aead"
 	"repro/internal/kdf"
 )
 
@@ -123,10 +121,10 @@ const Overhead = recordHeader + tagSize
 // Channel is one endpoint's view of an established communication
 // session. A Channel is not safe for concurrent use; the two channels
 // of a pair may run on different goroutines, since all they share is
-// the pair's read-only cipher and keyed MAC states.
+// the pair's read-only aead Keys.
 type Channel struct {
-	dir     Direction   // the direction this endpoint sends in
-	keys    *recordKeys // shared by the pair, read-only
+	dir     Direction  // the direction this endpoint sends in
+	keys    *aead.Keys // record key and mac, shared by the pair, read-only
 	policy  Policy
 	started time.Time
 	now     func() time.Time
@@ -141,20 +139,11 @@ type Channel struct {
 	winPrimed bool
 }
 
-// recordKeys is the keyed state of one session, computed once by
-// NewPair and shared read-only by both channels of the pair.
-type recordKeys struct {
-	block cipher.Block // AES-128 under the record key
-	// inner and outer are the marshaled SHA-256 states after the
-	// mac⊕ipad and mac⊕opad blocks: HMAC-SHA-256 keyed once.
-	inner, outer []byte
-}
-
 // NewPair derives both endpoints of a session from a KD key block
-// (enc ‖ mac, as produced by the protocols in internal/core). It
-// computes the record key's AES key schedule and the MAC key's inner
-// and outer SHA-256 states once; both channels share them read-only
-// (see the package comment). The policy applies to both directions.
+// (enc ‖ mac, as produced by the protocols in internal/core). It keys
+// one aead Keys with the record key and mac; both channels share it
+// read-only (see the package comment). The policy applies to both
+// directions.
 func NewPair(keyBlock []byte, policy Policy) (*Channel, *Channel, error) {
 	if len(keyBlock) != kdf.SessionKeySize+kdf.MACKeySize {
 		return nil, nil, fmt.Errorf("session: key block size %d, want %d",
@@ -164,16 +153,9 @@ func NewPair(keyBlock []byte, policy Policy) (*Channel, *Channel, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("session: record key: %w", err)
 	}
-	keys := &recordKeys{}
-	if keys.block, err = aes.NewCipher(recordKey); err != nil {
-		return nil, nil, fmt.Errorf("session: record cipher: %w", err)
-	}
-	mac := keyBlock[kdf.SessionKeySize:]
-	if keys.inner, err = padState(mac, 0x36); err == nil {
-		keys.outer, err = padState(mac, 0x5c)
-	}
+	keys, err := aead.New(recordKey, keyBlock[kdf.SessionKeySize:])
 	if err != nil {
-		return nil, nil, fmt.Errorf("session: record MAC: %w", err)
+		return nil, nil, fmt.Errorf("session: record keys: %w", err)
 	}
 	mk := func(dir Direction) *Channel {
 		return &Channel{
@@ -185,22 +167,6 @@ func NewPair(keyBlock []byte, policy Policy) (*Channel, *Channel, error) {
 		}
 	}
 	return mk(DirAtoB), mk(DirBtoA), nil
-}
-
-// padState returns the marshaled SHA-256 state after one block of the
-// HMAC key XORed with pad (RFC 2104: 0x36 for ipad, 0x5c for opad). The
-// key is shorter than a block, so it is used as is, zero-padded.
-func padState(key []byte, pad byte) ([]byte, error) {
-	var block [sha256.BlockSize]byte
-	for i := range block {
-		block[i] = pad
-	}
-	for i, k := range key {
-		block[i] ^= k
-	}
-	h := sha256.New()
-	h.Write(block[:])
-	return h.(encoding.BinaryMarshaler).MarshalBinary()
 }
 
 // SetClock injects a time source for tests.
@@ -243,8 +209,7 @@ func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(out[:8], c.sendSeq)
 	out[8] = byte(c.dir)
 	c.crypt(out[recordHeader:body], plaintext, out[:recordHeader])
-	var tag [sha256.Size]byte
-	c.tag(&tag, out[:body])
+	tag := c.tag(out[:body])
 	copy(out[body:], tag[:tagSize])
 
 	c.sendSeq++
@@ -268,8 +233,7 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 	}
 
 	body := record[:len(record)-tagSize]
-	var tag [sha256.Size]byte
-	c.tag(&tag, body)
+	tag := c.tag(body)
 	if !hmac.Equal(tag[:tagSize], record[len(record)-tagSize:]) {
 		return nil, ErrAuth
 	}
@@ -357,29 +321,12 @@ func (c *Channel) crypt(dst, src, hdr []byte) {
 	if len(src) == 0 {
 		return
 	}
-	var iv [aes.BlockSize]byte
+	var iv [aead.NonceSize]byte
 	copy(iv[:], hdr)
-	cipher.NewCTR(c.keys.block, iv[:]).XORKeyStream(dst, src)
+	c.keys.XORKeyStream(dst, src, iv[:])
 }
 
-// tag writes the record MAC of body, before truncation, to dst. It
-// resumes a fresh digest from the pair's keyed inner state, then from
-// its keyed outer state, and never writes to either.
-func (c *Channel) tag(dst *[sha256.Size]byte, body []byte) {
-	h := sha256.New()
-	restore(h, c.keys.inner)
-	h.Write([]byte("session-record"))
-	h.Write(body)
-	h.Sum(dst[:0])
-	restore(h, c.keys.outer)
-	h.Write(dst[:])
-	h.Sum(dst[:0])
-}
-
-// restore sets h to a state that padState marshaled from the same
-// digest type, which cannot fail.
-func restore(h hash.Hash, state []byte) {
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
-		panic("session: restore MAC state: " + err.Error())
-	}
+// tag returns the record MAC of body, before truncation.
+func (c *Channel) tag(body []byte) [sha256.Size]byte {
+	return c.keys.MAC([]byte("session-record"), body)
 }
