@@ -79,15 +79,16 @@ bench-compare:
 # Sub, Dbl, Neg, Half, Inv, Sqrt) must allocate nothing at all: every
 # point formula and inversion runs on them. The ScalarMult, VerifyBatch,
 # VerifyDigest and VerifyImplicit gates ride together: all guard the
-# same fixed-limb no-alloc contract, per op, per batched item, per
-# cached-key verification and per first-sight verification straight
-# from a certificate (even and odd u2 alike). The Seal+Open gate
-# guards the record layer's key-once-per-session contract: keying the
-# MAC again for every record (hmac.New per tag) more than doubles its
-# allocations, and per-record key derivation multiplies them. The
-# Deliver gate guards the CAN fabric's one-allocation broadcast and
-# non-reallocating receive queues: a return to a payload copy per
-# receiver multiplies its allocations several times over.
+# same fixed-limb no-alloc contract, per op, per batched item (in
+# batches of one and of 16), per cached-key verification and per
+# first-sight verification straight from a certificate (even and odd
+# u2 alike). The Seal+Open gate guards the record layer's
+# key-once-per-session contract: keying the MAC again for every record
+# (hmac.New per tag) more than doubles its allocations, and per-record
+# key derivation multiplies them. The Deliver gate guards the CAN
+# fabric's one-allocation broadcast and non-reallocating receive
+# queues: a return to a payload copy per receiver multiplies its
+# allocations several times over.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestFieldKernelsAllocFree' -v ./internal/ec/fp/
@@ -100,10 +101,10 @@ bench-alloc:
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs Mul(x, x), Montgomery-
-# trick BatchInv vs sequential inversions, wave VerifyBatch vs
-# N independent Verifies, and the shared-inversion table build.
-# Summarized by benchstat when installed.
-BENCH_BATCH ?= BenchmarkSqr$$|BenchmarkSqrViaMul|BenchmarkBatchInv|BenchmarkInvSequential|BenchmarkVerifyBatch|BenchmarkVerifySequential|BenchmarkMultTableBuild|BenchmarkBatchNormalize
+# trick BatchInv vs sequential inversions, wave VerifyBatch (one shared
+# scalar inversion) vs N independent Verifies, and the shared-inversion
+# table build. Summarized by benchstat when installed.
+BENCH_BATCH ?= BenchmarkSqr$$|BenchmarkSqrViaMul|BenchmarkBatchInv|BenchmarkInvSequential|BenchmarkVerifyBatch|BenchmarkVerifySequential|BenchmarkMultTableBuild
 bench-batch:
 	$(GO) test -run='^$$' -bench='$(BENCH_BATCH)' -benchmem -count=$(BENCH_COUNT) \
 		./internal/ec/... ./internal/ecdsa/ | tee bench-batch.txt

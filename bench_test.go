@@ -1,6 +1,7 @@
 // Package repro's root bench harness: one benchmark per table and
-// figure of the paper's evaluation, plus ablation benches for the
-// design choices called out in DESIGN.md §5.
+// figure of the paper's evaluation, plus two ablation benches: the
+// STS pipelining levels of equations (5)–(8) and the wNAF scalar
+// multiplication against the schoolbook ladder.
 //
 // The testing.B timings measure the real cryptography on the host;
 // each experiment bench additionally reports the paper-comparable
@@ -12,12 +13,12 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/detrand"
 	"repro/internal/ec"
 	"repro/internal/ecdsa"
 	"repro/internal/ecqv"
@@ -31,15 +32,6 @@ import (
 )
 
 func timeUnix(sec int64) time.Time { return time.Unix(sec, 0) }
-
-type benchRand struct{ r *rand.Rand }
-
-func (d *benchRand) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(d.r.Intn(256))
-	}
-	return len(p), nil
-}
 
 var (
 	benchOnce    sync.Once
@@ -57,7 +49,7 @@ func benchSetup(b *testing.B) (*hwmodel.Model, *core.Party, *core.Party) {
 			return
 		}
 		var net *core.Network
-		net, benchInitErr = core.NewNetwork(ec.P256(), &benchRand{r: rand.New(rand.NewSource(7))})
+		net, benchInitErr = core.NewNetwork(ec.P256(), detrand.NewReader(7))
 		if benchInitErr != nil {
 			return
 		}
@@ -122,7 +114,7 @@ func BenchmarkFig3_STSOperations(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := &benchRand{r: rand.New(rand.NewSource(11))}
+	rng := detrand.NewReader(11)
 
 	b.Run("Op1_request_XG", func(b *testing.B) {
 		b.ReportAllocs()
@@ -240,7 +232,7 @@ func BenchmarkFig7_Prototype(b *testing.B) {
 // BenchmarkTable3_SecurityAnalysis runs the full attack suite of the
 // security evaluation (Table III) once per iteration.
 func BenchmarkTable3_SecurityAnalysis(b *testing.B) {
-	an := security.NewAnalyzer(&benchRand{r: rand.New(rand.NewSource(13))})
+	an := security.NewAnalyzer(detrand.NewReader(13))
 	for i := 0; i < b.N; i++ {
 		if _, err := an.Table3(); err != nil {
 			b.Fatal(err)
@@ -249,7 +241,7 @@ func BenchmarkTable3_SecurityAnalysis(b *testing.B) {
 }
 
 // BenchmarkOptimizationAblation quantifies equations (5), (7), (8):
-// the modelled saving of each pipelining level (DESIGN.md ablation 3).
+// the modelled saving of each pipelining level.
 func BenchmarkOptimizationAblation(b *testing.B) {
 	model, _, _ := benchSetup(b)
 	dev, err := model.Device("STM32F767")
@@ -272,10 +264,10 @@ func BenchmarkOptimizationAblation(b *testing.B) {
 }
 
 // BenchmarkScalarMultAblation compares the wNAF scalar multiplication
-// against the schoolbook ladder (DESIGN.md ablation 2).
+// against the schoolbook ladder.
 func BenchmarkScalarMultAblation(b *testing.B) {
 	curve := ec.P256()
-	rng := &benchRand{r: rand.New(rand.NewSource(17))}
+	rng := detrand.NewReader(17)
 	k, err := curve.RandomScalar(rng)
 	if err != nil {
 		b.Fatal(err)
@@ -305,7 +297,7 @@ func BenchmarkScalarMultAblation(b *testing.B) {
 // BenchmarkECQVLifecycle prices the certificate-derivation stage:
 // request, issuance, reconstruction, extraction.
 func BenchmarkECQVLifecycle(b *testing.B) {
-	rng := &benchRand{r: rand.New(rand.NewSource(19))}
+	rng := detrand.NewReader(19)
 	curve := ec.P256()
 	ca, err := ecqv.NewCA(curve, ecqv.NewID("ca"), rng)
 	if err != nil {
@@ -436,7 +428,7 @@ func BenchmarkSessionRecords(b *testing.B) {
 // BenchmarkGroupRekey prices a full group key rotation (pairwise STS
 // handshake + distribution) for growing group sizes.
 func BenchmarkGroupRekey(b *testing.B) {
-	net, err := core.NewNetwork(ec.P256(), &benchRand{r: rand.New(rand.NewSource(31))})
+	net, err := core.NewNetwork(ec.P256(), detrand.NewReader(31))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -560,7 +552,7 @@ func BenchmarkPrimitives(b *testing.B) {
 	})
 	b.Run("ECDSA-sign", func(b *testing.B) {
 		b.ReportAllocs()
-		rng := &benchRand{r: rand.New(rand.NewSource(23))}
+		rng := detrand.NewReader(23)
 		key, err := ecdsa.GenerateKey(ec.P256(), rng)
 		if err != nil {
 			b.Fatal(err)
@@ -575,7 +567,7 @@ func BenchmarkPrimitives(b *testing.B) {
 	})
 	b.Run("ECDSA-verify", func(b *testing.B) {
 		b.ReportAllocs()
-		rng := &benchRand{r: rand.New(rand.NewSource(29))}
+		rng := detrand.NewReader(29)
 		key, err := ecdsa.GenerateKey(ec.P256(), rng)
 		if err != nil {
 			b.Fatal(err)

@@ -17,7 +17,7 @@
 //     datagram header, tag over "group-record" ‖ header ‖ ct.
 //
 // The STS Resp message is not sealed here: internal/core's
-// suite.sealResp encrypts it size-preserving, as part of the metered
+// suite.ctrEncrypt encrypts it size-preserving, as part of the metered
 // protocol.
 package aead
 

@@ -10,8 +10,9 @@ import (
 )
 
 // Hotpath is the static counterpart of the EC allocation budgets
-// (the 24-alloc ScalarMult and 48-alloc-per-item VerifyBatch CI
-// gates). In internal/ec and internal/ec/fp it enforces two rules:
+// (the 24-alloc ScalarMult CI gate, and the VerifyBatch ones: 54
+// allocations for a batch of one, 32 per item of a batch of 16). In
+// internal/ec and internal/ec/fp it enforces two rules:
 //
 //  1. math/big stays inside the approved boundary-conversion files —
 //     the public big.Int API, the affine boundary, and the math/big
@@ -23,11 +24,10 @@ import (
 //     //detlint:allow hotpath annotations stating their O(1) cost.
 //
 //  2. Functions on the hot call graph — everything that can run under
-//     ScalarMult, ScalarBaseMult, CombinedMult(2, Deferred),
-//     BatchNormalize, VerifyBatch or the fp field ops — must not call
-//     fmt or box concrete values into interfaces: both allocate, and
-//     the budgets exist precisely to keep the per-op allocation count
-//     fixed and small.
+//     ScalarMult, ScalarBaseMult, CombinedMult(2), VerifyBatch or the
+//     fp field ops — must not call fmt or box concrete values into
+//     interfaces: both allocate, and the budgets exist precisely to
+//     keep the per-op allocation count fixed and small.
 //
 // Files selected only by the ec_purebig build tag (the differential
 // oracle backend) never reach this check: the loader follows the
@@ -66,29 +66,27 @@ var approvedBigFiles = map[string]bool{
 }
 
 // hotpathRoots name the entry points of the hot call graph, across
-// both packages: the scalar-multiplication and batch-verification
-// API in ec, and the field operations in fp — among them the square
-// root that point decompression runs on every handshake, its
-// fixed-window exponentiation (pow), and the safegcd Inv.
+// both packages: the scalar-multiplication API in ec, and the field
+// operations in fp — among them the square root that point
+// decompression runs on every handshake, its fixed-window
+// exponentiation (pow), and the safegcd Inv.
 var hotpathRoots = map[string]bool{
-	"ScalarMult":           true,
-	"ScalarBaseMult":       true,
-	"CombinedMult":         true,
-	"CombinedMult2":        true,
-	"CombinedMultDeferred": true,
-	"BatchNormalize":       true,
-	"VerifyBatch":          true,
-	"Mul":                  true,
-	"Sqr":                  true,
-	"Add":                  true,
-	"Sub":                  true,
-	"Dbl":                  true,
-	"Neg":                  true,
-	"Half":                 true,
-	"Inv":                  true,
-	"BatchInv":             true,
-	"Sqrt":                 true,
-	"pow":                  true,
+	"ScalarMult":     true,
+	"ScalarBaseMult": true,
+	"CombinedMult":   true,
+	"CombinedMult2":  true,
+	"VerifyBatch":    true,
+	"Mul":            true,
+	"Sqr":            true,
+	"Add":            true,
+	"Sub":            true,
+	"Dbl":            true,
+	"Neg":            true,
+	"Half":           true,
+	"Inv":            true,
+	"BatchInv":       true,
+	"Sqrt":           true,
+	"pow":            true,
 }
 
 func runHotpath(pass *analysis.Pass) error {

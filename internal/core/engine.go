@@ -98,7 +98,7 @@ func (e *engineCommon) signResp(direction string, first, second ec.Point) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	return e.suite.sealResp(e.encKey, e.macKey, direction, dsign.EncodeRaw(curve))
+	return e.suite.ctrEncrypt(e.encKey, e.macKey, direction, dsign.EncodeRaw(curve))
 }
 
 // verifyResp checks a peer Resp under the key extractPeer resolved;
@@ -106,7 +106,7 @@ func (e *engineCommon) signResp(direction string, first, second ec.Point) ([]byt
 func (e *engineCommon) verifyResp(direction string, resp []byte, key peerKey, first, second ec.Point) error {
 	curve := e.party.Curve
 	e.suite.m.record(PrimAESBytes, len(resp))
-	raw, err := e.suite.openResp(e.encKey, e.macKey, direction, resp)
+	raw, err := e.suite.ctrEncrypt(e.encKey, e.macKey, direction, resp)
 	if err != nil {
 		return err
 	}

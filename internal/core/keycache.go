@@ -104,8 +104,8 @@ type CacheStats struct {
 
 	// WaveBatches/WaveItems account the group-commit verification:
 	// WaveItems verifications served through WaveBatches VerifyBatch
-	// rounds. WaveItems − WaveBatches is the number of shared-inversion
-	// opportunities actually taken.
+	// rounds. WaveItems − WaveBatches is the number of verifications
+	// that shared a round, and with it the round's scalar inversion.
 	WaveBatches int
 	WaveItems   int
 }

@@ -201,7 +201,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 		// and binds the transcript, modeled after the finished-message
 		// handling of Porambage et al. [3].
 		transcriptHash := sb.hash(a1.Encode(), b1.Encode(), a2.Encode())
-		finB, err := buildFinished(sb, encB, macB, "B", transcriptHash)
+		finB, err := buildFinished(sb, macB, "B", transcriptHash)
 		if err != nil {
 			return nil, err
 		}
@@ -213,10 +213,10 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 
 		sa.enter(PhaseOp4)
 		transcriptHashA := sa.hash(a1.Encode(), b1.Encode(), a2.Encode())
-		if err := checkFinished(sa, encA, macA, "B", transcriptHashA, b2.Get("Fin")); err != nil {
+		if err := checkFinished(sa, macA, "B", transcriptHashA, b2.Get("Fin")); err != nil {
 			return nil, fmt.Errorf("s-ecdsa: A: %w", err)
 		}
-		finA, err := buildFinished(sa, encA, macA, "A", transcriptHashA)
+		finA, err := buildFinished(sa, macA, "A", transcriptHashA)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +224,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 		res.Transcript = append(res.Transcript, a3)
 
 		sb.enter(PhaseOp4)
-		if err := checkFinished(sb, encB, macB, "A", transcriptHash, a3.Get("Fin")); err != nil {
+		if err := checkFinished(sb, macB, "A", transcriptHash, a3.Get("Fin")); err != nil {
 			return nil, fmt.Errorf("s-ecdsa: B: %w", err)
 		}
 	} else {
@@ -261,7 +261,7 @@ func sECDSASalt(idA, idB ecqv.ID) []byte {
 // buildFinished creates a 96-byte finished message:
 // nonce(32) ‖ MAC(macKey, "fin"‖role‖transcript‖nonce)(32) ‖
 // MAC(macKey, "confirm"‖role‖nonce)(32).
-func buildFinished(s *suite, encKey, macKey []byte, role string, transcriptHash []byte) ([]byte, error) {
+func buildFinished(s *suite, macKey []byte, role string, transcriptHash []byte) ([]byte, error) {
 	n, err := s.nonce(nonceSize)
 	if err != nil {
 		return nil, err
@@ -272,12 +272,11 @@ func buildFinished(s *suite, encKey, macKey []byte, role string, transcriptHash 
 	out = append(out, n...)
 	out = append(out, m1...)
 	out = append(out, m2...)
-	_ = encKey
 	return out, nil
 }
 
 // checkFinished verifies a peer's finished message.
-func checkFinished(s *suite, encKey, macKey []byte, peerRole string, transcriptHash, fin []byte) error {
+func checkFinished(s *suite, macKey []byte, peerRole string, transcriptHash, fin []byte) error {
 	if len(fin) != finSize {
 		return fmt.Errorf("finished message length %d, want %d", len(fin), finSize)
 	}
@@ -288,6 +287,5 @@ func checkFinished(s *suite, encKey, macKey []byte, peerRole string, transcriptH
 	if !s.macVerify(macKey, fin[64:96], []byte("confirm|"+peerRole), n) {
 		return errors.New("finished confirmation MAC invalid")
 	}
-	_ = encKey
 	return nil
 }

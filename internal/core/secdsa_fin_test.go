@@ -10,57 +10,55 @@ import (
 
 func TestFinishedRoundTrip(t *testing.T) {
 	s, _ := newTestSuite(31)
-	enc := make([]byte, 16)
 	mac := make([]byte, 32)
 	transcript := s.hash([]byte("transcript"))
 
-	fin, err := buildFinished(s, enc, mac, "B", transcript)
+	fin, err := buildFinished(s, mac, "B", transcript)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fin) != finSize {
 		t.Fatalf("finished size %d, want %d", len(fin), finSize)
 	}
-	if err := checkFinished(s, enc, mac, "B", transcript, fin); err != nil {
+	if err := checkFinished(s, mac, "B", transcript, fin); err != nil {
 		t.Fatalf("valid finished rejected: %v", err)
 	}
 }
 
 func TestFinishedRejections(t *testing.T) {
 	s, _ := newTestSuite(32)
-	enc := make([]byte, 16)
 	mac := make([]byte, 32)
 	transcript := s.hash([]byte("transcript"))
-	fin, err := buildFinished(s, enc, mac, "B", transcript)
+	fin, err := buildFinished(s, mac, "B", transcript)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Wrong length.
-	if err := checkFinished(s, enc, mac, "B", transcript, fin[:50]); err == nil {
+	if err := checkFinished(s, mac, "B", transcript, fin[:50]); err == nil {
 		t.Error("short finished accepted")
 	}
 	// Tampered nonce / MACs.
 	for _, idx := range []int{0, 40, 80} {
 		mod := append([]byte(nil), fin...)
 		mod[idx] ^= 0x01
-		if err := checkFinished(s, enc, mac, "B", transcript, mod); err == nil {
+		if err := checkFinished(s, mac, "B", transcript, mod); err == nil {
 			t.Errorf("tampered finished byte %d accepted", idx)
 		}
 	}
 	// Wrong role (reflection).
-	if err := checkFinished(s, enc, mac, "A", transcript, fin); err == nil {
+	if err := checkFinished(s, mac, "A", transcript, fin); err == nil {
 		t.Error("finished accepted under the wrong role")
 	}
 	// Wrong transcript.
 	other := s.hash([]byte("other transcript"))
-	if err := checkFinished(s, enc, mac, "B", other, fin); err == nil {
+	if err := checkFinished(s, mac, "B", other, fin); err == nil {
 		t.Error("finished accepted for a different transcript")
 	}
 	// Wrong key (different session).
 	mac2 := make([]byte, 32)
 	mac2[0] = 1
-	if err := checkFinished(s, enc, mac2, "B", transcript, fin); err == nil {
+	if err := checkFinished(s, mac2, "B", transcript, fin); err == nil {
 		t.Error("finished accepted under a different session key")
 	}
 }

@@ -180,11 +180,11 @@ func (s *suite) sign(priv *big.Int, msg []byte) (ecdsa.Signature, error) {
 // multi-scalar chain, with no extraction, no table, and neither the
 // SharedTableCache nor the wave batcher. An extracted key gets its
 // cached comb (KeyCache.Verifier) and rides the party's wave batcher:
-// concurrent EstablishAll verifications share scalar and field
-// inversions through ecdsa.VerifyBatch, with per-item results
-// guaranteed identical to a lone Verify. The meter is the same on
-// every path: it records the primitives the modelled device executes,
-// which extracts Q_U and never batches across peers.
+// concurrent EstablishAll verifications share one scalar inversion
+// through ecdsa.VerifyBatch, whose items each run VerifyDigest's own
+// tail, so a batched verdict is a lone Verify's. The meter is the same
+// on every path: it records the primitives the modelled device
+// executes, which extracts Q_U and never batches across peers.
 func (s *suite) verify(key peerKey, msg []byte, sig ecdsa.Signature) bool {
 	s.m.record(PrimHashBytes, len(msg))
 	s.m.record(PrimModInverse, 1)
@@ -229,57 +229,24 @@ func (s *suite) hash(parts ...[]byte) []byte {
 	return h.Sum(nil)
 }
 
-// sealResp implements the size-preserving Resp = encrypt(KS, dsign) of
-// Algorithm 1 line 6. AES-128-CTR with a per-direction keystream nonce
-// derived from the MAC key keeps |Resp| = |dsign| = 64 bytes — exactly
-// the "Resp(64)" that Table II charges. Integrity of the payload is
-// provided by the signature inside, not by a tag.
-func (s *suite) sealResp(encKey, macKey []byte, direction string, dsign []byte) ([]byte, error) {
-	s.m.record(PrimAESBytes, len(dsign))
-	stream, err := respStream(encKey, macKey, direction, len(dsign))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(dsign))
-	for i := range dsign {
-		out[i] = dsign[i] ^ stream[i]
-	}
-	return out, nil
-}
-
-// openResp inverts sealResp (Algorithm 2 line 1).
-func (s *suite) openResp(encKey, macKey []byte, direction string, resp []byte) ([]byte, error) {
-	return s.sealResp(encKey, macKey, direction, resp) // CTR is an involution
-}
-
-// respStream derives the CTR keystream for one direction. The IV is
-// bound to the session (via the MAC key, which is fresh per session
-// for DKD protocols) and to the direction label, so the two Resp
-// messages of a session never share keystream.
-func respStream(encKey, macKey []byte, direction string, n int) ([]byte, error) {
+// ctrEncrypt is the size-preserving encryption of Resp =
+// encrypt(KS, dsign) (Algorithm 1 line 6) and of PORAMB's finish echo.
+// AES-128-CTR keeps |Resp| = |dsign| = 64 bytes — exactly the
+// "Resp(64)" that Table II charges; integrity of the payload is
+// provided by the signature inside, not by a tag. The IV is bound to
+// the session (via the MAC key, which is fresh per session for DKD
+// protocols) and to the label, so the two Resp messages of a session
+// never share keystream. CTR is an involution: the same call opens a
+// Resp (Algorithm 2 line 1).
+func (s *suite) ctrEncrypt(encKey, macKey []byte, label string, data []byte) ([]byte, error) {
+	s.m.record(PrimAESBytes, len(data))
 	block, err := aes.NewCipher(encKey)
 	if err != nil {
 		return nil, err
 	}
 	ivm := hmac.New(sha256.New, macKey)
-	ivm.Write([]byte("resp-iv|" + direction))
-	iv := ivm.Sum(nil)[:aes.BlockSize]
-	stream := make([]byte, n)
-	cipher.NewCTR(block, iv).XORKeyStream(stream, stream)
-	return stream, nil
-}
-
-// ctrEncrypt is the generic size-preserving transport encryption used
-// by finish messages.
-func (s *suite) ctrEncrypt(encKey, macKey []byte, label string, data []byte) ([]byte, error) {
-	s.m.record(PrimAESBytes, len(data))
-	stream, err := respStream(encKey, macKey, label, len(data))
-	if err != nil {
-		return nil, err
-	}
+	ivm.Write([]byte("resp-iv|" + label))
 	out := make([]byte, len(data))
-	for i := range data {
-		out[i] = data[i] ^ stream[i]
-	}
+	cipher.NewCTR(block, ivm.Sum(nil)[:aes.BlockSize]).XORKeyStream(out, data)
 	return out, nil
 }

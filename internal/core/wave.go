@@ -11,16 +11,15 @@ import (
 // ecdsa.VerifyBatch calls by group commit: the first request to arrive
 // becomes the leader and drains the queue in rounds, so every
 // verification that lands while a round is running joins the next one
-// and shares its scalar and field inversions. During an EstablishAll
-// wave with peers the party has seen before (a first sight verifies
-// straight from the certificate and never comes here) all of its
-// worker goroutines verify through the same KeyCache, which is
-// exactly when the queue is non-trivial; a serial
-// caller degrades to a batch of one, whose result VerifyBatch
-// guarantees is identical to a plain Verify. There are no timers and
-// no cross-goroutine waits other than followers waiting for the
-// leader's round: batching never delays a verification that has no
-// company.
+// and shares its scalar inversion. During an EstablishAll wave with
+// peers the party has seen before (a first sight verifies straight
+// from the certificate and never comes here) all of its worker
+// goroutines verify through the same KeyCache, which is exactly when
+// the queue is non-trivial; a serial caller degrades to a batch of
+// one, whose result VerifyBatch guarantees is identical to a plain
+// Verify. There are no timers and no cross-goroutine waits other than
+// followers waiting for the leader's round: batching never delays a
+// verification that has no company.
 type waveVerifier struct {
 	mu      sync.Mutex
 	leading bool

@@ -491,40 +491,28 @@ func (c *Curve) wnafAdd(acc *fpJac, table *[8]fpJac, d int8, s *fpScratch) {
 	}
 }
 
-// scalarMultFPJac evaluates k·P into acc (Jacobian form, affine
-// conversion deferred) for a finite P and reduced nonzero k.
-func (c *Curve) scalarMultFPJac(acc *fpJac, p Point, kr *big.Int) {
+// scalarMultFP evaluates k·P for a finite P and reduced nonzero k with
+// O(1) heap allocations (the output Point and a big.Int scratch or
+// two at the boundary).
+func (c *Curve) scalarMultFP(p Point, kr *big.Int) Point {
 	var s fpScratch
 	var table [8]fpJac
 	c.fpOddMultiples(p, &table, &s)
 	var dbuf [264]int8
 	digits := wnafFixed(kr, wnafWindow, dbuf[:])
-	c.fpSetInfinity(acc)
-	c.wnafAccumulate(acc, &table, digits, &s)
-}
-
-// scalarMultFP evaluates k·P for a finite P and reduced nonzero k with
-// O(1) heap allocations (the output Point and a big.Int scratch or
-// two at the boundary).
-func (c *Curve) scalarMultFP(p Point, kr *big.Int) Point {
 	var acc fpJac
-	c.scalarMultFPJac(&acc, p, kr)
+	c.fpSetInfinity(&acc)
+	c.wnafAccumulate(&acc, &table, digits, &s)
 	return c.fpToPoint(&acc)
 }
 
-// scalarBaseMultFPJac evaluates k·G into acc (affine conversion
-// deferred) through the comb table: ~windows mixed additions, zero
-// doublings.
-func (c *Curve) scalarBaseMultFPJac(acc *fpJac, kr *big.Int) {
-	var s fpScratch
-	c.fpSetInfinity(acc)
-	c.combAccumulate(acc, kr, &s)
-}
-
-// scalarBaseMultFP evaluates k·G through the comb table.
+// scalarBaseMultFP evaluates k·G through the comb table: ~windows
+// mixed additions, zero doublings.
 func (c *Curve) scalarBaseMultFP(kr *big.Int) Point {
+	var s fpScratch
 	var acc fpJac
-	c.scalarBaseMultFPJac(&acc, kr)
+	c.fpSetInfinity(&acc)
+	c.combAccumulate(&acc, kr, &s)
 	return c.fpToPoint(&acc)
 }
 
@@ -545,27 +533,20 @@ func (c *Curve) scalarMultNaiveFP(p Point, kr *big.Int) Point {
 	return c.fpToPoint(&acc)
 }
 
-// combinedMultFPJac evaluates u1·G + u2·Q into acc (affine conversion
-// deferred): the u2 part through the wNAF double-and-add chain, the
-// base part folded in afterwards via the comb (which needs no
-// doublings, so nothing is gained interleaving it). Both scalars
-// reduced and nonzero, Q finite.
-func (c *Curve) combinedMultFPJac(acc *fpJac, q Point, u1, u2 *big.Int) {
+// combinedMultFP evaluates u1·G + u2·Q: the u2 part through the wNAF
+// double-and-add chain, the base part folded in afterwards via the
+// comb (which needs no doublings, so nothing is gained interleaving
+// it). Both scalars reduced and nonzero, Q finite.
+func (c *Curve) combinedMultFP(q Point, u1, u2 *big.Int) Point {
 	var s fpScratch
 	var table [8]fpJac
 	c.fpOddMultiples(q, &table, &s)
 	var dbuf [264]int8
 	digits := wnafFixed(u2, wnafWindow, dbuf[:])
-	c.fpSetInfinity(acc)
-	c.wnafAccumulate(acc, &table, digits, &s)
-	c.combAccumulate(acc, u1, &s)
-}
-
-// combinedMultFP evaluates u1·G + u2·Q with the affine conversion
-// inline.
-func (c *Curve) combinedMultFP(q Point, u1, u2 *big.Int) Point {
 	var acc fpJac
-	c.combinedMultFPJac(&acc, q, u1, u2)
+	c.fpSetInfinity(&acc)
+	c.wnafAccumulate(&acc, &table, digits, &s)
+	c.combAccumulate(&acc, u1, &s)
 	return c.fpToPoint(&acc)
 }
 

@@ -309,6 +309,19 @@ func TestScalarMultAllocBudget(t *testing.T) {
 	}
 }
 
+// BenchmarkMultTableBuild measures the cost the SharedTableCache
+// amortizes away fleet-wide: the signed comb's 3d doublings and ten
+// additions plus one shared-inversion affine conversion.
+func BenchmarkMultTableBuild(b *testing.B) {
+	c := P256()
+	q := c.ScalarBaseMult(big.NewInt(0x5eed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = c.NewMultTable(q)
+	}
+}
+
 func BenchmarkMultTableScalarMult(b *testing.B) {
 	c := P256()
 	q := c.ScalarBaseMult(big.NewInt(0xabc))

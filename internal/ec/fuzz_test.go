@@ -17,7 +17,7 @@ import (
 // on any other); s ≡ 0 selects G. a and b are scalars of any length.
 // Each of a and b is run through ScalarMult, ScalarBaseMult and a
 // MultTable's ScalarMult, and the pair through CombinedMult and a
-// MultTable's CombinedMult and CombinedMultDeferred in both orders.
+// MultTable's CombinedMult in both orders.
 // CombinedMult2 runs with P = Q, the second point G and u1 = s, again
 // in both orders of a and b, and its infinity report is checked
 // against both references' a·P + b·Q; crypto/elliptic sums its three
@@ -93,8 +93,6 @@ func checkPointMult(t *testing.T, c *Curve, std elliptic.Curve, s, a, b []byte) 
 		want, wantStd := c.combinedMultBig(q, u1, u2), fromStd(std.Add(gx, gy, qx, qy))
 		same(c.CombinedMult(q, u1, u2), want, wantStd, "CombinedMult(%x, %x)", u[0], u[1])
 		same(tab.CombinedMult(u1, u2), want, wantStd, "MultTable.CombinedMult(%x, %x)", u[0], u[1])
-		deferred := tab.CombinedMultDeferred(u1, u2)
-		same(deferred.Normalize(), want, wantStd, "MultTable.CombinedMultDeferred(%x, %x)", u[0], u[1])
 	}
 
 	g, u1 := c.Generator(), new(big.Int).SetBytes(s)

@@ -336,3 +336,14 @@ func (c *Curve) combinedMultBigReduced(q Point, u1r, u2r *big.Int) Point {
 	qAdd := c.qTableAdd(c.oddMultiples(q, wnafWindow))
 	return c.fromJacobian(c.straussInterleave(u1r, u2r, qAdd))
 }
+
+// qTableAdd adapts a Jacobian odd-multiples table of Q into the digit
+// callback straussInterleave expects.
+func (c *Curve) qTableAdd(qTable []*jacobianPoint) func(*jacobianPoint, int8) *jacobianPoint {
+	return func(acc *jacobianPoint, d int8) *jacobianPoint {
+		if d > 0 {
+			return c.jacAdd(acc, qTable[(d-1)/2])
+		}
+		return c.jacAdd(acc, c.jacNeg(qTable[(-d-1)/2]))
+	}
+}

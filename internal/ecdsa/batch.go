@@ -1,21 +1,14 @@
 package ecdsa
 
-import (
-	"math/big"
+import "math/big"
 
-	"repro/internal/ec"
-)
-
-// Batch verification. An EstablishAll wave verifies one ECQV
-// certificate chain and one STS signature per peer — dozens of
-// independent ECDSA checks against mostly-cached keys. Verified one at
-// a time, each check pays a scalar inversion (s⁻¹ mod n) and a field
-// inversion (the affine conversion after CombinedMult). VerifyBatch
-// amortizes both: Montgomery's trick shares one modular inversion
-// across every signature on the same curve, and the deferred
-// CombinedMults converge in a single ec.BatchNormalize with one field
-// inversion per curve. Per-item results are exactly those of
-// VerifyDigest — batching changes cost, never answers — so a batch of
+// Batch verification. An EstablishAll wave verifies one STS signature
+// per peer it has seen before: independent ECDSA checks against mostly
+// cached keys. VerifyBatch shares the step that batches cheaply:
+// Montgomery's trick gives every signature on one curve its s⁻¹ mod n
+// from a single modular inversion. Each item then runs VerifyDigest's
+// own tail (verifyInverse), so per-item results are exactly those of
+// VerifyDigest — batching changes cost, never answers — and a batch of
 // one is just a Verify with different plumbing.
 
 // BatchItem is one signature check: sig over a precomputed digest
@@ -29,84 +22,41 @@ type BatchItem struct {
 // VerifyBatch checks every item and returns one verdict per item, in
 // order. Items that fail fast validation (nil or malformed key, r or s
 // out of range) get false without joining the batch; the rest share
-// scalar and field inversions as described in the package section
+// one scalar inversion per curve as described in the package section
 // above. Keys with precomputed tables use them, exactly as VerifyDigest
 // does.
 func VerifyBatch(items []BatchItem) []bool {
 	ok := make([]bool, len(items))
-	// live[k] indexes the items that survived validation, grouped by
-	// curve so each group shares one scalar inversion and one field
-	// inversion.
+	// live indexes the items that survived validation; each round of
+	// the loop below takes those on one curve out of it.
 	live := make([]int, 0, len(items))
 	for i := range items {
-		it := &items[i]
-		if it.Key == nil || it.Key.Curve == nil || it.Sig.R == nil || it.Sig.S == nil {
-			continue
+		if items[i].Key.accepts(items[i].Sig) {
+			live = append(live, i)
 		}
-		c := it.Key.Curve
-		if it.Sig.R.Sign() <= 0 || it.Sig.R.Cmp(c.N) >= 0 ||
-			it.Sig.S.Sign() <= 0 || it.Sig.S.Cmp(c.N) >= 0 {
-			continue
-		}
-		if it.Key.Q.IsInfinity() || !c.IsOnCurve(it.Key.Q) {
-			continue
-		}
-		live = append(live, i)
 	}
-	if len(live) == 0 {
-		return ok
-	}
-
-	deferred := make([]ec.DeferredPoint, len(live))
-	grouped := make([]bool, len(live))
 	group := make([]int, 0, len(live))
-	sInv := make([]*big.Int, 0, len(live))
-	for k := range live {
-		if grouped[k] {
-			continue
-		}
-		c := items[live[k]].Key.Curve
-		group = group[:0]
-		for j := k; j < len(live); j++ {
-			if !grouped[j] && items[live[j]].Key.Curve == c {
-				group = append(group, j)
-				grouped[j] = true
+	ss := make([]*big.Int, 0, len(live))
+	for len(live) > 0 {
+		c := items[live[0]].Key.Curve
+		group, ss = group[:0], ss[:0]
+		rest := live[:0]
+		for _, i := range live {
+			if items[i].Key.Curve != c {
+				rest = append(rest, i)
+				continue
 			}
+			group = append(group, i)
+			ss = append(ss, items[i].Sig.S)
 		}
+		live = rest
 		// One inversion for the whole group: w_j = s_j⁻¹ mod n by
 		// Montgomery's trick. Every s is in [1, n) with n prime, so the
 		// product is invertible.
-		sInv = sInv[:0]
-		for _, j := range group {
-			sInv = append(sInv, items[live[j]].Sig.S)
+		for j, w := range batchModInverse(ss, c.N) {
+			it := &items[group[j]]
+			ok[group[j]] = it.Key.verifyInverse(it.Digest, it.Sig, w)
 		}
-		ws := batchModInverse(sInv, c.N)
-		for gi, j := range group {
-			it := &items[live[j]]
-			e := c.HashToInt(it.Digest)
-			w := ws[gi]
-			u1 := new(big.Int).Mul(e, w)
-			u1.Mod(u1, c.N)
-			u2 := new(big.Int).Mul(it.Sig.R, w)
-			u2.Mod(u2, c.N)
-			if it.Key.table != nil {
-				deferred[j] = it.Key.table.CombinedMultDeferred(u1, u2)
-			} else {
-				deferred[j] = c.CombinedMultDeferred(it.Key.Q, u1, u2)
-			}
-		}
-	}
-
-	// One field inversion per curve for all the R' points at once.
-	pts := ec.BatchNormalize(deferred)
-	v := new(big.Int)
-	for k, i := range live {
-		if pts[k].IsInfinity() {
-			continue
-		}
-		c := items[i].Key.Curve
-		v.Mod(pts[k].X, c.N)
-		ok[i] = v.Cmp(items[i].Sig.R) == 0
 	}
 	return ok
 }

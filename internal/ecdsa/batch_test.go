@@ -151,12 +151,18 @@ func TestBatchModInverse(t *testing.T) {
 	}
 }
 
-// verifyBatchAllocBudget is the per-item heap-allocation ceiling of a
-// table-backed 16-item batch, enforced by CI next to the ScalarMult
-// gate. The fixed-limb backend keeps the point arithmetic allocation-
-// free; what remains is big.Int boundary work (scalars, digests,
-// coordinate conversion), which must stay O(1) per item.
-const verifyBatchAllocBudget = 48
+// verifyBatchAllocBudget and verifyBatch1AllocBudget are the per-item
+// heap-allocation ceilings of table-backed P-256 batches of sixteen
+// items and of one (the size core's wave batcher produces when nothing
+// else is in flight), enforced by CI next to the ScalarMult gate. The
+// fixed-limb backend keeps the point arithmetic allocation-free; what
+// remains is big.Int boundary work (scalars, digests, coordinate
+// conversion), which must stay O(1) per item. Measured: 30.3 and 50
+// on amd64, 30.4 and 52 on 386.
+const (
+	verifyBatchAllocBudget  = 32
+	verifyBatch1AllocBudget = 54
+)
 
 func TestVerifyBatchAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -165,18 +171,26 @@ func TestVerifyBatchAllocBudget(t *testing.T) {
 	if !ec.UsesFPBackend() {
 		t.Skip("built with -tags ec_purebig: the math/big oracle allocates freely by design")
 	}
-	items := batchFixture(t, ec.P256(), 16, true)
-	VerifyBatch(items) // warm comb/base tables outside the measurement
-	avg := testing.AllocsPerRun(10, func() {
-		res := VerifyBatch(items)
-		if !res[0] {
-			t.Fatal("batch rejected a valid item")
+	if raceEnabled {
+		t.Skip("built with -race: sync.Pool drops math/big's scratch at random, so counts vary")
+	}
+	for _, tc := range []struct {
+		n      int
+		budget float64
+	}{{1, verifyBatch1AllocBudget}, {16, verifyBatchAllocBudget}} {
+		items := batchFixture(t, ec.P256(), tc.n, true)
+		VerifyBatch(items) // warm comb/base tables outside the measurement
+		avg := testing.AllocsPerRun(10, func() {
+			res := VerifyBatch(items)
+			if !res[0] {
+				t.Fatal("batch rejected a valid item")
+			}
+		})
+		perItem := avg / float64(tc.n)
+		t.Logf("VerifyBatch(%d): %.1f allocs/run, %.2f allocs/item (budget %v)", tc.n, avg, perItem, tc.budget)
+		if perItem > tc.budget {
+			t.Errorf("VerifyBatch(%d) allocates %.2f/item, budget %v", tc.n, perItem, tc.budget)
 		}
-	})
-	perItem := avg / float64(len(items))
-	t.Logf("VerifyBatch(16): %.1f allocs/run, %.2f allocs/item (budget %d)", avg, perItem, verifyBatchAllocBudget)
-	if perItem > verifyBatchAllocBudget {
-		t.Fatalf("VerifyBatch allocates %.2f/item, budget %d", perItem, verifyBatchAllocBudget)
 	}
 }
 

@@ -155,19 +155,11 @@ func (p *PublicKey) Verify(msg []byte, sig Signature) bool {
 
 // VerifyDigest checks sig over a precomputed digest.
 func (p *PublicKey) VerifyDigest(digest []byte, sig Signature) bool {
-	c := p.Curve
-	var u1, u2 big.Int
-	if !verifyScalars(c, digest, sig, &u1, &u2) || p.Q.IsInfinity() || !c.IsOnCurve(p.Q) {
+	var w big.Int
+	if !p.accepts(sig) || w.ModInverse(sig.S, p.Curve.N) == nil {
 		return false
 	}
-	// R' = u1·G + u2·Q, through the precomputed table when attached.
-	var rp ec.Point
-	if p.table != nil {
-		rp = p.table.CombinedMult(&u1, &u2)
-	} else {
-		rp = c.CombinedMult(p.Q, &u1, &u2)
-	}
-	return matchesR(c, rp, sig.R)
+	return p.verifyInverse(digest, sig, &w)
 }
 
 // VerifyImplicit checks sig over digest under the implicit-certificate
@@ -180,36 +172,56 @@ func (p *PublicKey) VerifyDigest(digest []byte, sig Signature) bool {
 // chain's u2·Q_U is infinity exactly when Q_U is. pU and qCA must be
 // finite points on c; e is reduced modulo the group order.
 func VerifyImplicit(c *ec.Curve, pU ec.Point, e *big.Int, qCA ec.Point, digest []byte, sig Signature) bool {
-	var u1, u2, u2e big.Int
-	if !verifyScalars(c, digest, sig, &u1, &u2) ||
+	var w, u1, u2, u2e big.Int
+	if !inRange(c, sig) || w.ModInverse(sig.S, c.N) == nil ||
 		pU.IsInfinity() || !c.IsOnCurve(pU) || qCA.IsInfinity() || !c.IsOnCurve(qCA) {
 		return false
 	}
+	verifyScalars(c, digest, sig, &w, &u1, &u2)
 	u2e.Mul(&u2, e) // CombinedMult2 reduces it mod n
 	rp, identity := c.CombinedMult2(pU, qCA, &u1, &u2e, &u2)
 	return !identity && matchesR(c, rp, sig.R)
 }
 
-// verifyScalars is the preamble of every verification: it rejects r
-// or s outside [1, n−1] and sets u1 = e·w and u2 = r·w mod n, with
-// w = s⁻¹ and e the digest as a scalar. The outputs are the caller's,
-// so that they stay on its stack.
-func verifyScalars(c *ec.Curve, digest []byte, sig Signature, u1, u2 *big.Int) bool {
-	if sig.R == nil || sig.S == nil {
-		return false
+// accepts is the validation VerifyDigest and VerifyBatch share: the key
+// has a curve and a finite point on it, and r and s are in range.
+func (p *PublicKey) accepts(sig Signature) bool {
+	return p != nil && p.Curve != nil && inRange(p.Curve, sig) &&
+		!p.Q.IsInfinity() && p.Curve.IsOnCurve(p.Q)
+}
+
+// inRange is the first check of every verification: r and s are set
+// and lie in [1, n−1].
+func inRange(c *ec.Curve, sig Signature) bool {
+	return sig.R != nil && sig.S != nil &&
+		sig.R.Sign() > 0 && sig.R.Cmp(c.N) < 0 &&
+		sig.S.Sign() > 0 && sig.S.Cmp(c.N) < 0
+}
+
+// verifyInverse is the tail of VerifyDigest and of every VerifyBatch
+// item, for a key and signature that accepts passed and w = s⁻¹ mod n:
+// R' = u1·G + u2·Q, through the precomputed table when attached, then
+// matchesR.
+func (p *PublicKey) verifyInverse(digest []byte, sig Signature, w *big.Int) bool {
+	c := p.Curve
+	var u1, u2 big.Int
+	verifyScalars(c, digest, sig, w, &u1, &u2)
+	var rp ec.Point
+	if p.table != nil {
+		rp = p.table.CombinedMult(&u1, &u2)
+	} else {
+		rp = c.CombinedMult(p.Q, &u1, &u2)
 	}
-	if sig.R.Sign() <= 0 || sig.R.Cmp(c.N) >= 0 ||
-		sig.S.Sign() <= 0 || sig.S.Cmp(c.N) >= 0 {
-		return false
-	}
+	return matchesR(c, rp, sig.R)
+}
+
+// verifyScalars sets u1 = e·w and u2 = r·w mod n, with w = s⁻¹ and e
+// the digest as a scalar. The outputs are the caller's, so that they
+// stay on its stack.
+func verifyScalars(c *ec.Curve, digest []byte, sig Signature, w, u1, u2 *big.Int) {
 	e := c.HashToInt(digest)
-	w := new(big.Int).ModInverse(sig.S, c.N)
-	if w == nil {
-		return false
-	}
 	u1.Mul(e, w).Mod(u1, c.N)
 	u2.Mul(sig.R, w).Mod(u2, c.N)
-	return true
 }
 
 // matchesR is the final check of every verification: R' is finite

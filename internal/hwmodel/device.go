@@ -3,7 +3,7 @@
 // experiments (Table I, Figures 3 and 4) without AVR or Cortex-M
 // silicon.
 //
-// # Substitution rationale (see DESIGN.md)
+// # Substitution rationale
 //
 // The paper measures wall-clock protocol times on an ATmega2560, an
 // S32K144, an STM32F767 and a Raspberry Pi 4. Across these devices the
@@ -22,8 +22,9 @@
 //     schedules of equations (5)–(8) — against those device costs.
 //
 // Everything except the four calibrated constants is then a
-// *prediction*, and EXPERIMENTS.md compares those predictions against
-// the paper's measured rows.
+// *prediction*: cmd/kdbench prints each modelled Table I cell beside
+// the paper's measured one, and TestTable1AgainstPaperShape bounds
+// every cell within a factor of two of it.
 package hwmodel
 
 import "fmt"
@@ -65,7 +66,7 @@ var paperSECDSA = map[string]float64{
 }
 
 // PaperTable1 holds every measured cell of the paper's Table I
-// (milliseconds) for the experiment comparisons in EXPERIMENTS.md.
+// (milliseconds), which cmd/kdbench prints beside the modelled cells.
 var PaperTable1 = map[string]map[string]float64{
 	"S-ECDSA":        {"ATmega2560": 36859.26, "S32K144": 2894.1, "STM32F767": 2521.77, "RaspberryPi4": 18.76},
 	"S-ECDSA (ext.)": {"ATmega2560": 36882.64, "S32K144": 2976.2, "STM32F767": 2602.69, "RaspberryPi4": 18.68},
