@@ -88,7 +88,11 @@ bench-compare:
 # key derivation multiplies them. The Deliver gate guards the CAN
 # fabric's one-allocation broadcast and non-reallocating receive
 # queues: a return to a payload copy per receiver multiplies its
-# allocations several times over.
+# allocations several times over. The warm-handshake gate is the one
+# above ecdsa: a whole in-memory STS rekey between two parties that
+# have met twice, which must also be all KeyCache hits, so it fails
+# when a rekey extracts, builds a table or verifies from the
+# certificate again.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestFieldKernelsAllocFree' -v ./internal/ec/fp/
@@ -98,6 +102,7 @@ bench-alloc:
 	$(GO) test -run='TestVerifyImplicitAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestSealOpenAllocBudget' -v ./internal/session/
 	$(GO) test -run='TestDeliverAllocBudget' -v ./internal/transport/
+	$(GO) test -run='TestWarmHandshakeAllocBudget' -v ./internal/core/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs Mul(x, x), Montgomery-

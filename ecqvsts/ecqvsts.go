@@ -287,12 +287,21 @@ func (s *Session) Open(sealed, aad []byte) ([]byte, error) {
 // Overhead returns the ciphertext expansion of Seal in bytes.
 func (s *Session) Overhead() int { return aead.Overhead }
 
+// Policy bounds the lifetime of a channel key (records protected,
+// wall-clock age) and sets the channels' replay window; see Channels.
+// The zero value imposes no limit and demands in-order delivery.
+type Policy = session.Policy
+
+// ErrRekeyRequired is returned by a channel's Seal and Open once its
+// Policy has tripped; establish a fresh session to continue.
+var ErrRekeyRequired = session.ErrRekeyRequired
+
 // Channels opens the bidirectional record layer over this session: a
 // channel pair with per-direction sequence numbers, replay rejection
 // and a key-lifetime policy. When the policy trips, both channels
-// return session.ErrRekeyRequired and the caller re-runs Establish —
-// the dynamic-rekey loop the paper advocates.
-func (s *Session) Channels(policy session.Policy) (initiator, responder *session.Channel, err error) {
+// return ErrRekeyRequired and the caller re-runs Establish — the
+// dynamic-rekey loop the paper advocates.
+func (s *Session) Channels(policy Policy) (initiator, responder *session.Channel, err error) {
 	return session.NewPair(s.keyBlock, policy)
 }
 

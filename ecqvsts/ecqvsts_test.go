@@ -148,7 +148,7 @@ func TestChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init, resp, err := s.Channels(session.Policy{MaxRecords: 2})
+	init, resp, err := s.Channels(Policy{MaxRecords: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestChannels(t *testing.T) {
 	if _, err := init.Seal([]byte("record 1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := init.Seal([]byte("record 2")); !errors.Is(err, session.ErrRekeyRequired) {
+	if _, err := init.Seal([]byte("record 2")); !errors.Is(err, ErrRekeyRequired) {
 		t.Errorf("policy not enforced: %v", err)
 	}
 	// Rekey: a fresh Establish yields working channels again.

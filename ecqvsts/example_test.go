@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/ecqvsts"
-	"repro/internal/session"
 )
 
 // exampleRand makes the examples deterministic.
@@ -51,7 +50,7 @@ func ExampleSession_Channels() {
 	b, _ := authority.Enroll("ecu-b")
 	s, _ := ecqvsts.Establish(ecqvsts.STSOptII, a, b)
 
-	sender, receiver, _ := s.Channels(session.Policy{MaxRecords: 100})
+	sender, receiver, _ := s.Channels(ecqvsts.Policy{MaxRecords: 100})
 	rec, _ := sender.Seal([]byte("telemetry frame"))
 	pt, _ := receiver.Open(rec)
 	fmt.Printf("%s\n", pt)

@@ -10,8 +10,8 @@ import (
 )
 
 // Hotpath is the static counterpart of the EC allocation budgets
-// (the 24-alloc ScalarMult CI gate, and the VerifyBatch ones: 54
-// allocations for a batch of one, 32 per item of a batch of 16). In
+// (the 24-alloc ScalarMult CI gate and the zero-alloc field kernels;
+// the ecdsa verification gates above them count on both). In
 // internal/ec and internal/ec/fp it enforces two rules:
 //
 //  1. math/big stays inside the approved boundary-conversion files —
@@ -24,8 +24,8 @@ import (
 //     //detlint:allow hotpath annotations stating their O(1) cost.
 //
 //  2. Functions on the hot call graph — everything that can run under
-//     ScalarMult, ScalarBaseMult, CombinedMult(2), VerifyBatch or the
-//     fp field ops — must not call fmt or box concrete values into
+//     ScalarMult, ScalarBaseMult, CombinedMult(2) or the fp field ops
+//     (hotpathRoots) — must not call fmt or box concrete values into
 //     interfaces: both allocate, and the budgets exist precisely to
 //     keep the per-op allocation count fixed and small.
 //
@@ -35,7 +35,8 @@ import (
 var Hotpath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "flags math/big outside the approved boundary files and fmt/interface-boxing " +
-		"on the ScalarMult/VerifyBatch call graph in internal/ec and internal/ec/fp; " +
+		"on the call graph of ScalarMult, ScalarBaseMult, CombinedMult(2) and the fp field ops " +
+		"in internal/ec and internal/ec/fp; " +
 		"the static counterpart of the allocation-budget CI gates",
 	Run: runHotpath,
 }
@@ -69,13 +70,14 @@ var approvedBigFiles = map[string]bool{
 // both packages: the scalar-multiplication API in ec, and the field
 // operations in fp — among them the square root that point
 // decompression runs on every handshake, its fixed-window
-// exponentiation (pow), and the safegcd Inv.
+// exponentiation (pow), and the safegcd Inv. A root resolves by name
+// to a function or method with a body in one of hotpathPkgs, so every
+// name must be declared there (TestHotpathRootsDeclared).
 var hotpathRoots = map[string]bool{
 	"ScalarMult":     true,
 	"ScalarBaseMult": true,
 	"CombinedMult":   true,
 	"CombinedMult2":  true,
-	"VerifyBatch":    true,
 	"Mul":            true,
 	"Sqr":            true,
 	"Add":            true,

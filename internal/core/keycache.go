@@ -18,25 +18,28 @@ import (
 // extraction and the table build once per peer instead of once per
 // handshake.
 //
-// What is cached when, for an STS handshake's peer certificate:
+// It holds one entry per peer certificate, keyed by the certificate's
+// fingerprint together with the CA key, so a re-issued certificate or
+// a different trust anchor never aliases a stale entry. What an STS
+// handshake's peer certificate leaves there:
 //
-//   - First sight: nothing but the fingerprint, in a bounded set. The
-//     engine verifies straight from the certificate
+//   - First sight: a nil entry, which costs a map slot and nothing
+//     else. The engine verifies straight from the certificate
 //     (ecdsa.VerifyImplicit), with no extraction, no table and no
 //     SharedTableCache or wave-batcher traffic, because in STS Q_U
 //     serves exactly one verification. It counts as one miss.
-//   - Second sight: the certificate leaves the set, Q_U is extracted
-//     and cached, and Verifier builds (or adopts from the shared
-//     level) and caches its table, each counting one miss.
-//   - Later sights hit both maps.
+//   - Second sight: Q_U is extracted into the entry, and the
+//     verification that follows attaches Q_U's comb, adopted from the
+//     shared level or built and published there; each counts one
+//     miss.
+//   - Later sights hit the entry and its comb.
 //
-// ExtractPublicKey, used by S-ECDSA, SCIANC and PORAMB because they
-// need Q_U itself, always extracts and caches on a miss.
+// S-ECDSA and PORAMB need Q_U itself, so their first sight already
+// extracts (and S-ECDSA's verification attaches the comb).
 //
 // The cache holds derived public data only (no secrets) and is safe
-// for concurrent use. Entries are keyed by the certificate's
-// fingerprint together with the CA key, so a re-issued certificate or
-// a different trust anchor never aliases a stale entry.
+// for concurrent use: concurrent fillers converge on one entry, and
+// one table build per entry.
 //
 // Note the hardware timing model is unaffected: the suite records the
 // same primitive counts whether or not the host-side cache hits, and
@@ -44,20 +47,15 @@ import (
 // because the modelled embedded device of the paper performs the full
 // computation.
 type KeyCache struct {
-	mu        sync.RWMutex
-	extracted map[[32]byte]ec.Point
-	verifiers map[[32]byte]*ecdsa.PublicKey
+	mu sync.Mutex
+	// peers maps a certificate fingerprint to its entry, nil after a
+	// first sight.
+	peers map[[32]byte]*peerEntry
 
-	// seen holds the fingerprints of certificates met once by an STS
-	// handshake and verified straight from the certificate; none of
-	// them is in extracted. It is nil while empty, so that a party
-	// whose peers have all been promoted keeps no buckets for it.
-	seen map[[32]byte]struct{}
-
-	// shared is the second cache level for verifier tables: a local
-	// miss consults it before building, so fleet-static keys (CA,
-	// gateway, wave initiator) are built once per process instead of
-	// once per party. Never nil.
+	// shared is the second cache level for verifier tables: an entry
+	// without a comb consults it before building, so fleet-static keys
+	// (CA, gateway, wave initiator) are built once per process instead
+	// of once per party. Never nil.
 	shared *SharedTableCache
 
 	// wave batches this party's concurrently in-flight verifications
@@ -69,10 +67,30 @@ type KeyCache struct {
 	sharedHits atomic.Uint64
 }
 
-// keyCacheMaxEntries bounds each map and the first-sight set; beyond
-// it the map is reset (simplest possible eviction). A gateway talking
-// to a whole fleet stays far below the bound; only certificate-churn
-// storms hit it.
+// peerEntry is what a KeyCache holds for one certificate past its
+// first sight. It is immutable once published, except that once
+// attaches pub.
+type peerEntry struct {
+	q    ec.Point // Q_U, extracted
+	once sync.Once
+	pub  *ecdsa.PublicKey // Q_U with its comb; shared, never mutated
+}
+
+// peerKey is a peer's public key as KeyCache.lookup resolved it: the
+// cache entry holding Q_U, or, on an STS first sight, no entry and the
+// certificate Q_U stays implicit in (Q_U = H(Cert)·P_U + Q_CA, never
+// computed), for suite.verify to check a signature straight from it.
+type peerKey struct {
+	*peerEntry          // nil on a first sight
+	fp         [32]byte // certFingerprint(cert, caPub)
+	cert       *ecqv.Certificate
+	caPub      ec.Point
+}
+
+// keyCacheMaxEntries bounds the map; a certificate new to a full map
+// resets it (simplest possible eviction), first sights and extracted
+// entries together. A gateway talking to a whole fleet stays far below
+// the bound; only certificate-churn storms hit it.
 const keyCacheMaxEntries = 4096
 
 // NewKeyCache returns an empty cache backed by the process-global
@@ -86,11 +104,7 @@ func NewKeyCacheWithShared(stc *SharedTableCache) *KeyCache {
 	if stc == nil {
 		stc = NewSharedTableCache()
 	}
-	return &KeyCache{
-		extracted: make(map[[32]byte]ec.Point),
-		verifiers: make(map[[32]byte]*ecdsa.PublicKey),
-		shared:    stc,
-	}
+	return &KeyCache{peers: make(map[[32]byte]*peerEntry), shared: stc}
 }
 
 // CacheStats is a point-in-time view of cache effectiveness.
@@ -121,11 +135,6 @@ func (kc *KeyCache) Stats() CacheStats {
 	}
 }
 
-// verifyWave routes one verification through the group-commit batcher.
-func (kc *KeyCache) verifyWave(pub *ecdsa.PublicKey, digest []byte, sig ecdsa.Signature) bool {
-	return kc.wave.verify(pub, digest, sig)
-}
-
 // certFingerprint binds a cache key to the exact certificate bytes and
 // the CA public key used for extraction.
 func certFingerprint(cert *ecqv.Certificate, caPub ec.Point) [32]byte {
@@ -137,115 +146,79 @@ func certFingerprint(cert *ecqv.Certificate, caPub ec.Point) [32]byte {
 	return out
 }
 
-// pointFingerprint keys a verifier table by curve and point.
-func pointFingerprint(c *ec.Curve, q ec.Point) [32]byte {
-	h := sha256.New()
-	h.Write([]byte(c.Name))
-	h.Write(c.EncodeCompressed(q))
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// ExtractPublicKey performs (or recalls) the paper's equation (1):
-// Q_U = H(Cert_U)·P_U + Q_CA.
-func (kc *KeyCache) ExtractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec.Point, error) {
-	fp := certFingerprint(cert, caPub)
-	kc.mu.RLock()
-	q, ok := kc.extracted[fp]
-	kc.mu.RUnlock()
-	if ok {
-		kc.hits.Add(1)
-		return q.Clone(), nil
-	}
-	return kc.extract(fp, cert, caPub)
-}
-
-// sight resolves an STS peer certificate. An extracted certificate
-// is a hit and returns Q_U. A first sight records the fingerprint,
-// counts one miss and reports first with no extraction: the caller
-// verifies straight from the certificate. A second sight extracts and
-// caches like ExtractPublicKey, so every later handshake hits.
-func (kc *KeyCache) sight(cert *ecqv.Certificate, caPub ec.Point) (q ec.Point, first bool, err error) {
-	fp := certFingerprint(cert, caPub)
+// lookup resolves a peer certificate to its entry, performing (or
+// recalling) the paper's equation (1), Q_U = H(Cert_U)·P_U + Q_CA. An
+// entry is a hit. Otherwise Q_U is extracted into a new entry, one
+// miss — except on the first sight of a certificate whose Q_U serves
+// one verification only (implicit, the STS case): that stores a nil
+// entry, counts one miss and returns a key with no entry, for the
+// caller to verify straight from the certificate.
+func (kc *KeyCache) lookup(cert *ecqv.Certificate, caPub ec.Point, implicit bool) (peerKey, error) {
+	key := peerKey{fp: certFingerprint(cert, caPub), cert: cert, caPub: caPub}
 	kc.mu.Lock()
-	q, ok := kc.extracted[fp]
-	_, again := kc.seen[fp]
-	if !ok && !again {
-		if kc.seen == nil || len(kc.seen) >= keyCacheMaxEntries {
-			kc.seen = make(map[[32]byte]struct{})
-		}
-		kc.seen[fp] = struct{}{}
+	e, seen := kc.peers[key.fp]
+	first := implicit && !seen
+	if first {
+		kc.put(key.fp, nil)
 	}
 	kc.mu.Unlock()
-	switch {
-	case ok:
+	if e != nil {
 		kc.hits.Add(1)
-		return q.Clone(), false, nil
-	case !again:
-		kc.misses.Add(1)
-		return ec.Point{}, true, nil
+		key.peerEntry = e
+		return key, nil
 	}
-	q, err = kc.extract(fp, cert, caPub)
-	return q, false, err
-}
-
-// extract runs equation (1) on a miss and caches Q_U, taking the
-// certificate out of the first-sight set.
-func (kc *KeyCache) extract(fp [32]byte, cert *ecqv.Certificate, caPub ec.Point) (ec.Point, error) {
 	kc.misses.Add(1)
+	if first {
+		return key, nil
+	}
 	q, err := ecqv.ExtractPublicKey(cert, caPub)
 	if err != nil {
-		return ec.Point{}, err
+		return peerKey{}, err
 	}
 	kc.mu.Lock()
-	if len(kc.extracted) >= keyCacheMaxEntries {
-		kc.extracted = make(map[[32]byte]ec.Point)
-	}
-	kc.extracted[fp] = q.Clone()
-	delete(kc.seen, fp)
-	if len(kc.seen) == 0 {
-		kc.seen = nil
+	// Keep the first stored entry so concurrent fillers converge on it.
+	if key.peerEntry = kc.peers[key.fp]; key.peerEntry == nil {
+		key.peerEntry = &peerEntry{q: q}
+		kc.put(key.fp, key.peerEntry)
 	}
 	kc.mu.Unlock()
-	return q, nil
+	return key, nil
 }
 
-// Verifier returns an ECDSA verification key for q with its
-// ec.MultTable precomputed, building and caching it on first use. The
-// returned key is shared and must be treated as immutable.
-func (kc *KeyCache) Verifier(c *ec.Curve, q ec.Point) *ecdsa.PublicKey {
-	fp := pointFingerprint(c, q)
-	kc.mu.RLock()
-	pub, ok := kc.verifiers[fp]
-	kc.mu.RUnlock()
-	if ok {
+// put stores e under fp, resetting the map first if it is full and fp
+// is new to it. The caller holds kc.mu.
+func (kc *KeyCache) put(fp [32]byte, e *peerEntry) {
+	if _, ok := kc.peers[fp]; !ok && len(kc.peers) >= keyCacheMaxEntries {
+		kc.peers = make(map[[32]byte]*peerEntry)
+	}
+	kc.peers[fp] = e
+}
+
+// verifier returns the ECDSA verification key of an extracted peer
+// key with its ec.MultTable precomputed. The first call on an entry
+// attaches the table, adopted from the shared level or built and
+// published there, and counts one miss; every other call, including
+// one that waited for a concurrent first call, is a hit. The returned
+// key is shared and must be treated as immutable.
+func (kc *KeyCache) verifier(c *ec.Curve, key peerKey) *ecdsa.PublicKey {
+	e := key.peerEntry
+	filled := false
+	e.once.Do(func() {
+		filled = true
+		kc.misses.Add(1)
+		// Second level: another party may have built this table already
+		// (the CA and wave-initiator keys are identical fleet-wide).
+		if shared, ok := kc.shared.Lookup(key.fp); ok {
+			kc.sharedHits.Add(1)
+			e.pub = shared
+			return
+		}
+		// Publish for the rest of the fleet; adopt the winner if another
+		// builder got there first.
+		e.pub = kc.shared.Publish(key.fp, (&ecdsa.PublicKey{Curve: c, Q: e.q}).Precompute())
+	})
+	if !filled {
 		kc.hits.Add(1)
-		return pub
 	}
-	kc.misses.Add(1)
-	// Second level: another party may have built this table already
-	// (the CA and wave-initiator keys are identical fleet-wide).
-	if shared, ok := kc.shared.Lookup(fp); ok {
-		kc.sharedHits.Add(1)
-		pub = shared
-	} else {
-		pub = (&ecdsa.PublicKey{Curve: c, Q: q.Clone()}).Precompute()
-		// Publish for the rest of the fleet; adopt the winner if
-		// another builder got there first.
-		pub = kc.shared.Publish(fp, pub)
-	}
-	kc.mu.Lock()
-	if len(kc.verifiers) >= keyCacheMaxEntries {
-		kc.verifiers = make(map[[32]byte]*ecdsa.PublicKey)
-	}
-	// Keep the first stored instance so concurrent fillers converge on
-	// one shared table.
-	if prev, ok := kc.verifiers[fp]; ok {
-		pub = prev
-	} else {
-		kc.verifiers[fp] = pub
-	}
-	kc.mu.Unlock()
-	return pub
+	return e.pub
 }

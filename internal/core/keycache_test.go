@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/ec"
+	"repro/internal/ecdsa"
 	"repro/internal/ecqv"
 )
 
@@ -36,11 +37,11 @@ func TestKeyCacheExtract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := kc.ExtractPublicKey(b.Cert, a.CAPub)
+		got, err := kc.lookup(b.Cert, a.CAPub, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want) {
+		if !got.q.Equal(want) {
 			t.Fatalf("cached extraction diverged on call %d", i)
 		}
 	}
@@ -50,7 +51,7 @@ func TestKeyCacheExtract(t *testing.T) {
 
 	// A different trust anchor must not alias the cached entry.
 	otherCA := a.Curve.ScalarBaseMult(randInt(t))
-	if _, err := kc.ExtractPublicKey(b.Cert, otherCA); err != nil {
+	if _, err := kc.lookup(b.Cert, otherCA, false); err != nil {
 		t.Fatal(err)
 	}
 	if st := kc.Stats(); st.Misses != 2 {
@@ -70,16 +71,16 @@ func randInt(t *testing.T) *big.Int {
 func TestKeyCacheVerifierShared(t *testing.T) {
 	_, a, b := newTestPair(t, 401)
 	kc := NewKeyCache()
-	q, err := ecqv.ExtractPublicKey(b.Cert, a.CAPub)
+	key, err := kc.lookup(b.Cert, a.CAPub, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := kc.Verifier(a.Curve, q)
-	p2 := kc.Verifier(a.Curve, q)
-	if p1 != p2 {
+	p1 := kc.verifier(a.Curve, key)
+	p2 := kc.verifier(a.Curve, key)
+	if p1 != p2 || key.pub != p1 {
 		t.Fatal("verifier not shared across lookups")
 	}
-	if !p1.Q.Equal(q) {
+	if !p1.Q.Equal(key.q) {
 		t.Fatal("verifier wraps the wrong point")
 	}
 }
@@ -93,11 +94,12 @@ func TestKeyCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := kc.ExtractPublicKey(b.Cert, a.CAPub); err != nil {
+				key, err := kc.lookup(b.Cert, a.CAPub, false)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				kc.Verifier(a.Curve, a.CAPub)
+				kc.verifier(a.Curve, key)
 			}
 		}()
 	}
@@ -154,11 +156,11 @@ func TestCacheDoesNotPerturbTrace(t *testing.T) {
 	}
 }
 
-// TestKeyCacheFirstSight pins the first-sight set behind an STS
-// handshake's peer key: the first sight of a certificate extracts
-// nothing and counts one miss; the second extracts, caches and takes
-// the certificate out of the set; later sights hit. A re-issued
-// certificate for the same subject starts cold.
+// TestKeyCacheFirstSight pins the life of an STS handshake's peer
+// certificate in the cache: the first sight stores a nil entry,
+// extracts nothing and counts one miss; the second extracts Q_U into
+// the entry; later sights hit it. A re-issued certificate for the same
+// subject starts cold.
 func TestKeyCacheFirstSight(t *testing.T) {
 	net, a, b := newTestPair(t, 405)
 	kc := NewKeyCache()
@@ -167,26 +169,26 @@ func TestKeyCacheFirstSight(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := certFingerprint(b.Cert, a.CAPub)
-	inSet := func() bool {
-		kc.mu.RLock()
-		defer kc.mu.RUnlock()
-		_, ok := kc.seen[fp]
-		return ok
+	entry := func() (e *peerEntry, ok bool) {
+		kc.mu.Lock()
+		defer kc.mu.Unlock()
+		e, ok = kc.peers[fp]
+		return e, ok
 	}
 
-	if _, first, err := kc.sight(b.Cert, a.CAPub); err != nil || !first {
-		t.Fatalf("first sight: first = %v, err = %v", first, err)
+	if key, err := kc.lookup(b.Cert, a.CAPub, true); err != nil || key.peerEntry != nil {
+		t.Fatalf("first sight: entry %v, err = %v; want none", key.peerEntry, err)
 	}
-	if !inSet() || len(kc.extracted) != 0 {
-		t.Fatalf("first sight: in set %v, %d extracted, want true and 0", inSet(), len(kc.extracted))
+	if e, ok := entry(); !ok || e != nil || len(kc.peers) != 1 {
+		t.Fatalf("first sight: map holds %v (present %v) among %d, want one nil entry", e, ok, len(kc.peers))
 	}
 	for i, wantStats := range []CacheStats{{Misses: 2}, {Hits: 1, Misses: 2}} {
-		q, first, err := kc.sight(b.Cert, a.CAPub)
-		if err != nil || first || !q.Equal(want) {
-			t.Fatalf("sight %d: q = %v, first = %v, err = %v; want the extracted key", i+2, q, first, err)
+		key, err := kc.lookup(b.Cert, a.CAPub, true)
+		if err != nil || key.peerEntry == nil || !key.q.Equal(want) {
+			t.Fatalf("sight %d: entry %v, err = %v; want the extracted key", i+2, key.peerEntry, err)
 		}
-		if inSet() {
-			t.Fatalf("sight %d: the promoted certificate is still in the first-sight set", i+2)
+		if e, _ := entry(); e != key.peerEntry {
+			t.Fatalf("sight %d: the map holds %v, not the returned entry", i+2, e)
 		}
 		if st := kc.Stats(); st != wantStats {
 			t.Fatalf("sight %d: stats %+v, want %+v", i+2, st, wantStats)
@@ -200,14 +202,24 @@ func TestKeyCacheFirstSight(t *testing.T) {
 	if reissued.Cert.Equal(b.Cert) {
 		t.Fatal("re-provisioning did not issue a new certificate")
 	}
-	if _, first, err := kc.sight(reissued.Cert, a.CAPub); err != nil || !first {
-		t.Fatalf("re-issued certificate: first = %v, err = %v; want a first sight", first, err)
+	if key, err := kc.lookup(reissued.Cert, a.CAPub, true); err != nil || key.peerEntry != nil {
+		t.Fatalf("re-issued certificate: entry %v, err = %v; want a first sight", key.peerEntry, err)
 	}
 }
 
-// TestKeyCacheFirstSightBound: the first-sight set resets wholesale
-// once it holds keyCacheMaxEntries fingerprints, like the cache's
-// maps, so a certificate seen before the reset is a first sight again.
+// fillPeers pads kc's map with synthetic first sights up to
+// keyCacheMaxEntries.
+func fillPeers(kc *KeyCache) {
+	kc.mu.Lock()
+	defer kc.mu.Unlock()
+	for i := 0; len(kc.peers) < keyCacheMaxEntries; i++ {
+		kc.peers[sha256.Sum256([]byte(fmt.Sprintf("synthetic-%d", i)))] = nil
+	}
+}
+
+// TestKeyCacheFirstSightBound: the map resets wholesale once it holds
+// keyCacheMaxEntries fingerprints and a new one arrives, so a
+// certificate seen before the reset is a first sight again.
 func TestKeyCacheFirstSightBound(t *testing.T) {
 	net, a, b := newTestPair(t, 406)
 	c, err := net.Provision("carol")
@@ -215,22 +227,68 @@ func TestKeyCacheFirstSightBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	kc := NewKeyCache()
-	if _, first, _ := kc.sight(b.Cert, a.CAPub); !first {
+	if key, _ := kc.lookup(b.Cert, a.CAPub, true); key.peerEntry != nil {
 		t.Fatal("first sight of bob not reported")
 	}
-	kc.mu.Lock()
-	for i := 0; len(kc.seen) < keyCacheMaxEntries; i++ {
-		kc.seen[sha256.Sum256([]byte(fmt.Sprintf("synthetic-%d", i)))] = struct{}{}
-	}
-	kc.mu.Unlock()
-	if _, first, _ := kc.sight(c.Cert, a.CAPub); !first {
+	fillPeers(kc)
+	if key, _ := kc.lookup(c.Cert, a.CAPub, true); key.peerEntry != nil {
 		t.Fatal("first sight of carol not reported")
 	}
-	if n := len(kc.seen); n != 1 {
-		t.Fatalf("first-sight set holds %d fingerprints after the reset, want 1", n)
+	if n := len(kc.peers); n != 1 {
+		t.Fatalf("map holds %d fingerprints after the reset, want 1", n)
 	}
-	if _, first, _ := kc.sight(b.Cert, a.CAPub); !first {
+	if key, _ := kc.lookup(b.Cert, a.CAPub, true); key.peerEntry != nil {
 		t.Fatal("bob, seen only before the reset, was not a first sight again")
+	}
+}
+
+// TestKeyCacheBoundResetsEveryEntry: one bound covers first sights and
+// extracted entries alike. Promoting a first sight in a full map
+// reuses its slot and resets nothing; a certificate new to the full
+// map resets it, so a certificate extracted before the reset misses
+// again: it is extracted anew, or, met by an STS handshake, it is a
+// first sight again.
+func TestKeyCacheBoundResetsEveryEntry(t *testing.T) {
+	net, a, b := newTestPair(t, 409)
+	c, err := net.Provision("carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := net.Provision("dave")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc := NewKeyCache()
+	before, err := kc.lookup(b.Cert, a.CAPub, false) // extracted
+	if err != nil || before.peerEntry == nil {
+		t.Fatalf("bob not extracted: %v", err)
+	}
+	if key, _ := kc.lookup(c.Cert, a.CAPub, true); key.peerEntry != nil {
+		t.Fatal("first sight of carol not reported")
+	}
+	fillPeers(kc)
+	if key, _ := kc.lookup(c.Cert, a.CAPub, true); key.peerEntry == nil {
+		t.Fatal("second sight of carol not extracted")
+	}
+	if n := len(kc.peers); n != keyCacheMaxEntries {
+		t.Fatalf("promoting a first sight changed the map size to %d, want %d", n, keyCacheMaxEntries)
+	}
+	if key, _ := kc.lookup(d.Cert, a.CAPub, true); key.peerEntry != nil {
+		t.Fatal("first sight of dave not reported")
+	}
+	if n := len(kc.peers); n != 1 {
+		t.Fatalf("map holds %d entries after the reset, want 1", n)
+	}
+	st := kc.Stats()
+	after, err := kc.lookup(b.Cert, a.CAPub, false)
+	if err != nil || after.peerEntry == nil || after.peerEntry == before.peerEntry {
+		t.Fatalf("bob, extracted before the reset, was served its old entry (err %v)", err)
+	}
+	if got := kc.Stats(); got.Misses != st.Misses+1 || got.Hits != st.Hits {
+		t.Fatalf("re-extraction after the reset: stats %+v, want one more miss than %+v", got, st)
+	}
+	if key, _ := kc.lookup(c.Cert, a.CAPub, true); key.peerEntry != nil {
+		t.Fatal("carol, extracted only before the reset, was not a first sight again")
 	}
 }
 
@@ -252,14 +310,14 @@ func TestKeyCacheConcurrentFirstSight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q, first, err := kc.sight(b.Cert, a.CAPub)
+			key, err := kc.lookup(b.Cert, a.CAPub, true)
 			switch {
 			case err != nil:
 				t.Error(err)
-			case first:
+			case key.peerEntry == nil:
 				firsts.Add(1)
-			case !q.Equal(want):
-				t.Errorf("sight returned %v, want the extracted key %v", q, want)
+			case !key.q.Equal(want):
+				t.Errorf("sight returned %v, want the extracted key %v", key.q, want)
 			}
 		}()
 	}
@@ -269,6 +327,56 @@ func TestKeyCacheConcurrentFirstSight(t *testing.T) {
 	}
 	if st := kc.Stats(); st.Hits+st.Misses != n {
 		t.Fatalf("stats %+v do not add up to %d sights", st, n)
+	}
+}
+
+// TestKeyCacheConcurrentSecondSight: goroutines making the second
+// sight of one certificate at once, each verifying under the key it
+// gets, converge on one entry, and on one comb built once between
+// them: the shared level sees a single lookup, which misses and is
+// published (run under -race by make race).
+func TestKeyCacheConcurrentSecondSight(t *testing.T) {
+	_, a, b := newTestPair(t, 410)
+	stc := NewSharedTableCache()
+	kc := NewKeyCacheWithShared(stc)
+	if key, err := kc.lookup(b.Cert, a.CAPub, true); err != nil || key.peerEntry != nil {
+		t.Fatalf("first sight: entry %v, err = %v; want none", key.peerEntry, err)
+	}
+	const n = 8
+	entries := make([]*peerEntry, n)
+	pubs := make([]*ecdsa.PublicKey, n)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			key, err := kc.lookup(b.Cert, a.CAPub, true)
+			if err != nil || key.peerEntry == nil {
+				t.Errorf("second sight: entry %v, err = %v; want the extracted key", key.peerEntry, err)
+				return
+			}
+			entries[w], pubs[w] = key.peerEntry, kc.verifier(a.Curve, key)
+		}(w)
+	}
+	wg.Wait()
+	kc.mu.Lock()
+	entry, size := kc.peers[certFingerprint(b.Cert, a.CAPub)], len(kc.peers)
+	kc.mu.Unlock()
+	if size != 1 || entry == nil || entry.pub == nil {
+		t.Fatalf("map holds %d entries, the certificate's is %v; want one with a comb", size, entry)
+	}
+	for w := range entries {
+		if entries[w] != entry || pubs[w] != entry.pub {
+			t.Fatalf("goroutine %d got entry %p and table %p, want %p and %p", w, entries[w], pubs[w], entry, entry.pub)
+		}
+	}
+	if st := stc.Stats(); st != (SharedTableStats{Misses: 1, Entries: 1}) {
+		t.Fatalf("shared level %+v, want one lookup that missed and one table", st)
+	}
+	// One first sight, n lookups and n verifications; the first sight,
+	// at least one extraction and the one table build miss.
+	if st := kc.Stats(); st.Hits+st.Misses != 2*n+1 || st.Misses < 3 || st.SharedHits != 0 {
+		t.Fatalf("stats %+v: want %d lookups, at least 3 of them misses, no shared hit", st, 2*n+1)
 	}
 }
 
@@ -286,6 +394,60 @@ func TestFirstSightIdentityKeyFailsAuth(t *testing.T) {
 		_, err := NewSTS(OptII).Run(a, b)
 		if !errors.Is(err, ErrHandshakeAuth) {
 			t.Fatalf("sight %d: err = %v, want ErrHandshakeAuth", sight, err)
+		}
+	}
+}
+
+// warmHandshakeAllocBudget is the heap-allocation ceiling of one
+// in-memory STS handshake (OptNone, both engines and Exchange) between
+// two parties past their second sight of each other: a rekey whose
+// peer keys and combs both sides' KeyCaches serve. It measured 512 on
+// linux/amd64 with Go 1.24; the budget leaves about 5% on top.
+const warmHandshakeAllocBudget = 538
+
+// TestWarmHandshakeAllocBudget gates a warm rekey's allocations and
+// requires every measured handshake to be served by the KeyCache: a
+// rekey that extracts or builds a table again, or falls back to
+// verifying from the certificate, fails here.
+func TestWarmHandshakeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget needs steady-state measurement")
+	}
+	if !ec.UsesFPBackend() {
+		t.Skip("built with -tags ec_purebig: the math/big oracle allocates freely by design")
+	}
+	if raceEnabled {
+		t.Skip("built with -race: sync.Pool drops math/big's scratch at random, so counts vary")
+	}
+	_, a, b := newTestPair(t, 615)
+	handshake := func() {
+		init, err := NewInitiator(a, OptNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := NewResponder(b, OptNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Exchange(init, resp, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handshake() // first sight: verified from the certificates
+	handshake() // second sight: extraction and table builds
+	warm := []CacheStats{a.KeyCache().Stats(), b.KeyCache().Stats()}
+	const runs = 20
+	got := testing.AllocsPerRun(runs, handshake)
+	t.Logf("warm handshake: %.0f allocs (budget %d)", got, warmHandshakeAllocBudget)
+	if got > warmHandshakeAllocBudget {
+		t.Errorf("warm handshake: %.0f allocs, budget %d", got, warmHandshakeAllocBudget)
+	}
+	// AllocsPerRun adds one warm-up run; each handshake is two hits a
+	// side (the peer's entry and its comb).
+	for i, p := range []*Party{a, b} {
+		st := p.KeyCache().Stats()
+		if st.Misses != warm[i].Misses || st.Hits != warm[i].Hits+2*(runs+1) {
+			t.Errorf("party %d: stats %+v after %d warm handshakes from %+v, want only hits", i, st, runs+1, warm[i])
 		}
 	}
 }

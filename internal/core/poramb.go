@@ -149,11 +149,11 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 	salt := concat([]byte("poramb-static|"), a.ID[:], b.ID[:])
 
 	sa.enter(PhaseOp2)
-	qB, err := sa.extractPublicKey(certB, a.CAPub)
+	keyB, err := sa.extractPublicKey(certB, a.CAPub)
 	if err != nil {
 		return nil, fmt.Errorf("poramb: A: extract Q_B: %w", err)
 	}
-	pmA, err := sa.dh(a.Priv, qB)
+	pmA, err := sa.dh(a.Priv, keyB.q)
 	if err != nil {
 		return nil, err
 	}
@@ -163,11 +163,11 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 	}
 
 	sb.enter(PhaseOp2)
-	qA, err := sb.extractPublicKey(certA, b.CAPub)
+	keyA, err := sb.extractPublicKey(certA, b.CAPub)
 	if err != nil {
 		return nil, fmt.Errorf("poramb: B: extract Q_A: %w", err)
 	}
-	pmB, err := sb.dh(b.Priv, qA)
+	pmB, err := sb.dh(b.Priv, keyA.q)
 	if err != nil {
 		return nil, err
 	}

@@ -124,7 +124,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 		return nil, fmt.Errorf("s-ecdsa: A: %w", err)
 	}
 	sa.enter(PhaseOp2)
-	qB, err := sa.extractPublicKey(certB, a.CAPub)
+	keyB, err := sa.extractPublicKey(certB, a.CAPub)
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: A: extract Q_B: %w", err)
 	}
@@ -133,7 +133,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 	// exchange but do NOT diversify the key. This is precisely the
 	// static-KD behaviour the paper critiques: "These keys would,
 	// hence, only be changed by the change of the certificates" (§I).
-	pmA, err := sa.dh(a.Priv, qB)
+	pmA, err := sa.dh(a.Priv, keyB.q)
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: A premaster: %w", err)
 	}
@@ -149,7 +149,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 		return nil, fmt.Errorf("s-ecdsa: A: responder signature: %w", err)
 	}
 	wantAuthB := append(append([]byte(nil), b1.Get("Nonce")...), nonceA...)
-	if !sa.verify(peerKey{q: qB}, wantAuthB, sigB) {
+	if !sa.verify(keyB, wantAuthB, sigB) {
 		return nil, errors.New("s-ecdsa: A: responder authentication failed")
 	}
 
@@ -174,11 +174,11 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 		return nil, fmt.Errorf("s-ecdsa: B: %w", err)
 	}
 	sb.enter(PhaseOp2)
-	qA, err := sb.extractPublicKey(certA, b.CAPub)
+	keyA, err := sb.extractPublicKey(certA, b.CAPub)
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: B: extract Q_A: %w", err)
 	}
-	pmB, err := sb.dh(b.Priv, qA)
+	pmB, err := sb.dh(b.Priv, keyA.q)
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: B premaster: %w", err)
 	}
@@ -192,7 +192,7 @@ func (p *SECDSA) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("s-ecdsa: B: initiator signature: %w", err)
 	}
-	if !sb.verify(peerKey{q: qA}, authA, sigA) {
+	if !sb.verify(keyA, authA, sigA) {
 		return nil, errors.New("s-ecdsa: B: initiator authentication failed")
 	}
 

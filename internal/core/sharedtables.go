@@ -15,12 +15,14 @@ import (
 // without sharing, N parties build N identical ec.MultTable combs.
 // With it, one party builds and everyone else adopts.
 //
-// It sees repeated keys only. A party's KeyCache consults it when
-// Verifier misses: on an STS handshake's second sight of a
-// certificate, and on S-ECDSA verifications. A first sight verifies
-// straight from the certificate and never reaches it, so a cold
-// bring-up of never-seen peers reads no lookups here at all. Like the
-// KeyCache, it leaves the meter unchanged.
+// Tables are keyed by the same certificate fingerprint as KeyCache
+// entries. It sees repeated certificates only: a party's KeyCache
+// consults it once per entry, on the entry's first cached
+// verification — an STS handshake's second sight of a certificate, or
+// an S-ECDSA verification. A first sight verifies straight from the
+// certificate and never reaches it, so a cold bring-up of never-seen
+// peers reads no lookups here at all. Like the KeyCache, it leaves the
+// meter unchanged.
 //
 // Reads are lock-free: the table map is immutable and swapped whole
 // through an atomic pointer (copy-on-write), so the steady state —

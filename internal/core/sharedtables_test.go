@@ -8,20 +8,33 @@ import (
 
 	"repro/internal/ec"
 	"repro/internal/ecdsa"
+	"repro/internal/ecqv"
 )
 
+// extractedKey returns the key an extraction of cert leaves, built
+// outside any cache so that a test's counters see its table alone.
+func extractedKey(t *testing.T, cert *ecqv.Certificate, caPub ec.Point) peerKey {
+	t.Helper()
+	q, err := ecqv.ExtractPublicKey(cert, caPub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peerKey{peerEntry: &peerEntry{q: q}, fp: certFingerprint(cert, caPub), cert: cert, caPub: caPub}
+}
+
 // TestSharedTableCacheDedup: two parties' key caches backed by one
-// shared level build a given verifier table exactly once — the second
-// party adopts the first's instance.
+// shared level build a given certificate's verifier table exactly
+// once — the second party adopts the first's instance.
 func TestSharedTableCacheDedup(t *testing.T) {
+	_, a, b := newTestPair(t, 613)
 	stc := NewSharedTableCache()
 	kc1 := NewKeyCacheWithShared(stc)
 	kc2 := NewKeyCacheWithShared(stc)
-	c := ec.P256()
-	q := c.ScalarBaseMult(randInt(t))
+	k1 := extractedKey(t, b.Cert, a.CAPub)
+	k2 := extractedKey(t, b.Cert, a.CAPub)
 
-	p1 := kc1.Verifier(c, q)
-	p2 := kc2.Verifier(c, q)
+	p1 := kc1.verifier(a.Curve, k1)
+	p2 := kc2.verifier(a.Curve, k2)
 	if p1 != p2 {
 		t.Fatal("parties did not converge on one shared table instance")
 	}
@@ -35,8 +48,8 @@ func TestSharedTableCacheDedup(t *testing.T) {
 		t.Fatalf("shared stats = %+v, want 1 hit / 1 miss / 1 entry", st)
 	}
 	// Steady state: both serve locally, shared level untouched.
-	kc1.Verifier(c, q)
-	kc2.Verifier(c, q)
+	kc1.verifier(a.Curve, k1)
+	kc2.verifier(a.Curve, k2)
 	if st := stc.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("local hits leaked into the shared level: %+v", st)
 	}
@@ -45,10 +58,9 @@ func TestSharedTableCacheDedup(t *testing.T) {
 // TestSharedTableCacheConcurrentPublish: racing builders of the same
 // fingerprint converge on a single instance.
 func TestSharedTableCacheConcurrentPublish(t *testing.T) {
+	_, a, b := newTestPair(t, 614)
+	key := extractedKey(t, b.Cert, a.CAPub)
 	stc := NewSharedTableCache()
-	c := ec.P256()
-	q := c.ScalarBaseMult(randInt(t))
-	fp := pointFingerprint(c, q)
 
 	results := make([]*ecdsa.PublicKey, 16)
 	var wg sync.WaitGroup
@@ -56,8 +68,8 @@ func TestSharedTableCacheConcurrentPublish(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pub := (&ecdsa.PublicKey{Curve: c, Q: q.Clone()}).Precompute()
-			results[i] = stc.Publish(fp, pub)
+			pub := (&ecdsa.PublicKey{Curve: a.Curve, Q: key.q}).Precompute()
+			results[i] = stc.Publish(key.fp, pub)
 		}(i)
 	}
 	wg.Wait()
@@ -88,25 +100,33 @@ func TestSharedTableCacheBound(t *testing.T) {
 	}
 }
 
+// waveFixture provisions n peers and returns their cached verifiers
+// from one key cache, with a signed digest per peer.
 func waveFixture(t *testing.T, n int) (*KeyCache, []*ecdsa.PublicKey, [][]byte, []ecdsa.Signature) {
 	t.Helper()
+	net, err := NewNetwork(ec.P256(), newDetRand(611))
+	if err != nil {
+		t.Fatal(err)
+	}
 	kc := NewKeyCacheWithShared(NewSharedTableCache())
-	c := ec.P256()
-	rng := newDetRand(611)
 	pubs := make([]*ecdsa.PublicKey, n)
 	digests := make([][]byte, n)
 	sigs := make([]ecdsa.Signature, n)
 	for i := 0; i < n; i++ {
-		key, err := ecdsa.GenerateKey(c, rng)
+		p, err := net.Provision(fmt.Sprintf("peer-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := sha256.Sum256([]byte(fmt.Sprintf("wave msg %d", i)))
-		sig, err := key.SignDigest(d[:])
+		sig, err := (&ecdsa.PrivateKey{Curve: p.Curve, D: p.Priv}).SignDigest(d[:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		pubs[i] = kc.Verifier(c, key.Q)
+		key, err := kc.lookup(p.Cert, p.CAPub, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pubs[i] = kc.verifier(p.Curve, key)
 		digests[i] = d[:]
 		sigs[i] = sig
 	}
@@ -117,10 +137,10 @@ func waveFixture(t *testing.T, n int) (*KeyCache, []*ecdsa.PublicKey, [][]byte, 
 // the plain-Verify verdict, and the counters account it.
 func TestWaveVerifierSerial(t *testing.T) {
 	kc, pubs, digests, sigs := waveFixture(t, 2)
-	if !kc.verifyWave(pubs[0], digests[0], sigs[0]) {
+	if !kc.wave.verify(pubs[0], digests[0], sigs[0]) {
 		t.Fatal("valid signature rejected")
 	}
-	if kc.verifyWave(pubs[0], digests[0], sigs[1]) {
+	if kc.wave.verify(pubs[0], digests[0], sigs[1]) {
 		t.Fatal("mismatched signature accepted")
 	}
 	st := kc.Stats()
@@ -146,12 +166,12 @@ func TestWaveVerifierConcurrent(t *testing.T) {
 				// Even rounds: valid pair. Odd rounds: signature from the
 				// next key — must fail.
 				if r%2 == 0 {
-					if !kc.verifyWave(pubs[g], digests[g], sigs[g]) {
+					if !kc.wave.verify(pubs[g], digests[g], sigs[g]) {
 						t.Errorf("goroutine %d round %d: valid rejected", g, r)
 						return
 					}
 				} else {
-					if kc.verifyWave(pubs[g], digests[g], sigs[(g+1)%n]) {
+					if kc.wave.verify(pubs[g], digests[g], sigs[(g+1)%n]) {
 						t.Errorf("goroutine %d round %d: invalid accepted", g, r)
 						return
 					}
@@ -196,9 +216,14 @@ func TestHandshakeWaveAccounting(t *testing.T) {
 		}
 		for i, p := range parties {
 			kc := p.KeyCache()
-			kc.mu.RLock()
-			verifiers := len(kc.verifiers)
-			kc.mu.RUnlock()
+			verifiers := 0
+			kc.mu.Lock()
+			for _, e := range kc.peers {
+				if e != nil && e.pub != nil {
+					verifiers++
+				}
+			}
+			kc.mu.Unlock()
 			if st := kc.Stats(); st != want.stats || verifiers != want.verifiers {
 				t.Errorf("handshake %d, party %d: stats %+v with %d cached verifiers, want %+v with %d",
 					run+1, i, st, verifiers, want.stats, want.verifiers)

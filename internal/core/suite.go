@@ -26,10 +26,10 @@ type suite struct {
 	curve *ec.Curve
 	m     *meter
 	rng   io.Reader
-	// cache, when non-nil, memoizes peer key extraction and
-	// verification tables across this party's handshakes. The trace is
-	// unaffected: the meter records the primitives the modelled device
-	// would execute, cache hit or not.
+	// cache memoizes peer key extraction and verification tables
+	// across this party's handshakes. The trace is unaffected: the
+	// meter records the primitives the modelled device would execute,
+	// cache hit or not.
 	cache *KeyCache
 }
 
@@ -65,14 +65,12 @@ func (s *suite) nonce(n int) ([]byte, error) {
 	return out, nil
 }
 
-// extractPublicKey performs the paper's equation (1):
-// Q_X = Hash(Cert_X)·Decode(Cert_X) + Q_CA.
-func (s *suite) extractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (ec.Point, error) {
+// extractPublicKey performs the paper's equation (1),
+// Q_X = Hash(Cert_X)·Decode(Cert_X) + Q_CA, or recalls Q_X from the
+// party's KeyCache. The returned key always holds Q_X.
+func (s *suite) extractPublicKey(cert *ecqv.Certificate, caPub ec.Point) (peerKey, error) {
 	s.meterExtract()
-	if s.cache != nil {
-		return s.cache.ExtractPublicKey(cert, caPub)
-	}
-	return ecqv.ExtractPublicKey(cert, caPub)
+	return s.cache.lookup(cert, caPub, false)
 }
 
 // meterExtract records equation (1) as the modelled device computes
@@ -84,15 +82,6 @@ func (s *suite) meterExtract() {
 	s.m.record(PrimECPointAdd, 1)
 }
 
-// peerKey is the key a peer's signature is verified under: Q_U
-// extracted, or, on a first sight, the certificate it stays implicit
-// in (Q_U = H(Cert)·P_U + Q_CA, never computed).
-type peerKey struct {
-	q     ec.Point
-	cert  *ecqv.Certificate // non-nil on a first sight
-	caPub ec.Point
-}
-
 // resolvePeer is extractPublicKey for an STS peer, where Q_U serves
 // one verification and nothing else. It meters equation (1) the same
 // way, but leaves Q_U implicit in a certificate the party's KeyCache
@@ -100,15 +89,7 @@ type peerKey struct {
 // repeated certificate is extracted and cached.
 func (s *suite) resolvePeer(cert *ecqv.Certificate, caPub ec.Point) (peerKey, error) {
 	s.meterExtract()
-	if s.cache == nil {
-		q, err := ecqv.ExtractPublicKey(cert, caPub)
-		return peerKey{q: q}, err
-	}
-	q, first, err := s.cache.sight(cert, caPub)
-	if first {
-		return peerKey{cert: cert, caPub: caPub}, nil
-	}
-	return peerKey{q: q}, err
+	return s.cache.lookup(cert, caPub, true)
 }
 
 // dh computes a Diffie–Hellman shared point k·Q and returns its
@@ -178,25 +159,23 @@ func (s *suite) sign(priv *big.Int, msg []byte) (ecdsa.Signature, error) {
 // (Algorithm 2 line 3). A key left implicit in a first-seen
 // certificate is checked straight from it by ecdsa.VerifyImplicit: one
 // multi-scalar chain, with no extraction, no table, and neither the
-// SharedTableCache nor the wave batcher. An extracted key gets its
-// cached comb (KeyCache.Verifier) and rides the party's wave batcher:
-// concurrent EstablishAll verifications share one scalar inversion
-// through ecdsa.VerifyBatch, whose items each run VerifyDigest's own
-// tail, so a batched verdict is a lone Verify's. The meter is the same
-// on every path: it records the primitives the modelled device
-// executes, which extracts Q_U and never batches across peers.
+// SharedTableCache nor the wave batcher. An extracted key gets the comb
+// its KeyCache entry holds (attached by the entry's first
+// verification) and rides the party's wave batcher: concurrent
+// EstablishAll verifications share one scalar inversion through
+// ecdsa.VerifyBatch, whose items each run VerifyDigest's own tail, so
+// a batched verdict is a lone Verify's. The meter is the same on every
+// path: it records the primitives the modelled device executes, which
+// extracts Q_U and never batches across peers.
 func (s *suite) verify(key peerKey, msg []byte, sig ecdsa.Signature) bool {
 	s.m.record(PrimHashBytes, len(msg))
 	s.m.record(PrimModInverse, 1)
 	s.m.record(PrimECCombinedMult, 1)
 	digest := sha256.Sum256(msg)
-	switch {
-	case key.cert != nil:
+	if key.peerEntry == nil {
 		return ecdsa.VerifyImplicit(s.curve, key.cert.PubRecon, key.cert.HashToScalar(), key.caPub, digest[:], sig)
-	case s.cache != nil:
-		return s.cache.verifyWave(s.cache.Verifier(s.curve, key.q), digest[:], sig)
 	}
-	return (&ecdsa.PublicKey{Curve: s.curve, Q: key.q}).VerifyDigest(digest[:], sig)
+	return s.cache.wave.verify(s.cache.verifier(s.curve, key), digest[:], sig)
 }
 
 // mac computes HMAC-SHA-256 over msg.

@@ -7,10 +7,11 @@ import (
 	"repro/internal/ec"
 )
 
-// newTestSuite builds a suite with a fresh trace for white-box tests.
+// newTestSuite builds a suite with a fresh trace and an empty,
+// isolated key cache for white-box tests.
 func newTestSuite(seed int64) (*suite, *Trace) {
 	trace := &Trace{}
-	return newSuite(ec.P256(), trace.meterFor(RoleA), newDetRand(seed), nil), trace
+	return newSuite(ec.P256(), trace.meterFor(RoleA), newDetRand(seed), NewKeyCacheWithShared(nil)), trace
 }
 
 func TestSealRespInvolution(t *testing.T) {
@@ -95,11 +96,11 @@ func TestCachedCombinedDHEqualsStaticDH(t *testing.T) {
 	}
 
 	// Plain path: extract Q_B then multiply.
-	qB, err := s.extractPublicKey(b.Cert, a.CAPub)
+	keyB, err := s.extractPublicKey(b.Cert, a.CAPub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.dh(a.Priv, qB)
+	want, err := s.dh(a.Priv, keyB.q)
 	if err != nil {
 		t.Fatal(err)
 	}

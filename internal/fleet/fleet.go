@@ -103,19 +103,21 @@ type Stats struct {
 	// totals wash out.
 	WorstAttempts int
 
-	// KeyCache reports the local device's per-peer key cache: the
-	// first handshake with a peer verifies straight from its
-	// certificate (one miss), the second extracts and builds its
-	// verification table, and every later rekey is served from cache,
-	// so a steady-state fleet shows hits growing with rekeys.
+	// KeyCache reports the local device's key cache, one entry per
+	// peer certificate: the first handshake with a peer verifies
+	// straight from its certificate (one miss), the second extracts
+	// its key and attaches its verification table (two misses), and
+	// every later rekey is served from the entry (two hits), so a
+	// steady-state fleet shows hits growing with rekeys.
 	KeyCache core.CacheStats
 
-	// SharedTables reports the process-global precomputed-table cache
-	// that all parties' key caches consult before building a table for
-	// a key they see again. When the same peers handshake a second
-	// time, every responder verifies the same initiator key, so one
-	// build serves the whole wave; the counters are global to the
-	// process, not to this manager.
+	// SharedTables reports the process-global precomputed-table cache,
+	// keyed by certificate, that every party's key cache consults
+	// before building the table of a certificate it sees again. When
+	// the same peers handshake a second time, every responder verifies
+	// the same initiator certificate, so one build serves the whole
+	// wave; the counters are global to the process, not to this
+	// manager.
 	SharedTables core.SharedTableStats
 }
 
