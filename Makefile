@@ -261,11 +261,13 @@ bench-scenarios:
 # certificate and enrollment decoders, of group datagrams and key
 # messages, of the scenario result gate
 # (ValidateJSON), of the field kernels against math/big, of point
-# multiplication against math/big and crypto/elliptic, and of the
+# multiplication against math/big and crypto/elliptic (FuzzPointMult)
+# and against crypto/elliptic alone (FuzzPointMultStdlib, which skips
+# the slow oracle and so mutates far more inputs), and of the
 # first-sight verification against explicit extraction (committed
 # corpora under testdata/fuzz replay in every plain `go test` run;
 # this target digs further — used by CI with a short budget, locally
-# run longer). One FuzzPointMult or FuzzVerifyImplicit input
+# run longer). One FuzzPointMult* or FuzzVerifyImplicit input
 # costs several point multiplications, so the default minute
 # of minimization per new input would use up the whole budget; ten
 # executions bound it.
@@ -275,7 +277,8 @@ fuzz-smoke:
 	$(GO) test ./internal/cantp -fuzz FuzzFlowControlParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -fuzz FuzzMessageTrailer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ec/fp -fuzz FuzzFieldOps -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ec -fuzz FuzzPointMult -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/ec -fuzz '^FuzzPointMult$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/ec -fuzz FuzzPointMultStdlib -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ec -fuzz FuzzDecodePoint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecqv -fuzz FuzzECQVDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecdsa -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME)

@@ -288,8 +288,8 @@ func (s *Session) Open(sealed, aad []byte) ([]byte, error) {
 func (s *Session) Overhead() int { return aead.Overhead }
 
 // Policy bounds the lifetime of a channel key (records protected,
-// wall-clock age) and sets the channels' replay window; see Channels.
-// The zero value imposes no limit and demands in-order delivery.
+// wall-clock age); see Channels. The zero value imposes no limit.
+// Channels always demand in-order delivery.
 type Policy = session.Policy
 
 // ErrRekeyRequired is returned by a channel's Seal and Open once its

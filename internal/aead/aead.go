@@ -14,11 +14,15 @@
 //   - ecqvsts.Session and internal/group's key-distribution messages:
 //     Seal and Open below, nonce ‖ ct ‖ tag;
 //   - internal/group's datagrams: IV from the epoch MAC of the
-//     datagram header, tag over "group-record" ‖ header ‖ ct.
+//     datagram header, tag over "group-record" ‖ header ‖ ct;
+//   - internal/core's STS Resp and PORAMB finish echo, keyed once per
+//     session where the session key is derived: XORKeyStream alone,
+//     size-preserving, under IV = MAC("resp-iv|" ‖ label)[:16]; the
+//     signature or echo inside carries integrity, and the metered
+//     protocol (suite.ctrEncrypt) records the primitive.
 //
-// The STS Resp message is not sealed here: internal/core's
-// suite.ctrEncrypt encrypts it size-preserving, as part of the metered
-// protocol.
+// Together with internal/kdf, whose HMAC serves keys used once, this
+// is the only package that keys AES or HMAC outside tests.
 package aead
 
 import (

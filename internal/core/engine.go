@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/aead"
 	"repro/internal/ec"
 	"repro/internal/ecdsa"
 	"repro/internal/ecqv"
@@ -41,8 +42,11 @@ type engineCommon struct {
 	xg     ec.Point // own ephemeral point
 	peerXG ec.Point
 	peerID ecqv.ID
+	// encKey and macKey are KS's two halves, kept for SessionKey;
+	// keys holds them keyed once, for both Resp messages.
 	encKey []byte
 	macKey []byte
+	keys   *aead.Keys
 	done   bool
 }
 
@@ -78,16 +82,13 @@ func newEngineCommon(party *Party, role PartyRole, opt STSOptimization, trace *T
 }
 
 // deriveKeys computes the session keys from the premaster and the two
-// ephemeral points in initiator-first salt order.
-func (e *engineCommon) deriveKeys(pm []byte, xgA, xgB ec.Point) error {
+// ephemeral points in initiator-first salt order, and keys them once
+// for signResp and verifyResp.
+func (e *engineCommon) deriveKeys(pm []byte, xgA, xgB ec.Point) (err error) {
 	curve := e.party.Curve
 	salt := append(encodePointRaw(curve, xgA), encodePointRaw(curve, xgB)...)
-	enc, mac, err := e.suite.deriveSessionKeys(pm, salt)
-	if err != nil {
-		return err
-	}
-	e.encKey, e.macKey = enc, mac
-	return nil
+	e.encKey, e.macKey, e.keys, err = e.suite.deriveRespKeys(pm, salt)
+	return err
 }
 
 // signResp builds Resp = encrypt(KS, sign(Prk, first ‖ second)).
@@ -98,7 +99,7 @@ func (e *engineCommon) signResp(direction string, first, second ec.Point) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	return e.suite.ctrEncrypt(e.encKey, e.macKey, direction, dsign.EncodeRaw(curve))
+	return e.suite.ctrEncrypt(e.keys, direction, dsign.EncodeRaw(curve)), nil
 }
 
 // verifyResp checks a peer Resp under the key extractPeer resolved;
@@ -106,11 +107,7 @@ func (e *engineCommon) signResp(direction string, first, second ec.Point) ([]byt
 func (e *engineCommon) verifyResp(direction string, resp []byte, key peerKey, first, second ec.Point) error {
 	curve := e.party.Curve
 	e.suite.m.record(PrimAESBytes, len(resp))
-	raw, err := e.suite.ctrEncrypt(e.encKey, e.macKey, direction, resp)
-	if err != nil {
-		return err
-	}
-	sig, err := ecdsa.DecodeRaw(curve, raw)
+	sig, err := ecdsa.DecodeRaw(curve, e.suite.ctrEncrypt(e.keys, direction, resp))
 	if err != nil {
 		return fmt.Errorf("%w: response garbled", ErrHandshakeAuth)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/aead"
 	"repro/internal/ecqv"
 )
 
@@ -157,7 +158,7 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	encA, macKeyA, err := sa.deriveSessionKeys(pmA, salt)
+	encA, macKeyA, keysA, err := sa.deriveRespKeys(pmA, salt)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +172,7 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	encB, macKeyB, err := sb.deriveSessionKeys(pmB, salt)
+	encB, macKeyB, keysB, err := sb.deriveRespKeys(pmB, salt)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +181,7 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 	transcript := sa.hash(a1.Encode(), b1.Encode(), a2.Encode(), b2.Encode())
 
 	sa.enter(PhaseOp3)
-	finA, err := buildPorambFinish(sa, encA, macKeyA, "A", transcript, certABytes, nonceA)
+	finA, err := buildPorambFinish(sa, keysA, macKeyA, "A", transcript, certABytes, nonceA)
 	if err != nil {
 		return nil, err
 	}
@@ -189,12 +190,12 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 
 	sb.enter(PhaseOp4)
 	transcriptB := sb.hash(a1.Encode(), b1.Encode(), a2.Encode(), b2.Encode())
-	if err := checkPorambFinish(sb, encB, macKeyB, "A", transcriptB, certABytes, nonceA, a3.Get("Finish")); err != nil {
+	if err := checkPorambFinish(sb, keysB, macKeyB, "A", transcriptB, certABytes, nonceA, a3.Get("Finish")); err != nil {
 		return nil, fmt.Errorf("poramb: B: %w", err)
 	}
 
 	sb.enter(PhaseOp3)
-	finB, err := buildPorambFinish(sb, encB, macKeyB, "B", transcriptB, certBBytes, nonceB)
+	finB, err := buildPorambFinish(sb, keysB, macKeyB, "B", transcriptB, certBBytes, nonceB)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +203,7 @@ func (p *PORAMB) Run(a, b *Party) (*Result, error) {
 	res.Transcript = append(res.Transcript, b3)
 
 	sa.enter(PhaseOp4)
-	if err := checkPorambFinish(sa, encA, macKeyA, "B", transcript, certBBytes, nonceB, b3.Get("Finish")); err != nil {
+	if err := checkPorambFinish(sa, keysA, macKeyA, "B", transcript, certBBytes, nonceB, b3.Get("Finish")); err != nil {
 		return nil, fmt.Errorf("poramb: A: %w", err)
 	}
 
@@ -221,13 +222,11 @@ func concat(parts ...[]byte) []byte {
 
 // buildPorambFinish assembles the 197-byte finished message:
 // transcript hash ‖ key-confirmation MAC ‖ CTR-encrypted cert+nonce
-// echo.
-func buildPorambFinish(s *suite, encKey, macKey []byte, role string, transcript, certBytes, nonce []byte) ([]byte, error) {
+// echo. keys is the session key block keyed once, and macKey its MAC
+// half.
+func buildPorambFinish(s *suite, keys *aead.Keys, macKey []byte, role string, transcript, certBytes, nonce []byte) ([]byte, error) {
 	conf := s.mac(macKey, []byte("poramb-finish|"+role), transcript)
-	echo, err := s.ctrEncrypt(encKey, macKey, "finish|"+role, concat(certBytes, nonce))
-	if err != nil {
-		return nil, err
-	}
+	echo := s.ctrEncrypt(keys, "finish|"+role, concat(certBytes, nonce))
 	out := concat(transcript, conf, echo)
 	if len(out) != porambFinishSize {
 		return nil, fmt.Errorf("poramb: finish size %d, want %d", len(out), porambFinishSize)
@@ -236,7 +235,7 @@ func buildPorambFinish(s *suite, encKey, macKey []byte, role string, transcript,
 }
 
 // checkPorambFinish verifies a peer's finished message.
-func checkPorambFinish(s *suite, encKey, macKey []byte, peerRole string, transcript, wantCert, wantNonce, fin []byte) error {
+func checkPorambFinish(s *suite, keys *aead.Keys, macKey []byte, peerRole string, transcript, wantCert, wantNonce, fin []byte) error {
 	if len(fin) != porambFinishSize {
 		return fmt.Errorf("finish length %d, want %d", len(fin), porambFinishSize)
 	}
@@ -246,11 +245,7 @@ func checkPorambFinish(s *suite, encKey, macKey []byte, peerRole string, transcr
 	if !s.macVerify(macKey, fin[32:64], []byte("poramb-finish|"+peerRole), transcript) {
 		return errors.New("finish confirmation MAC invalid")
 	}
-	echo, err := s.ctrEncrypt(encKey, macKey, "finish|"+peerRole, fin[64:])
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(echo, concat(wantCert, wantNonce)) {
+	if !bytes.Equal(s.ctrEncrypt(keys, "finish|"+peerRole, fin[64:]), concat(wantCert, wantNonce)) {
 		return errors.New("finish echo mismatch (wrong session key)")
 	}
 	return nil

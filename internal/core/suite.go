@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -11,6 +9,7 @@ import (
 	"io"
 	"math/big"
 
+	"repro/internal/aead"
 	"repro/internal/ec"
 	"repro/internal/ecdsa"
 	"repro/internal/ecqv"
@@ -134,6 +133,16 @@ func (s *suite) deriveSessionKeys(premaster, salt []byte) (encKey, macKey []byte
 	return kdf.SessionKeys(premaster, salt)
 }
 
+// deriveRespKeys is deriveSessionKeys for a protocol that encrypts
+// with ctrEncrypt. It also keys the two halves once, into the
+// aead.Keys that every ctrEncrypt of the session shares.
+func (s *suite) deriveRespKeys(premaster, salt []byte) (encKey, macKey []byte, keys *aead.Keys, err error) {
+	if encKey, macKey, err = s.deriveSessionKeys(premaster, salt); err == nil {
+		keys, err = aead.New(encKey, macKey)
+	}
+	return encKey, macKey, keys, err
+}
+
 // errSignScalar rejects a party private scalar outside [1, n−1].
 var errSignScalar = errors.New("core: private scalar out of range")
 
@@ -178,16 +187,14 @@ func (s *suite) verify(key peerKey, msg []byte, sig ecdsa.Signature) bool {
 	return s.cache.wave.verify(s.cache.verifier(s.curve, key), digest[:], sig)
 }
 
-// mac computes HMAC-SHA-256 over msg.
+// mac computes HMAC-SHA-256 over the concatenation of parts.
 func (s *suite) mac(key []byte, parts ...[]byte) []byte {
-	m := hmac.New(sha256.New, key)
 	n := 0
 	for _, p := range parts {
-		m.Write(p)
 		n += len(p)
 	}
 	s.m.record(PrimMACBytes, n)
-	return m.Sum(nil)
+	return kdf.HMAC(key, parts...)
 }
 
 // macVerify recomputes and compares a tag.
@@ -209,23 +216,19 @@ func (s *suite) hash(parts ...[]byte) []byte {
 }
 
 // ctrEncrypt is the size-preserving encryption of Resp =
-// encrypt(KS, dsign) (Algorithm 1 line 6) and of PORAMB's finish echo.
-// AES-128-CTR keeps |Resp| = |dsign| = 64 bytes — exactly the
-// "Resp(64)" that Table II charges; integrity of the payload is
-// provided by the signature inside, not by a tag. The IV is bound to
-// the session (via the MAC key, which is fresh per session for DKD
-// protocols) and to the label, so the two Resp messages of a session
-// never share keystream. CTR is an involution: the same call opens a
-// Resp (Algorithm 2 line 1).
-func (s *suite) ctrEncrypt(encKey, macKey []byte, label string, data []byte) ([]byte, error) {
+// encrypt(KS, dsign) (Algorithm 1 line 6) and of PORAMB's finish echo,
+// under the session's keys (see deriveRespKeys). AES-128-CTR keeps
+// |Resp| = |dsign| = 64 bytes — exactly the "Resp(64)" that Table II
+// charges; integrity of the payload is provided by the signature
+// inside, not by a tag. The IV, HMAC(mac, "resp-iv|"+label)[:16], is
+// bound to the session (via the MAC key, which is fresh per session
+// for DKD protocols) and to the label, so the two Resp messages of a
+// session never share keystream. CTR is an involution: the same call
+// opens a Resp (Algorithm 2 line 1).
+func (s *suite) ctrEncrypt(keys *aead.Keys, label string, data []byte) []byte {
 	s.m.record(PrimAESBytes, len(data))
-	block, err := aes.NewCipher(encKey)
-	if err != nil {
-		return nil, err
-	}
-	ivm := hmac.New(sha256.New, macKey)
-	ivm.Write([]byte("resp-iv|" + label))
+	iv := keys.MAC([]byte("resp-iv|" + label))
 	out := make([]byte, len(data))
-	cipher.NewCTR(block, ivm.Sum(nil)[:aes.BlockSize]).XORKeyStream(out, data)
-	return out, nil
+	keys.XORKeyStream(out, data, iv[:aead.NonceSize])
+	return out
 }

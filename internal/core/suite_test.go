@@ -2,8 +2,16 @@ package core
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	stdecdsa "crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/hmac"
+	"crypto/sha256"
+	"math/big"
 	"testing"
 
+	"repro/internal/aead"
 	"repro/internal/ec"
 )
 
@@ -12,6 +20,16 @@ import (
 func newTestSuite(seed int64) (*suite, *Trace) {
 	trace := &Trace{}
 	return newSuite(ec.P256(), trace.meterFor(RoleA), newDetRand(seed), NewKeyCacheWithShared(nil)), trace
+}
+
+// newRespKeys keys the Resp construction as deriveRespKeys does.
+func newRespKeys(t *testing.T, enc, mac []byte) *aead.Keys {
+	t.Helper()
+	keys, err := aead.New(enc, mac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 func TestSealRespInvolution(t *testing.T) {
@@ -25,20 +43,15 @@ func TestSealRespInvolution(t *testing.T) {
 	for i := range dsign {
 		dsign[i] = byte(i * 3)
 	}
-	sealed, err := s.ctrEncrypt(enc, mac, "B->A", dsign)
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := newRespKeys(t, enc, mac)
+	sealed := s.ctrEncrypt(keys, "B->A", dsign)
 	if len(sealed) != len(dsign) {
 		t.Fatalf("Resp grew: %d -> %d (Table II charges 64 B)", len(dsign), len(sealed))
 	}
 	if bytes.Equal(sealed, dsign) {
 		t.Fatal("ctrEncrypt is the identity")
 	}
-	opened, err := s.ctrEncrypt(enc, mac, "B->A", sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opened := s.ctrEncrypt(keys, "B->A", sealed)
 	if !bytes.Equal(opened, dsign) {
 		t.Fatal("ctrEncrypt is not an involution")
 	}
@@ -52,8 +65,9 @@ func TestSealRespDirectionSeparation(t *testing.T) {
 	enc := make([]byte, 16)
 	mac := make([]byte, 32)
 	zero := make([]byte, 64)
-	ab, _ := s.ctrEncrypt(enc, mac, "A->B", zero)
-	ba, _ := s.ctrEncrypt(enc, mac, "B->A", zero)
+	keys := newRespKeys(t, enc, mac)
+	ab := s.ctrEncrypt(keys, "A->B", zero)
+	ba := s.ctrEncrypt(keys, "B->A", zero)
 	if bytes.Equal(ab, ba) {
 		t.Fatal("directions share keystream")
 	}
@@ -68,11 +82,96 @@ func TestSealRespKeySeparation(t *testing.T) {
 	mac2 := make([]byte, 32)
 	mac2[0] = 1
 	zero := make([]byte, 64)
-	c1, _ := s.ctrEncrypt(enc, mac1, "A->B", zero)
-	c2, _ := s.ctrEncrypt(enc, mac2, "A->B", zero)
+	c1 := s.ctrEncrypt(newRespKeys(t, enc, mac1), "A->B", zero)
+	c2 := s.ctrEncrypt(newRespKeys(t, enc, mac2), "A->B", zero)
 	if bytes.Equal(c1, c2) {
 		t.Fatal("sessions share keystream")
 	}
+}
+
+// TestRespMatchesReference pins the bytes of every STS Resp and PORAMB
+// finish echo to the standard library. Each is opened from the
+// receiver's key block enc ‖ mac with crypto/aes, cipher.NewCTR and
+// crypto/hmac written out: IV = HMAC-SHA-256(mac, "resp-iv|" +
+// label)[:16], for the labels "B->A", "A->B", "finish|A" and
+// "finish|B". An opened Resp must be a signature r ‖ s that
+// crypto/ecdsa accepts under its signer's key d·G, over the signer's
+// ephemeral point and then the receiver's; an opened echo must be the
+// sender's certificate ‖ nonce.
+func TestRespMatchesReference(t *testing.T) {
+	open := func(keyBlock []byte, label string, ct []byte) []byte {
+		block, err := aes.NewCipher(keyBlock[:16])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := hmac.New(sha256.New, keyBlock[16:])
+		m.Write([]byte("resp-iv|" + label))
+		pt := make([]byte, len(ct))
+		cipher.NewCTR(block, m.Sum(nil)[:16]).XORKeyStream(pt, ct)
+		return pt
+	}
+	field := func(res *Result, step, name string) []byte {
+		for _, m := range res.Transcript {
+			if m.Label == step && m.Get(name) != nil {
+				return m.Get(name)
+			}
+		}
+		t.Fatalf("%s: no %s field", step, name)
+		return nil
+	}
+	signedBy := func(signer *Party, msg, raw []byte) bool {
+		curve := elliptic.P256()
+		x, y := curve.ScalarBaseMult(signer.Priv.Bytes())
+		digest := sha256.Sum256(msg)
+		half := len(raw) / 2
+		r, s := new(big.Int).SetBytes(raw[:half]), new(big.Int).SetBytes(raw[half:])
+		return stdecdsa.Verify(&stdecdsa.PublicKey{Curve: curve, X: x, Y: y}, digest[:], r, s)
+	}
+
+	for i, opt := range []STSOptimization{OptNone, OptII} {
+		p := NewSTS(opt)
+		t.Run(p.Name(), func(t *testing.T) {
+			a, b := newPair(t, int64(260+i))
+			res, err := p.Run(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xgA, xgB := field(res, "A1", "XG"), field(res, "B1", "XG")
+			for _, r := range []struct {
+				step, label string
+				signer      *Party
+				receiverKey []byte
+				auth        []byte
+			}{
+				{"B1", "B->A", b, res.KeyA, concat(xgB, xgA)},
+				{"A2", "A->B", a, res.KeyB, concat(xgA, xgB)},
+			} {
+				if raw := open(r.receiverKey, r.label, field(res, r.step, "Resp")); !signedBy(r.signer, r.auth, raw) {
+					t.Errorf("%s Resp opened to %x, which crypto/ecdsa rejects", r.step, raw)
+				}
+			}
+		})
+	}
+
+	t.Run("PORAMB", func(t *testing.T) {
+		a, b := newPair(t, 262)
+		res, err := NewPORAMB().Run(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			step, label, hello string
+			receiverKey        []byte
+		}{
+			{"A3", "finish|A", "A2", res.KeyB},
+			{"B3", "finish|B", "B2", res.KeyA},
+		} {
+			echo := open(f.receiverKey, f.label, field(res, f.step, "Finish")[64:])
+			if want := concat(field(res, f.hello, "Cert"), field(res, f.hello, "Nonce")); !bytes.Equal(echo, want) {
+				t.Errorf("%s echo opened to %x, want cert ‖ nonce %x", f.step, echo, want)
+			}
+		}
+	})
 }
 
 func TestCachedCombinedDHEqualsStaticDH(t *testing.T) {

@@ -10,7 +10,6 @@
 package ecdsa
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 	"math/big"
 
 	"repro/internal/ec"
+	"repro/internal/kdf"
 )
 
 // PrivateKey is an ECDSA signing key.
@@ -276,15 +276,6 @@ type rfc6979 struct {
 	drawn bool // a candidate was returned, so K and V step before the next
 }
 
-// hmacSHA256 returns HMAC-SHA-256 under key over the concatenated parts.
-func hmacSHA256(key []byte, parts ...[]byte) []byte {
-	m := hmac.New(sha256.New, key)
-	for _, p := range parts {
-		m.Write(p)
-	}
-	return m.Sum(nil)
-}
-
 func newRFC6979(c *ec.Curve, priv *big.Int, digest []byte) *rfc6979 {
 	hlen := sha256.Size
 	v := make([]byte, hlen)
@@ -296,10 +287,10 @@ func newRFC6979(c *ec.Curve, priv *big.Int, digest []byte) *rfc6979 {
 	x := c.ScalarToBytes(priv)
 	h1 := c.ScalarToBytes(c.HashToInt(digest)) // bits2octets(H(m))
 
-	k = hmacSHA256(k, v, []byte{0x00}, x, h1)
-	v = hmacSHA256(k, v)
-	k = hmacSHA256(k, v, []byte{0x01}, x, h1)
-	v = hmacSHA256(k, v)
+	k = kdf.HMAC(k, v, []byte{0x00}, x, h1)
+	v = kdf.HMAC(k, v)
+	k = kdf.HMAC(k, v, []byte{0x01}, x, h1)
+	v = kdf.HMAC(k, v)
 	return &rfc6979{c: c, v: v, k: k}
 }
 
@@ -310,13 +301,13 @@ func newRFC6979(c *ec.Curve, priv *big.Int, digest []byte) *rfc6979 {
 // signature — never pays for it.
 func (g *rfc6979) next() *big.Int {
 	if g.drawn {
-		g.k = hmacSHA256(g.k, g.v, []byte{0x00})
-		g.v = hmacSHA256(g.k, g.v)
+		g.k = kdf.HMAC(g.k, g.v, []byte{0x00})
+		g.v = kdf.HMAC(g.k, g.v)
 	}
 	g.drawn = true
 	t := make([]byte, 0, g.c.ByteLen())
 	for len(t) < g.c.ByteLen() {
-		g.v = hmacSHA256(g.k, g.v)
+		g.v = kdf.HMAC(g.k, g.v)
 		t = append(t, g.v...)
 	}
 	t = t[:g.c.ByteLen()]

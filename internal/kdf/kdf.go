@@ -5,6 +5,12 @@
 // HKDF extract-then-expand is the concrete instantiation used by the
 // STS engine, with the premaster x-coordinate as input keying material
 // and the concatenated ephemeral points as salt.
+//
+// HMAC is the module's one one-shot HMAC-SHA-256, for a key used once:
+// HKDF's steps here, internal/ecdsa's RFC 6979 nonces, the protocols'
+// MACs under pairwise and session keys in internal/core, and the
+// attacker's forgeries in internal/security. A key that protects many
+// messages is keyed once in internal/aead instead.
 package kdf
 
 import (
@@ -13,8 +19,8 @@ import (
 	"errors"
 )
 
-// hmacSHA256 computes HMAC-SHA-256 over the concatenation of parts.
-func hmacSHA256(key []byte, parts ...[]byte) []byte {
+// HMAC returns HMAC-SHA-256 under key over the concatenation of parts.
+func HMAC(key []byte, parts ...[]byte) []byte {
 	m := hmac.New(sha256.New, key)
 	for _, p := range parts {
 		m.Write(p)
@@ -29,7 +35,7 @@ func Extract(salt, ikm []byte) []byte {
 	if len(salt) == 0 {
 		salt = make([]byte, sha256.Size)
 	}
-	return hmacSHA256(salt, ikm)
+	return HMAC(salt, ikm)
 }
 
 // maxExpand is the RFC 5869 output bound: 255 · HashLen.
@@ -51,7 +57,7 @@ func Expand(prk, info []byte, length int) ([]byte, error) {
 	)
 	for len(out) < length {
 		ctr++
-		t = hmacSHA256(prk, t, info, []byte{ctr})
+		t = HMAC(prk, t, info, []byte{ctr})
 		out = append(out, t...)
 	}
 	return out[:length], nil

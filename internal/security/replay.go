@@ -2,10 +2,9 @@ package security
 
 import (
 	"bytes"
-	"crypto/aes"
-	"crypto/cipher"
 	"fmt"
 
+	"repro/internal/aead"
 	"repro/internal/core"
 	"repro/internal/kdf"
 )
@@ -42,7 +41,7 @@ func (an *Analyzer) attackReplay(p core.Protocol, s1, s2 *core.Result, a, b *cor
 		if len(s1.KeyA) != kdf.SessionKeySize+kdf.MACKeySize {
 			return false, "no key material"
 		}
-		dsign, err := openRespLike(s1.KeyA[:kdf.SessionKeySize], s1.KeyA[kdf.SessionKeySize:], "B->A", findField(s1, "B1", "Resp"))
+		dsign, err := openRespLike(s1.KeyA, "B->A", findField(s1, "B1", "Resp"))
 		if err != nil {
 			return false, "resp decryption failed"
 		}
@@ -80,15 +79,16 @@ func (an *Analyzer) attackReplay(p core.Protocol, s1, s2 *core.Result, a, b *cor
 }
 
 // openRespLike mirrors the protocol engine's size-preserving response
-// encryption (AES-CTR, IV = HMAC(macKey, "resp-iv|"+direction)[:16]) —
-// public construction, replayed here per Kerckhoffs.
-func openRespLike(encKey, macKey []byte, direction string, resp []byte) ([]byte, error) {
-	block, err := aes.NewCipher(encKey)
+// encryption under a key block enc ‖ mac (AES-CTR, IV = HMAC(mac,
+// "resp-iv|"+direction)[:16]) — public construction, replayed here per
+// Kerckhoffs.
+func openRespLike(keyBlock []byte, direction string, resp []byte) ([]byte, error) {
+	keys, err := aead.New(keyBlock[:kdf.SessionKeySize], keyBlock[kdf.SessionKeySize:])
 	if err != nil {
 		return nil, fmt.Errorf("security: %w", err)
 	}
-	iv := hmacSHA256(macKey, []byte("resp-iv|"+direction))[:aes.BlockSize]
+	iv := keys.MAC([]byte("resp-iv|" + direction))
 	out := make([]byte, len(resp))
-	cipher.NewCTR(block, iv).XORKeyStream(out, resp)
+	keys.XORKeyStream(out, resp, iv[:aead.NonceSize])
 	return out, nil
 }

@@ -21,8 +21,6 @@ package security
 
 import (
 	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/big"
@@ -372,7 +370,7 @@ func (an *Analyzer) attackNodeCapture(p core.Protocol, a, b *core.Party, s *core
 		certB := findField(s, "B2", "Cert")
 		nonceB := findField(s, "B2", "Nonce")
 		helloA := findField(s, "A1", "Hello")
-		forged := hmacSHA256(a.PairwiseKey, []byte("poramb|B"), certB, nonceB, helloA)
+		forged := kdf.HMAC(a.PairwiseKey, []byte("poramb|B"), certB, nonceB, helloA)
 		genuine := findField(s, "B2", "MAC")
 		if bytes.Equal(forged, genuine) {
 			return true, "pairwise PSK from the captured node reproduces the peer's MAC"
@@ -392,7 +390,7 @@ func (an *Analyzer) attackNodeCapture(p core.Protocol, a, b *core.Party, s *core
 		}
 		nonceA := findField(s, "A1", "Nonce")
 		nonceB := findField(s, "B1", "Nonce")
-		forged := hmacSHA256(authKey, []byte("scianc-auth|B"), b.ID[:], a.ID[:], nonceB, nonceA)
+		forged := kdf.HMAC(authKey, []byte("scianc-auth|B"), b.ID[:], a.ID[:], nonceB, nonceA)
 		if bytes.Equal(forged, findField(s, "B2", "AuthMAC")) {
 			return true, "captured state re-derives the peer's authentication MAC"
 		}
@@ -432,7 +430,7 @@ func (an *Analyzer) attackFutureAuthForgery(p core.Protocol, s1, s2 *core.Result
 		authKey := s1.KeyA[kdf.SessionKeySize:]
 		nonceA2 := findField(s2, "A1", "Nonce")
 		nonceB2 := findField(s2, "B1", "Nonce")
-		forged := hmacSHA256(authKey, []byte("scianc-auth|A"), a.ID[:], b.ID[:], nonceA2, nonceB2)
+		forged := kdf.HMAC(authKey, []byte("scianc-auth|A"), a.ID[:], b.ID[:], nonceA2, nonceB2)
 		if bytes.Equal(forged, findField(s2, "A2", "AuthMAC")) {
 			return true, "session-1 key block authenticates session 2 (auth tied to static KD)"
 		}
@@ -513,14 +511,6 @@ func findField(s *core.Result, label, field string) []byte {
 		}
 	}
 	return nil
-}
-
-func hmacSHA256(key []byte, parts ...[]byte) []byte {
-	m := hmac.New(sha256.New, key)
-	for _, p := range parts {
-		m.Write(p)
-	}
-	return m.Sum(nil)
 }
 
 func decodeRawPoint(curve *ec.Curve, data []byte) (ec.Point, error) {

@@ -12,8 +12,7 @@ func fuzzPayload(i int) []byte { return bytes.Repeat([]byte{'r', byte('0' + i)},
 
 // FuzzChannelOpen fuzzes the record layer's peer-input boundary: every
 // byte Open reads comes from an untrusted peer. Each input builds a
-// fixed pair under Policy{} or, when window is set,
-// Policy{ReorderWindow: 8}, delivers three honest A→B records and
+// fixed pair under Policy{}, delivers three honest A→B records and
 // seals a fourth, the genuine record. B is handed in its place either
 // the genuine record with one bit flipped (bit mod its length in bits)
 // or, when replace is set, data verbatim. The properties:
@@ -26,17 +25,13 @@ func fuzzPayload(i int) []byte { return bytes.Repeat([]byte{'r', byte('0' + i)},
 //   - the genuine record still opens afterwards, so a rejected record
 //     never advances the receive state.
 //
-// The committed corpus (testdata/fuzz/FuzzChannelOpen) holds, under
-// each policy, a short record, a flip in each of seq, dir, ciphertext
-// and tag, a reflected record (B's own first record, sent back to it)
-// and a replay of the first delivered record.
+// The committed corpus (testdata/fuzz/FuzzChannelOpen) holds a short
+// record, a flip in each of seq, dir, ciphertext and tag, a reflected
+// record (B's own first record, sent back to it) and a replay of the
+// first delivered record.
 func FuzzChannelOpen(f *testing.F) {
-	f.Fuzz(func(t *testing.T, window, replace bool, bit uint16, data []byte) {
-		var policy Policy
-		if window {
-			policy.ReorderWindow = 8
-		}
-		a, b := newPair(t, policy)
+	f.Fuzz(func(t *testing.T, replace bool, bit uint16, data []byte) {
+		a, b := newPair(t, Policy{})
 		for i := 0; i < 3; i++ {
 			rec, err := a.Seal(fuzzPayload(i))
 			if err != nil {

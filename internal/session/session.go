@@ -5,7 +5,9 @@
 //
 //   - authenticated encryption of application records (AES-128-CTR +
 //     HMAC-SHA-256 encrypt-then-MAC, the §V-A primitive stack);
-//   - per-direction sequence numbers with strict replay rejection;
+//   - per-direction sequence numbers with strict replay rejection:
+//     records must arrive in order, as CAN, a reliable ordered bus,
+//     delivers them, so the layer keeps no reorder window;
 //   - a rekey policy that bounds how long one session key may live,
 //     operationalizing the paper's core motivation: "implementation-
 //     wise, either due to the limitations in the system's architecture,
@@ -82,13 +84,6 @@ type Policy struct {
 	MaxRecords uint64
 	// MaxAge is the maximum wall-clock key lifetime (0 = unlimited).
 	MaxAge time.Duration
-	// ReorderWindow selects the anti-replay strategy. 0 demands strict
-	// in-order delivery (appropriate on CAN, a reliable ordered bus).
-	// A positive value accepts records up to that many sequence
-	// numbers behind the highest seen, each at most once — the
-	// DTLS-style sliding window for lossy IoT links (§III's wireless
-	// sensor setting). Maximum 64.
-	ReorderWindow uint
 }
 
 // DefaultPolicy allows 2^20 records and a 24-hour key lifetime —
@@ -100,8 +95,8 @@ var (
 	// ErrRekeyRequired is returned once the policy expires; establish a
 	// new session (fresh KD run) to continue.
 	ErrRekeyRequired = errors.New("session: key lifetime exhausted, rekey required")
-	// ErrReplay is returned for records at or below the received
-	// high-water mark.
+	// ErrReplay is returned for a record out of sequence: a replay, or
+	// one that arrives after a gap.
 	ErrReplay = errors.New("session: record replayed or reordered")
 	// ErrAuth is returned when record authentication fails.
 	ErrAuth = errors.New("session: record authentication failed")
@@ -130,13 +125,7 @@ type Channel struct {
 	now     func() time.Time
 
 	sendSeq uint64
-	recvSeq uint64 // high-water mark of accepted records (strict mode)
-
-	// Sliding-window state (ReorderWindow > 0): highest accepted
-	// sequence number and a bitmask of the window behind it.
-	winHigh   uint64
-	winMask   uint64
-	winPrimed bool
+	recvSeq uint64 // the sequence number the next record must carry
 }
 
 // NewPair derives both endpoints of a session from a KD key block
@@ -217,8 +206,8 @@ func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 }
 
 // Open verifies and decrypts a record produced by the peer channel.
-// Records must arrive strictly in order; anything at or below the
-// high-water mark is rejected as a replay.
+// Records must arrive strictly in order; a record that does not carry
+// the next sequence number is rejected as a replay.
 func (c *Channel) Open(record []byte) ([]byte, error) {
 	if c.expired() {
 		return nil, ErrRekeyRequired
@@ -238,80 +227,19 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 		return nil, ErrAuth
 	}
 	// Authenticate BEFORE the replay check so an attacker cannot probe
-	// the window with forged headers; but reject replays before
-	// decrypting.
-	if err := c.checkReplay(seq); err != nil {
-		return nil, err
+	// the receive state with forged headers; but reject replays before
+	// decrypting. A gap means loss or reordering upstream.
+	if seq < c.recvSeq {
+		return nil, ErrReplay
+	}
+	if seq > c.recvSeq {
+		return nil, fmt.Errorf("%w: got seq %d, want %d", ErrReplay, seq, c.recvSeq)
 	}
 
 	pt := make([]byte, len(body)-recordHeader)
 	c.crypt(pt, body[recordHeader:], body[:recordHeader])
-	c.acceptSeq(seq)
+	c.recvSeq++
 	return pt, nil
-}
-
-// checkReplay applies the configured anti-replay strategy to an
-// authenticated sequence number.
-func (c *Channel) checkReplay(seq uint64) error {
-	if c.policy.ReorderWindow == 0 {
-		// Strict in-order delivery (CAN is a reliable ordered bus);
-		// gaps indicate loss or reordering upstream.
-		if seq < c.recvSeq {
-			return ErrReplay
-		}
-		if seq > c.recvSeq {
-			return fmt.Errorf("%w: got seq %d, want %d", ErrReplay, seq, c.recvSeq)
-		}
-		return nil
-	}
-	w := c.policy.ReorderWindow
-	if w > 64 {
-		w = 64
-	}
-	if !c.winPrimed {
-		return nil // first record always accepted
-	}
-	switch {
-	case seq > c.winHigh:
-		return nil // advances the window
-	case c.winHigh-seq >= uint64(w):
-		return fmt.Errorf("%w: seq %d below window [%d, %d]", ErrReplay, seq, c.winHigh-uint64(w)+1, c.winHigh)
-	default:
-		if c.winMask&(1<<(c.winHigh-seq)) != 0 {
-			return ErrReplay
-		}
-		return nil
-	}
-}
-
-// acceptSeq records an accepted sequence number.
-func (c *Channel) acceptSeq(seq uint64) {
-	if c.policy.ReorderWindow == 0 {
-		c.recvSeq = seq + 1
-		return
-	}
-	if !c.winPrimed {
-		c.winPrimed = true
-		c.winHigh = seq
-		c.winMask = 1
-		c.recvSeq = seq + 1
-		return
-	}
-	if seq > c.winHigh {
-		shift := seq - c.winHigh
-		if shift >= 64 {
-			c.winMask = 0
-		} else {
-			c.winMask <<= shift
-		}
-		c.winMask |= 1
-		c.winHigh = seq
-	} else {
-		c.winMask |= 1 << (c.winHigh - seq)
-	}
-	if c.winHigh >= c.recvSeq {
-		c.recvSeq = c.winHigh + 1
-	}
 }
 
 // crypt XORs src with the keystream of the record whose header is hdr

@@ -458,79 +458,6 @@ func TestCrossSessionIsolation(t *testing.T) {
 	}
 }
 
-func TestReorderWindow(t *testing.T) {
-	a, b := newPair(t, Policy{ReorderWindow: 4})
-	// Seal five records, deliver out of order: 0, 2, 1, 4, 3.
-	recs := make([][]byte, 5)
-	for i := range recs {
-		r, err := a.Seal([]byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs[i] = r
-	}
-	for _, i := range []int{0, 2, 1, 4, 3} {
-		got, err := b.Open(recs[i])
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got[0] != byte(i) {
-			t.Fatalf("record %d corrupted", i)
-		}
-	}
-	// Every replay must now fail.
-	for i, r := range recs {
-		if _, err := b.Open(r); !errors.Is(err, ErrReplay) {
-			t.Errorf("replay of record %d accepted: %v", i, err)
-		}
-	}
-}
-
-func TestReorderWindowExpiry(t *testing.T) {
-	a, b := newPair(t, Policy{ReorderWindow: 2})
-	recs := make([][]byte, 6)
-	for i := range recs {
-		recs[i], _ = a.Seal([]byte{byte(i)})
-	}
-	// Accept 0, then jump to 5: records 3 and earlier fall out of the
-	// window [4, 5].
-	if _, err := b.Open(recs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Open(recs[5]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Open(recs[4]); err != nil {
-		t.Fatalf("in-window record rejected: %v", err)
-	}
-	for _, i := range []int{1, 2, 3} {
-		if _, err := b.Open(recs[i]); !errors.Is(err, ErrReplay) {
-			t.Errorf("below-window record %d accepted: %v", i, err)
-		}
-	}
-}
-
-func TestReorderWindowLargeJump(t *testing.T) {
-	// A jump ≥ 64 must clear the whole mask without shifting UB.
-	a, b := newPair(t, Policy{ReorderWindow: 64})
-	var last []byte
-	for i := 0; i < 70; i++ {
-		r, err := a.Seal([]byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 || i == 69 {
-			if _, err := b.Open(r); err != nil {
-				t.Fatalf("record %d: %v", i, err)
-			}
-		}
-		last = r
-	}
-	if _, err := b.Open(last); !errors.Is(err, ErrReplay) {
-		t.Errorf("replay after large jump accepted: %v", err)
-	}
-}
-
 // TestQuickRoundTrip property-tests the record layer over random
 // payloads.
 func TestQuickRoundTrip(t *testing.T) {
