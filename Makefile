@@ -80,9 +80,10 @@ bench-compare:
 # point formula and inversion runs on them. The ScalarMult, VerifyBatch,
 # VerifyDigest and VerifyImplicit gates ride together: all guard the
 # same fixed-limb no-alloc contract, per op, per batched item (in
-# batches of one and of 16), per cached-key verification and per
-# first-sight verification straight from a certificate (even and odd
-# u2 alike). The Seal+Open gate guards the record layer's
+# batches of one and of 16; only the layered benchmark batches), per
+# cached-key verification (every rekey's) and per first-sight
+# verification straight from a certificate (even and odd u2 alike).
+# The Seal+Open gate guards the record layer's
 # key-once-per-session contract: keying the MAC again for every record
 # (hmac.New per tag) more than doubles its allocations, and per-record
 # key derivation multiplies them. The Deliver gate guards the CAN
@@ -90,9 +91,10 @@ bench-compare:
 # queues: a return to a payload copy per receiver multiplies its
 # allocations several times over. The warm-handshake gate is the one
 # above ecdsa: a whole in-memory STS rekey between two parties that
-# have met twice, which must also be all KeyCache hits, so it fails
-# when a rekey extracts, builds a table or verifies from the
-# certificate again.
+# have met twice, each verifying with one VerifyDigest call on its
+# cached comb, which must also be all KeyCache hits, so it fails when
+# a rekey extracts, builds a table or verifies from the certificate
+# again.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestFieldKernelsAllocFree' -v ./internal/ec/fp/
@@ -106,9 +108,10 @@ bench-alloc:
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's
 # batch_ops trajectory: dedicated squaring vs Mul(x, x), Montgomery-
-# trick BatchInv vs sequential inversions, wave VerifyBatch (one shared
-# scalar inversion) vs N independent Verifies, and the shared-inversion
-# table build. Summarized by benchstat when installed.
+# trick BatchInv vs sequential inversions, VerifyBatch (one shared
+# scalar inversion; nothing outside the layered benchmark calls it) vs
+# N independent Verifies, and the shared-inversion table build.
+# Summarized by benchstat when installed.
 BENCH_BATCH ?= BenchmarkSqr$$|BenchmarkSqrViaMul|BenchmarkBatchInv|BenchmarkInvSequential|BenchmarkVerifyBatch|BenchmarkVerifySequential|BenchmarkMultTableBuild
 bench-batch:
 	$(GO) test -run='^$$' -bench='$(BENCH_BATCH)' -benchmem -count=$(BENCH_COUNT) \

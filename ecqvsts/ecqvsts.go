@@ -116,14 +116,15 @@ type Option func(*options)
 type options struct {
 	curve *ec.Curve
 	rand  io.Reader
+	err   error // an option that could not be applied
 }
 
-// WithCurve selects the elliptic curve (default secp256r1).
+// WithCurve selects the elliptic curve by name: "secp256r1" (the
+// default, also "P-256" or "p256"), "secp224r1" ("P-224", "p224") or
+// "secp192r1" ("P-192", "p192"). NewAuthority fails on any other name.
 func WithCurve(name string) Option {
 	return func(o *options) {
-		if c, err := ec.CurveByName(name); err == nil {
-			o.curve = c
-		}
+		o.curve, o.err = ec.CurveByName(name)
 	}
 }
 
@@ -133,11 +134,14 @@ func WithRand(r io.Reader) Option {
 	return func(o *options) { o.rand = r }
 }
 
-// NewAuthority creates a CA on secp256r1 (overridable via options).
+// NewAuthority creates a CA on secp256r1 (overridable via options). It
+// fails on an option that cannot be applied, such as an unknown curve.
 func NewAuthority(opts ...Option) (*Authority, error) {
 	o := &options{curve: ec.P256()}
 	for _, fn := range opts {
-		fn(o)
+		if fn(o); o.err != nil {
+			return nil, o.err
+		}
 	}
 	net, err := core.NewNetwork(o.curve, o.rand)
 	if err != nil {

@@ -140,6 +140,10 @@ func TestWithCurveOption(t *testing.T) {
 	if s.Bytes >= 491 {
 		t.Errorf("P-224 handshake bytes %d, want < 491", s.Bytes)
 	}
+	// An unknown name is an error, not a P-256 authority.
+	if _, err := NewAuthority(WithCurve("P-521")); err == nil {
+		t.Error("NewAuthority(WithCurve(\"P-521\")): no error")
+	}
 }
 
 func TestChannels(t *testing.T) {

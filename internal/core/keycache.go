@@ -26,13 +26,14 @@ import (
 //   - First sight: a nil entry, which costs a map slot and nothing
 //     else. The engine verifies straight from the certificate
 //     (ecdsa.VerifyImplicit), with no extraction, no table and no
-//     SharedTableCache or wave-batcher traffic, because in STS Q_U
-//     serves exactly one verification. It counts as one miss.
+//     SharedTableCache lookup, because in STS Q_U serves exactly one
+//     verification. It counts as one miss.
 //   - Second sight: Q_U is extracted into the entry, and the
 //     verification that follows attaches Q_U's comb, adopted from the
 //     shared level or built and published there; each counts one
 //     miss.
-//   - Later sights hit the entry and its comb.
+//   - Later sights hit the entry and its comb, which VerifyDigest
+//     multiplies against.
 //
 // S-ECDSA and PORAMB need Q_U itself, so their first sight already
 // extracts (and S-ECDSA's verification attaches the comb).
@@ -57,10 +58,6 @@ type KeyCache struct {
 	// (CA, gateway, wave initiator) are built once per process instead
 	// of once per party. Never nil.
 	shared *SharedTableCache
-
-	// wave batches this party's concurrently in-flight verifications
-	// into ecdsa.VerifyBatch rounds.
-	wave waveVerifier
 
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -116,10 +113,9 @@ type CacheStats struct {
 	// the fleet-global SharedTableCache instead of building one.
 	SharedHits int
 
-	// WaveBatches/WaveItems account the group-commit verification:
-	// WaveItems verifications served through WaveBatches VerifyBatch
-	// rounds. WaveItems − WaveBatches is the number of verifications
-	// that shared a round, and with it the round's scalar inversion.
+	// WaveBatches and WaveItems are always 0: nothing writes them,
+	// because every verification is a single ecdsa call. They remain
+	// only for the layered benchmark in bench/, which still reads them.
 	WaveBatches int
 	WaveItems   int
 }
@@ -127,11 +123,9 @@ type CacheStats struct {
 // Stats returns the hit/miss counters.
 func (kc *KeyCache) Stats() CacheStats {
 	return CacheStats{
-		Hits:        int(kc.hits.Load()),
-		Misses:      int(kc.misses.Load()),
-		SharedHits:  int(kc.sharedHits.Load()),
-		WaveBatches: int(kc.wave.batches.Load()),
-		WaveItems:   int(kc.wave.items.Load()),
+		Hits:       int(kc.hits.Load()),
+		Misses:     int(kc.misses.Load()),
+		SharedHits: int(kc.sharedHits.Load()),
 	}
 }
 

@@ -165,17 +165,14 @@ func (s *suite) sign(priv *big.Int, msg []byte) (ecdsa.Signature, error) {
 }
 
 // verify checks an ECDSA signature under a peer's public key
-// (Algorithm 2 line 3). A key left implicit in a first-seen
-// certificate is checked straight from it by ecdsa.VerifyImplicit: one
-// multi-scalar chain, with no extraction, no table, and neither the
-// SharedTableCache nor the wave batcher. An extracted key gets the comb
-// its KeyCache entry holds (attached by the entry's first
-// verification) and rides the party's wave batcher: concurrent
-// EstablishAll verifications share one scalar inversion through
-// ecdsa.VerifyBatch, whose items each run VerifyDigest's own tail, so
-// a batched verdict is a lone Verify's. The meter is the same on every
-// path: it records the primitives the modelled device executes, which
-// extracts Q_U and never batches across peers.
+// (Algorithm 2 line 3), with one ecdsa call per key state. A key left
+// implicit in a first-seen certificate is checked straight from it by
+// ecdsa.VerifyImplicit: one multi-scalar chain, with no extraction, no
+// table and no SharedTableCache lookup. An extracted key is checked by
+// VerifyDigest against the comb its KeyCache entry holds (attached by
+// the entry's first verification). The meter is the same on both
+// paths: it records the primitives the modelled device executes,
+// whatever the host has cached.
 func (s *suite) verify(key peerKey, msg []byte, sig ecdsa.Signature) bool {
 	s.m.record(PrimHashBytes, len(msg))
 	s.m.record(PrimModInverse, 1)
@@ -184,7 +181,7 @@ func (s *suite) verify(key peerKey, msg []byte, sig ecdsa.Signature) bool {
 	if key.peerEntry == nil {
 		return ecdsa.VerifyImplicit(s.curve, key.cert.PubRecon, key.cert.HashToScalar(), key.caPub, digest[:], sig)
 	}
-	return s.cache.wave.verify(s.cache.verifier(s.curve, key), digest[:], sig)
+	return s.cache.verifier(s.curve, key).VerifyDigest(digest[:], sig)
 }
 
 // mac computes HMAC-SHA-256 over the concatenation of parts.

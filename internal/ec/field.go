@@ -9,16 +9,30 @@ import (
 // reduction in one place. Every function returns a fresh big.Int and
 // never aliases its arguments.
 
+// reduce sets r to r mod p and returns it. A sum or difference of
+// reduced operands lies in [−p, 2p), where one addition or subtraction
+// of p is the whole reduction; any other r takes the division of Mod.
+// The result is Mod's either way.
+func reduce(r, p *big.Int) *big.Int {
+	if r.Sign() < 0 {
+		r.Add(r, p)
+	} else if r.Cmp(p) >= 0 {
+		r.Sub(r, p)
+	}
+	if r.Sign() < 0 || r.Cmp(p) >= 0 {
+		r.Mod(r, p)
+	}
+	return r
+}
+
 // modAdd returns (a + b) mod p.
 func modAdd(a, b, p *big.Int) *big.Int {
-	r := new(big.Int).Add(a, b)
-	return r.Mod(r, p)
+	return reduce(new(big.Int).Add(a, b), p)
 }
 
 // modSub returns (a − b) mod p.
 func modSub(a, b, p *big.Int) *big.Int {
-	r := new(big.Int).Sub(a, b)
-	return r.Mod(r, p)
+	return reduce(new(big.Int).Sub(a, b), p)
 }
 
 // modMul returns (a · b) mod p.
@@ -35,11 +49,7 @@ func modSqr(a, p *big.Int) *big.Int {
 
 // modNeg returns (−a) mod p.
 func modNeg(a, p *big.Int) *big.Int {
-	r := new(big.Int).Mod(a, p)
-	if r.Sign() == 0 {
-		return r
-	}
-	return r.Sub(p, r)
+	return reduce(new(big.Int).Neg(a), p)
 }
 
 // modInv returns a⁻¹ mod p. It returns an error when a ≡ 0 (mod p),

@@ -2,14 +2,17 @@ package ecdsa
 
 import "math/big"
 
-// Batch verification. An EstablishAll wave verifies one STS signature
-// per peer it has seen before: independent ECDSA checks against mostly
-// cached keys. VerifyBatch shares the step that batches cheaply:
-// Montgomery's trick gives every signature on one curve its s⁻¹ mod n
-// from a single modular inversion. Each item then runs VerifyDigest's
-// own tail (verifyInverse), so per-item results are exactly those of
-// VerifyDigest — batching changes cost, never answers — and a batch of
-// one is just a Verify with different plumbing.
+// Batch verification. VerifyBatch shares the step that batches
+// cheaply: Montgomery's trick gives every signature on one curve its
+// s⁻¹ mod n from a single modular inversion. Each item then runs
+// VerifyDigest's own tail (verifyInverse), so per-item results are
+// exactly those of VerifyDigest — batching changes cost, never answers
+// — and a batch of one is just a Verify with different plumbing.
+//
+// Nothing in this module calls VerifyBatch: an STS party verifies one
+// signature per handshake, with VerifyDigest or VerifyImplicit. It
+// stays only for the layered benchmark (bench/), whose
+// ecdsa.verify_batch16_item_us row times it.
 
 // BatchItem is one signature check: sig over a precomputed digest
 // under key.

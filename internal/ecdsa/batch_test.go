@@ -153,8 +153,8 @@ func TestBatchModInverse(t *testing.T) {
 
 // verifyBatchAllocBudget and verifyBatch1AllocBudget are the per-item
 // heap-allocation ceilings of table-backed P-256 batches of sixteen
-// items and of one (the size core's wave batcher produces when nothing
-// else is in flight), enforced by CI next to the ScalarMult gate. The
+// items and of one (where no inversion is shared, so the batch's own
+// bookkeeping shows), enforced by CI next to the ScalarMult gate. The
 // fixed-limb backend keeps the point arithmetic allocation-free; what
 // remains is big.Int boundary work (scalars, digests, coordinate
 // conversion), which must stay O(1) per item. Measured: 30.3 and 50
@@ -195,7 +195,7 @@ func TestVerifyBatchAllocBudget(t *testing.T) {
 }
 
 // BenchmarkVerifyBatch and BenchmarkVerifySequential record the
-// batch-vs-N×Verify trajectory entry at wave sizes 1, 4 and 16.
+// batch-vs-N×Verify trajectory entry at batch sizes 1, 4 and 16.
 func BenchmarkVerifyBatch(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		items := batchFixture(b, ec.P256(), n, true)

@@ -328,7 +328,4 @@ func TestSharedTableStressConsistency(t *testing.T) {
 		t.Errorf("Manager.Stats().SharedTables = %+v diverges from global %+v",
 			got, core.SharedTables().Stats())
 	}
-	if st := gw.KeyCache().Stats(); st.WaveItems < st.WaveBatches || st.WaveItems == 0 {
-		t.Errorf("gateway wave accounting inconsistent: %+v", st)
-	}
 }
