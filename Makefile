@@ -10,7 +10,7 @@ SHELL := /bin/bash
 BENCH_COMPARE ?= BenchmarkScalarMultAblation|BenchmarkFig3_STSOperations|BenchmarkLiveHandshake
 BENCH_COUNT ?= 5
 
-.PHONY: build test race race-parallel test-purebig test-386 bench bench-smoke bench-check bench-compare bench-batch bench-alloc bench-scenarios scenario-smoke adversarial-smoke parallel-invariance stream-smoke fuzz-smoke examples fmt fmt-check vet lint doccheck linkcheck detlint cover
+.PHONY: build test race race-parallel test-purebig test-386 bench bench-smoke bench-check bench-compare bench-batch bench-alloc bench-scenarios scenario-smoke sweep-smoke adversarial-smoke parallel-invariance fuzz-smoke examples fmt fmt-check vet lint doccheck linkcheck detlint cover
 
 build:
 	$(GO) build ./...
@@ -122,15 +122,20 @@ bench-batch:
 		echo "benchstat not installed; read bench-batch.txt directly"; \
 	fi
 
+# Every scenario gate in one local run. CI runs the three gates as
+# separate steps instead, so each runs exactly once there.
+scenario-smoke: sweep-smoke adversarial-smoke parallel-invariance
+
 # One small degraded-bus sweep end to end — scenario engine, CLI,
 # JSON writer — then the schema-drift gate on its own output (used by
 # CI; finishes in seconds because all time is simulated). The second
 # half is the schedule-invariance gate: a congested-gateway bring-up
 # sweep at EstablishAll parallelism 4 runs twice with the same seed
-# (plus the CLI's serial-reference self-check inside each run) and the
-# two JSON outputs must be byte-identical — the fair-queuing egress
-# scheduler is what makes this combination reproducible at all.
-scenario-smoke: parallel-invariance adversarial-smoke stream-smoke
+# (plus the CLI's serial-reference self-check inside each run, which
+# compares SHA-256 digests of the JSON) and the two JSON outputs must
+# be byte-identical — the fair-queuing egress scheduler is what makes
+# this combination reproducible at all.
+sweep-smoke:
 	$(GO) run ./cmd/scenario -name smoke -peers 4 -segments 3 \
 		-sweep drop:0,0.05,0.10 -attempts 10 \
 		-json scenario-smoke.json -csv scenario-smoke.csv
@@ -178,9 +183,15 @@ adversarial-smoke:
 # byte-identical — sweep-point fan-out may only change wall clock,
 # never a measurement. A shared-capacity egress sweep rides the same
 # gate: points never share a port, so even the flow-coupled scheduler
-# is worker-invariant.
+# is worker-invariant. So does a 160-point range sweep: every run
+# streams its points to the outputs in index order, and the engine
+# fails any run whose completed-point backlog exceeds
+# workers + ReorderSlack, so at -workers 8 this leg also holds the
+# streaming memory bound. Finishes in seconds: all time is simulated.
 PARINV := -peers 4 -segments 3 -seed 42 -corrupt 0.01 \
 	-sweep drop:0,0.01,0.02,0.03,0.04,0.05,0.06,0.08
+PARINV_GRID := -peers 3 -segments 2 -seed 42 -corrupt 0.005 \
+	-sweep drop:0..0.05/160
 parallel-invariance:
 	$(GO) run ./cmd/scenario -name par-inv $(PARINV) -workers 1 \
 		-json par-inv-w1.json -csv par-inv-w1.csv -trace par-inv-w1.trace >/dev/null
@@ -196,34 +207,20 @@ parallel-invariance:
 		-egress-rate 400 -egress-queue 64 -egress-shared -sweep drop:0,0.02 \
 		-workers 8 -json par-inv-shared-w8.json >/dev/null
 	cmp par-inv-shared-w1.json par-inv-shared-w8.json
+	$(GO) run ./cmd/scenario -name par-inv-grid $(PARINV_GRID) -workers 1 \
+		-json par-inv-grid-w1.json -csv par-inv-grid-w1.csv -trace par-inv-grid-w1.trace >/dev/null
+	$(GO) run ./cmd/scenario -name par-inv-grid $(PARINV_GRID) -workers 8 \
+		-json par-inv-grid-w8.json -csv par-inv-grid-w8.csv -trace par-inv-grid-w8.trace >/dev/null
+	cmp par-inv-grid-w1.json par-inv-grid-w8.json
+	cmp par-inv-grid-w1.csv par-inv-grid-w8.csv
+	cmp par-inv-grid-w1.trace par-inv-grid-w8.trace
 	$(GO) run ./cmd/scenario -validate par-inv-w8.json
-
-# The streaming gate: a 160-point heavy-ish sweep runs once streamed
-# at -workers 8 (points flush to the JSON/CSV/trace sinks in order as
-# they complete, O(workers + reorder window) memory) and once
-# materialized at -workers 1, and all three output files must be
-# byte-identical — the streamed-vs-materialized leg of the determinism
-# contract. The reorder-window bound is enforced inside the engine: a
-# streamed run whose completed-point backlog ever exceeds
-# workers + ReorderSlack fails, so this target failing on a clean tree
-# means the memory contract broke. Finishes in seconds: all time is
-# simulated.
-STREAMSMOKE := -peers 3 -segments 2 -seed 42 -corrupt 0.005 \
-	-sweep drop:0..0.05/160
-stream-smoke:
-	$(GO) run ./cmd/scenario -name stream-smoke $(STREAMSMOKE) -workers 8 -stream \
-		-json stream-smoke-s.json -csv stream-smoke-s.csv -trace stream-smoke-s.trace
-	$(GO) run ./cmd/scenario -name stream-smoke $(STREAMSMOKE) -workers 1 \
-		-json stream-smoke-m.json -csv stream-smoke-m.csv -trace stream-smoke-m.trace
-	cmp stream-smoke-s.json stream-smoke-m.json
-	cmp stream-smoke-s.csv stream-smoke-m.csv
-	cmp stream-smoke-s.trace stream-smoke-m.trace
-	$(GO) run ./cmd/scenario -validate stream-smoke-s.json
+	$(GO) run ./cmd/scenario -validate par-inv-grid-w8.json
 
 # Regenerate the committed BENCH_scenarios.json trajectory (the
 # canonical degraded-bus curves; simulated time, host-independent).
-# The last two entries are the streamed heavy-traffic workloads: a
-# 2048-point impairment grid and a 64-peer bring-up, recorded as
+# The last two entries are the heavy-traffic workloads: a 2048-point
+# impairment grid and a 64-peer bring-up, which -stream records as
 # aggregate stream blocks (points: null — the full point lists are
 # exactly what is too big to commit) with the reorder-depth and heap
 # high-water evidence in wall_clock.

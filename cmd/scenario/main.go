@@ -24,12 +24,13 @@
 //	# assert zero accepted replays end-to-end:
 //	scenario -workload attack -adversary replay -json replay.json
 //
-//	# Heavy traffic: a 2048-point impairment grid streamed straight to
-//	# disk — completed points flush in order and are released, so peak
-//	# memory is O(workers + reorder window), not O(points). Output is
-//	# byte-identical to the materialized path:
-//	scenario -peers 2 -sweep drop:0..0.06/2048 -workers 0 -stream \
-//	         -json grid.json -csv grid.csv
+//	# Heavy traffic: a 2048-point impairment grid. Every run streams
+//	# straight to its outputs — completed points flush in order and are
+//	# released, so peak memory is O(workers + reorder window), not
+//	# O(points) — and -check-invariance compares SHA-256 digests, so the
+//	# self-check holds O(1) memory too:
+//	scenario -peers 2 -sweep drop:0..0.06/2048 -workers 0 \
+//	         -check-invariance -json grid.json -csv grid.csv
 //
 //	# Schema-drift gate (CI): re-validate an emitted file:
 //	scenario -validate curve.json
@@ -37,6 +38,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -59,8 +61,10 @@ func main() {
 	}
 }
 
-// run is the testable CLI body: parse flags from args, execute, write
-// human-facing output to stdout.
+// run is the testable CLI body: parse flags from args, execute, and
+// write the result JSON (or the -validate verdict) to stdout unless
+// -json names a file. Timing, the invariance confirmation and warnings
+// go to stderr, so stdout holds exactly one document.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
 	var (
@@ -92,8 +96,8 @@ func run(args []string, stdout io.Writer) error {
 		tracePath    = fs.String("trace", "", "also write the full fault/recovery trace here")
 		benchPath    = fs.String("bench", "", "append the result to this benchmark trajectory file")
 		validate     = fs.String("validate", "", "validate an emitted JSON file against the schema and exit")
-		checkInv     = fs.Bool("check-invariance", false, "re-run the scenario serially (parallelism 1) and fail unless the results are byte-identical — the schedule-invariance self-check")
-		stream       = fs.Bool("stream", false, "stream each completed point to the JSON/CSV/trace outputs in order instead of materializing the whole result — byte-identical output, O(workers) memory; for the sweeps too big to hold")
+		checkInv     = fs.Bool("check-invariance", false, "re-run the scenario serially (workers 1, parallelism 1) and fail unless its JSON has the same SHA-256 digest — the schedule-invariance self-check")
+		stream       = fs.Bool("stream", false, "with -bench, record the aggregate stream block instead of the point list, for the sweeps too big to commit (outputs always stream, in O(workers) memory)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,71 +149,13 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	opts := scenario.Options{Workers: *workers}
-	if *stream {
-		if *checkInv {
-			return fmt.Errorf("-stream and -check-invariance are mutually exclusive: the self-check compares materialized results (byte-compare a streamed run against a materialized one instead — that is what make stream-smoke gates)")
-		}
-		return runStreamed(s, opts, *jsonPath, *csvPath, *tracePath, *benchPath, stdout)
-	}
-
-	var res *scenario.Result
-	var timing *scenario.Timing
-	if *tracePath != "" {
-		err = writeFile(*tracePath, func(f *os.File) error {
-			var rerr error
-			res, timing, rerr = scenario.RunWith(s, opts, scenario.NewTraceSink(f))
-			return rerr
-		})
-	} else {
-		res, timing, err = scenario.RunWith(s, opts)
-	}
-	if err != nil {
-		return err
-	}
-	printTiming(timing, len(res.Points))
-
-	var serialWall time.Duration
-	if *checkInv {
-		if serialWall, err = checkInvariance(s, res, timing, stdout); err != nil {
-			return err
-		}
-	}
-
-	if *jsonPath == "" || *jsonPath == "-" {
-		if err := scenario.WriteJSON(stdout, res); err != nil {
-			return err
-		}
-	} else if err := writeFile(*jsonPath, func(f *os.File) error { return scenario.WriteJSON(f, res) }); err != nil {
-		return err
-	}
-	if *csvPath != "" {
-		if err := writeFile(*csvPath, func(f *os.File) error { return scenario.WriteCSV(f, res) }); err != nil {
-			return err
-		}
-	}
-	if *benchPath != "" {
-		entry := &benchEntry{Result: res, WallClock: buildWallClock(timing, serialWall, true)}
-		if err := appendBench(*benchPath, entry); err != nil {
-			return err
-		}
-	}
-	warnFailed(failedPoints(res), len(res.Points))
-	return nil
-}
-
-// runStreamed is the -stream execution path: every requested output
-// gets an incremental sink, completed points flush to them in index
-// order as the sweep runs, and nothing materializes — the result never
-// exists in memory as a whole. Output bytes are identical to the
-// materialized path's.
-func runStreamed(s scenario.Scenario, opts scenario.Options, jsonPath, csvPath, tracePath, benchPath string, stdout io.Writer) error {
+	// Every output gets an incremental sink, and completed points flush
+	// to them in index order as the sweep runs. The files stay open for
+	// the whole run, so a failed run may leave partial output behind:
+	// the exit status is the verdict. Close errors on the success path
+	// are real errors, since the last buffered bytes live there.
 	sum := &streamSummary{}
 	sinks := []scenario.PointSink{sum}
-
-	// Output files stay open for the whole run (sinks write them point
-	// by point); close errors on the success path are real errors —
-	// the last buffered bytes live there.
 	var files []*os.File
 	closeAll := func() error {
 		var first error
@@ -222,69 +168,88 @@ func runStreamed(s scenario.Scenario, opts scenario.Options, jsonPath, csvPath, 
 		return first
 	}
 	defer closeAll()
-	open := func(path string) (*os.File, error) {
+	create := func(path string) (*os.File, error) {
 		f, err := os.Create(path)
 		if err == nil {
 			files = append(files, f)
 		}
 		return f, err
 	}
-
-	if jsonPath == "" || jsonPath == "-" {
+	if *jsonPath == "" || *jsonPath == "-" {
 		sinks = append(sinks, scenario.NewJSONSink(stdout))
 	} else {
-		f, err := open(jsonPath)
+		f, err := create(*jsonPath)
 		if err != nil {
 			return err
 		}
 		sinks = append(sinks, scenario.NewJSONSink(f))
 	}
-	if csvPath != "" {
-		f, err := open(csvPath)
+	if *csvPath != "" {
+		f, err := create(*csvPath)
 		if err != nil {
 			return err
 		}
 		sinks = append(sinks, scenario.NewCSVSink(f))
 	}
-	if tracePath != "" {
-		f, err := open(tracePath)
+	if *tracePath != "" {
+		f, err := create(*tracePath)
 		if err != nil {
 			return err
 		}
 		sinks = append(sinks, scenario.NewTraceSink(f))
 	}
+	// -check-invariance hashes the run's own JSON document, so the
+	// comparison holds O(1) memory at any sweep length.
+	digest := sha256.New()
+	if *checkInv {
+		sinks = append(sinks, scenario.NewJSONSink(digest))
+	}
 
-	timing, err := scenario.RunStreamWith(s, sinks, opts)
+	// Only a bench entry with a point list collects the Result; every
+	// other run holds O(workers + reorder window) points.
+	opts := scenario.Options{Workers: *workers}
+	var res *scenario.Result
+	var timing *scenario.Timing
+	if *benchPath != "" && !*stream {
+		res, timing, err = scenario.RunWith(s, opts, sinks...)
+	} else {
+		timing, err = scenario.RunStreamWith(s, sinks, opts)
+	}
 	if err != nil {
 		return err
 	}
 	if err := closeAll(); err != nil {
 		return err
 	}
-	printTiming(timing, sum.points)
+	printTiming(timing, sum.agg.Points)
 
-	if benchPath != "" {
-		// A streamed bench entry records the header and the aggregate
-		// stream block instead of the full point list ("points": null):
-		// the heavy-traffic sweeps exist precisely because their point
-		// lists are too big to commit.
-		entry := &benchEntry{
-			Result:    sum.headerResult(),
-			WallClock: buildWallClock(timing, 0, false),
-			Stream:    sum.block(),
-		}
-		if err := appendBench(benchPath, entry); err != nil {
+	var serialWall time.Duration
+	if *checkInv {
+		if serialWall, err = checkInvariance(s, digest.Sum(nil), timing.Workers); err != nil {
 			return err
 		}
 	}
-	warnFailed(sum.failed, sum.points)
+	if *benchPath != "" {
+		entry := &benchEntry{Result: res, WallClock: buildWallClock(timing, serialWall, res != nil)}
+		if res == nil {
+			// A -stream bench entry records the header and the
+			// aggregate stream block instead of the full point list
+			// ("points": null): the heavy-traffic sweeps exist
+			// precisely because their point lists are too big to
+			// commit.
+			entry.Result, entry.Stream = sum.headerResult(), &sum.agg
+		}
+		if err := appendBench(*benchPath, entry); err != nil {
+			return err
+		}
+	}
+	warnFailed(sum.agg.Failed, sum.agg.Points)
 	return nil
 }
 
 // printTiming writes the run's wall-clock line to stderr: workers and
 // wall time, plus the streaming engine's memory evidence (peak reorder
-// depth, sampled heap high water) — populated on every run now that
-// the materialized path is a collecting sink over the same engine.
+// depth, sampled heap high water).
 func printTiming(timing *scenario.Timing, points int) {
 	fmt.Fprintf(os.Stderr, "timing: workers=%d wall=%s max_in_flight=%d points=%d reorder_depth=%d heap_high_water=%.1fMB\n",
 		timing.Workers, timing.WallClock.Round(time.Millisecond), timing.MaxInFlight, points,
@@ -300,49 +265,34 @@ func warnFailed(failed, points int) {
 	}
 }
 
-// failedPoints counts points that recorded a point-level failure.
-func failedPoints(res *scenario.Result) int {
-	n := 0
-	for _, p := range res.Points {
-		if p.Error != "" {
-			n++
-		}
-	}
-	return n
-}
-
 // checkInvariance re-runs the scenario fully serially — one sweep
-// worker, EstablishAll parallelism 1 — and compares the two results
-// byte-for-byte: with isolated per-point fabrics, content-keyed
-// faults, private per-conversation randomness and fair-queuing
-// gateway egress, a measured curve must be a function of the scenario
-// definition alone, never of how the workers were scheduled. (On an
-// already-serial run this degrades to a same-seed replay determinism
-// check, which is still a meaningful gate.) It returns the serial
-// reference's wall-clock time, which the bench trajectory records as
-// the parallel run's speedup baseline.
-func checkInvariance(s scenario.Scenario, res *scenario.Result, timing *scenario.Timing, stdout io.Writer) (time.Duration, error) {
+// worker, EstablishAll parallelism 1 — streaming its JSON document into
+// a SHA-256 hash, and fails unless that digest equals digest, the hash
+// of the run's own document: with isolated per-point fabrics,
+// content-keyed faults, private per-conversation randomness and
+// fair-queuing gateway egress, a measured curve must be a function of
+// the scenario definition alone, never of how the workers were
+// scheduled. (On an already-serial run this degrades to a same-seed
+// replay determinism check, which is still a meaningful gate.) The
+// confirmation goes to stderr beside the timing line. It returns the
+// serial reference's wall-clock time, which the bench trajectory
+// records as the parallel run's speedup baseline.
+func checkInvariance(s scenario.Scenario, digest []byte, workers int) (time.Duration, error) {
 	serial := s
 	serial.Parallelism = 1
-	ref, serialTiming, err := scenario.RunWith(serial, scenario.Options{Workers: 1})
+	ref := sha256.New()
+	timing, err := scenario.RunStreamWith(serial, []scenario.PointSink{scenario.NewJSONSink(ref)}, scenario.Options{Workers: 1})
 	if err != nil {
 		return 0, fmt.Errorf("invariance self-check rerun: %w", err)
 	}
-	got, err := json.Marshal(res)
-	if err != nil {
-		return 0, err
+	want := ref.Sum(nil)
+	if !bytes.Equal(digest, want) {
+		return 0, fmt.Errorf("schedule-invariance self-check FAILED: workers %d / parallelism %d diverged from the serial reference (sha256 %.8x vs %.8x)",
+			workers, s.Parallelism, digest, want)
 	}
-	want, err := json.Marshal(ref)
-	if err != nil {
-		return 0, err
-	}
-	if !bytes.Equal(got, want) {
-		return 0, fmt.Errorf("schedule-invariance self-check FAILED: workers %d / parallelism %d diverged from the serial reference (%d vs %d bytes)",
-			timing.Workers, s.Parallelism, len(got), len(want))
-	}
-	fmt.Fprintf(stdout, "invariance: workers %d / parallelism %d == serial reference (%d identical bytes)\n",
-		timing.Workers, s.Parallelism, len(got))
-	return serialTiming.WallClock, nil
+	fmt.Fprintf(os.Stderr, "invariance: workers %d / parallelism %d == serial reference (sha256 %.8x)\n",
+		workers, s.Parallelism, want)
+	return timing.WallClock, nil
 }
 
 // parseAdversaries decodes the -adversary comma list into configs,
@@ -434,18 +384,6 @@ func parseRange(tok string) ([]float64, error) {
 	return pts, nil
 }
 
-func writeFile(path string, emit func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // benchFile is the trajectory document committed as
 // BENCH_scenarios.json: a self-describing header plus the accumulated
 // scenario results.
@@ -461,8 +399,8 @@ type benchFile struct {
 // benchEntry is one trajectory entry: the measurement (simulated time,
 // host-independent) plus the wall clock the engine spent producing it
 // (real time, the one host-dependent number — the multi-core speedup
-// evidence). Streamed heavy-traffic entries carry a stream aggregate
-// block and a null points list instead of the full curve — the point
+// evidence). Heavy-traffic entries written with -stream carry a stream
+// aggregate block and a null points list instead of the full curve — the point
 // lists those sweeps produce are exactly what is too big to commit.
 type benchEntry struct {
 	*scenario.Result
@@ -478,7 +416,7 @@ type wallClock struct {
 	TotalMS float64 `json:"total_ms"`
 	// PointMS is each point's wall-clock time, index-aligned with
 	// points; their sum exceeding total_ms means points overlapped.
-	// Omitted on streamed entries (it is O(points) by definition).
+	// Omitted on -stream entries (it is O(points) by definition).
 	PointMS []float64 `json:"point_ms,omitempty"`
 	// MaxInFlight is the peak number of points simulating
 	// concurrently.
@@ -491,13 +429,13 @@ type wallClock struct {
 	// the run (host- and GC-dependent, like everything in this block).
 	HeapHighWaterBytes uint64 `json:"heap_high_water_bytes"`
 	// SerialMS and SpeedupVsSerial are recorded when the run was
-	// -check-invariance armed: the byte-identical serial reference's
-	// wall clock, and total speedup over it.
+	// -check-invariance armed: the serial reference's wall clock (its
+	// JSON digest matched the run's), and total speedup over it.
 	SerialMS        float64 `json:"serial_ms,omitempty"`
 	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
 }
 
-// streamBlock is a streamed run's aggregate measurement: simulated-
+// streamBlock is a -stream entry's aggregate measurement: simulated-
 // time totals over the whole sweep — host-independent, reproducible
 // from the scenario definition like any curve, just folded instead of
 // listed.
@@ -517,9 +455,7 @@ type streamBlock struct {
 // diagnostics need, holding O(1) memory.
 type streamSummary struct {
 	header scenario.Header
-	points int
-	failed int
-	block_ streamBlock
+	agg    streamBlock
 }
 
 // Begin records the scenario header.
@@ -530,23 +466,22 @@ func (s *streamSummary) Begin(h scenario.Header) error {
 
 // Point folds one point into the aggregates.
 func (s *streamSummary) Point(i int, pt scenario.Point, _ []byte) error {
-	s.points++
-	if pt.Error != "" {
-		s.failed++
-	}
-	s.block_.Errors += pt.Errors
-	s.block_.Handshakes += pt.Handshakes
-	s.block_.Retries += pt.Retries
-	s.block_.Retransmits += pt.Retransmits
-	s.block_.SimTimeTotalUS += pt.SimTimeUS
-	if pt.SimTimeUS > s.block_.SimTimeMaxUS {
-		s.block_.SimTimeMaxUS = pt.SimTimeUS
+	s.agg.Errors += pt.Errors
+	s.agg.Handshakes += pt.Handshakes
+	s.agg.Retries += pt.Retries
+	s.agg.Retransmits += pt.Retransmits
+	s.agg.SimTimeTotalUS += pt.SimTimeUS
+	if pt.SimTimeUS > s.agg.SimTimeMaxUS {
+		s.agg.SimTimeMaxUS = pt.SimTimeUS
 	}
 	return nil
 }
 
-// End is a no-op; the aggregates are read by the caller.
-func (s *streamSummary) End(scenario.Summary) error { return nil }
+// End records the engine's point and failure counts.
+func (s *streamSummary) End(sum scenario.Summary) error {
+	s.agg.Points, s.agg.Failed = sum.Points, sum.Failed
+	return nil
+}
 
 // headerResult rebuilds the scenario-level Result fields (points nil)
 // for the bench entry.
@@ -562,17 +497,9 @@ func (s *streamSummary) headerResult() *scenario.Result {
 	}
 }
 
-// block returns the folded aggregates with the point counts filled in.
-func (s *streamSummary) block() *streamBlock {
-	b := s.block_
-	b.Points = s.points
-	b.Failed = s.failed
-	return &b
-}
-
 // buildWallClock renders a Timing into the trajectory's wall_clock
-// block; includePoints carries the per-point times (materialized runs
-// only — the list is O(points)).
+// block; includePoints carries the per-point times (entries with a
+// point list only — the list is O(points)).
 func buildWallClock(timing *scenario.Timing, serialWall time.Duration, includePoints bool) *wallClock {
 	if timing == nil {
 		return nil
@@ -631,9 +558,9 @@ func appendBench(path string, entry *benchEntry) error {
 		}
 	}
 	doc.Scenarios = append(kept, entry)
-	return writeFile(path, func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	})
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o666)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -134,7 +135,8 @@ func TestCLIErrors(t *testing.T) {
 // TestCLICheckInvariance runs a congested concurrent bring-up — the
 // configuration that could not exist before the fair-queuing egress
 // scheduler — with the schedule-invariance self-check armed: the CLI
-// re-runs it serially and fails on any byte of divergence.
+// re-runs it serially and fails on any byte of divergence. The
+// confirmation goes to stderr, so stdout is exactly one document.
 func TestCLICheckInvariance(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{
@@ -145,17 +147,8 @@ func TestCLICheckInvariance(t *testing.T) {
 	}, &out); err != nil {
 		t.Fatalf("invariance self-check failed: %v", err)
 	}
-	if !strings.Contains(out.String(), "invariance: workers 1 / parallelism 4 == serial reference") {
-		t.Errorf("missing self-check confirmation in output: %q", out.String())
-	}
-	// The confirmation precedes the JSON on stdout; the JSON itself
-	// must still validate.
-	idx := strings.Index(out.String(), "{")
-	if idx < 0 {
-		t.Fatal("no JSON on stdout")
-	}
-	if _, err := scenario.ValidateJSON(out.Bytes()[idx:]); err != nil {
-		t.Fatalf("stdout JSON invalid: %v", err)
+	if _, err := scenario.ValidateJSON(out.Bytes()); err != nil {
+		t.Fatalf("stdout is not exactly one valid document: %v", err)
 	}
 }
 
@@ -216,8 +209,35 @@ func TestCLICheckInvarianceWithWorkers(t *testing.T) {
 	}, &out); err != nil {
 		t.Fatalf("invariance self-check at -workers 4 failed: %v", err)
 	}
-	if !strings.Contains(out.String(), "invariance: workers 4 / parallelism 1 == serial reference") {
-		t.Errorf("missing self-check confirmation: %q", out.String())
+	if _, err := scenario.ValidateJSON(out.Bytes()); err != nil {
+		t.Fatalf("stdout is not exactly one valid document: %v", err)
+	}
+}
+
+// TestCheckInvarianceComparesDigests: the self-check passes on the
+// serial reference's own digest and fails on any other, so it cannot
+// pass without comparing.
+func TestCheckInvarianceComparesDigests(t *testing.T) {
+	s := scenario.Scenario{
+		Name: "digest-test", Peers: 2, Segments: 2, Seed: 5,
+		Parallelism: 1, SweepAxis: scenario.AxisDrop, SweepPoints: []float64{0, 0.03},
+	}
+	h := sha256.New()
+	if _, err := scenario.RunStreamWith(s, []scenario.PointSink{scenario.NewJSONSink(h)}, scenario.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	good := h.Sum(nil)
+	serial, err := checkInvariance(s, good, 2)
+	if err != nil {
+		t.Fatalf("the serial reference's own digest was rejected: %v", err)
+	}
+	if serial <= 0 {
+		t.Errorf("serial reference wall clock %v, want > 0", serial)
+	}
+	bad := append([]byte{}, good...)
+	bad[len(bad)-1] ^= 1
+	if _, err := checkInvariance(s, bad, 2); err == nil || !strings.Contains(err.Error(), "self-check FAILED") {
+		t.Fatalf("a mismatched digest passed the self-check: %v", err)
 	}
 }
 
@@ -388,9 +408,11 @@ func TestParseAdversaries(t *testing.T) {
 	}
 }
 
-// TestCLIStream drives the -stream path end-to-end and byte-compares
-// every output against a materialized run of the same scenario — the
-// in-process version of the make stream-smoke gate.
+// TestCLIStream byte-compares every output of a -stream run at
+// -workers 8 against a serial run without -stream: -stream only
+// selects the form of a bench entry, and workers only change wall
+// clock — the in-process version of the 160-point leg of make
+// parallel-invariance.
 func TestCLIStream(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
@@ -401,7 +423,7 @@ func TestCLIStream(t *testing.T) {
 		"-stream",
 		"-json", filepath.Join(dir, "s.json"), "-csv", filepath.Join(dir, "s.csv"), "-trace", filepath.Join(dir, "s.trace"))
 	mArgs := append(append([]string{}, args...),
-		"-workers", "1", // later flag wins: materialized reference runs serial
+		"-workers", "1", // later flag wins: the reference runs serial
 		"-json", filepath.Join(dir, "m.json"), "-csv", filepath.Join(dir, "m.csv"), "-trace", filepath.Join(dir, "m.trace"))
 
 	var out bytes.Buffer
@@ -421,7 +443,7 @@ func TestCLIStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(s, m) {
-			t.Errorf("streamed %s diverged from materialized (%d vs %d bytes)", ext, len(s), len(m))
+			t.Errorf("-stream at -workers 8 changed the %s output (%d vs %d bytes)", ext, len(s), len(m))
 		}
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "s.json"))
@@ -496,13 +518,46 @@ func TestCLIStreamBench(t *testing.T) {
 	}
 }
 
-// TestCLIStreamRejectsCheckInvariance: the self-check needs the
-// materialized result, so the combination is refused loudly.
-func TestCLIStreamRejectsCheckInvariance(t *testing.T) {
+// TestCLIStreamCheckInvariance: the self-check compares digests, so it
+// runs on a streamed range sweep at -workers 8, and the -stream bench
+// entry records the serial reference beside its aggregate block.
+func TestCLIStreamCheckInvariance(t *testing.T) {
+	dir := t.TempDir()
+	benchPath := filepath.Join(dir, "bench.json")
+	args := []string{
+		"-name", "stream-inv", "-peers", "2", "-segments", "2", "-seed", "4",
+		"-corrupt", "0.005", "-sweep", "drop:0..0.05/12", "-workers", "8",
+		"-stream", "-check-invariance",
+	}
 	var out bytes.Buffer
-	err := run([]string{"-peers", "2", "-stream", "-check-invariance"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("-stream -check-invariance accepted: %v", err)
+	if err := run(args, &out); err != nil {
+		t.Fatalf("-stream -check-invariance failed: %v", err)
+	}
+	if res, err := scenario.ValidateJSON(out.Bytes()); err != nil || len(res.Points) != 12 {
+		t.Fatalf("stdout is not one 12-point document: %v", err)
+	}
+
+	out.Reset()
+	if err := run(append(args, "-json", filepath.Join(dir, "out.json"), "-bench", benchPath), &out); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(benchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchFile
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Scenarios) != 1 {
+		t.Fatalf("bench trajectory has %d entries", len(doc.Scenarios))
+	}
+	e := doc.Scenarios[0]
+	if e.Points != nil || e.Stream == nil || e.Stream.Points != 12 {
+		t.Fatalf("want an aggregate entry with a null point list: %+v %+v", e.Result, e.Stream)
+	}
+	if wc := e.WallClock; wc == nil || wc.SerialMS <= 0 || wc.SpeedupVsSerial <= 0 {
+		t.Fatalf("-stream -check-invariance entry recorded no serial baseline: %+v", wc)
 	}
 }
 

@@ -93,7 +93,6 @@ var (
 
 // SenderStats counts the recovery activity of one transfer.
 type SenderStats struct {
-	FramesSent    int // data frames handed to the wire (incl. retransmits)
 	Retransmits   int // FirstFrame retransmissions after N_Bs expiry
 	WaitsHonoured int // FlowControl(Wait) frames honoured
 }
@@ -187,7 +186,6 @@ func (s *Sender) Next(now time.Duration) []byte {
 	}
 	f := s.frames[s.next]
 	s.next++
-	s.stats.FramesSent++
 	switch {
 	case s.multi && s.next == 1:
 		// FirstFrame sent: FC must arrive within N_Bs.

@@ -196,12 +196,3 @@ func (c Counts) PhaseCounts(party PartyRole, phase Phase) map[Primitive]int {
 	}
 	return out
 }
-
-// RawPhaseCounts returns the primitive totals of one exact phase tag,
-// without sub-phase folding.
-func (c Counts) RawPhaseCounts(party PartyRole, phase Phase) map[Primitive]int {
-	if byPhase, ok := c[party]; ok {
-		return byPhase[phase]
-	}
-	return nil
-}

@@ -55,7 +55,7 @@ func requireFP(t *testing.T) {
 func TestFPBackendEnabled(t *testing.T) {
 	requireFP(t)
 	for _, c := range Curves() {
-		if !c.useFP() {
+		if c.fpF == nil {
 			t.Fatalf("%s: fp backend not initialised", c.Name)
 		}
 	}

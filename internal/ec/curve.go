@@ -50,9 +50,8 @@ type Curve struct {
 	aIsMinus3 bool
 
 	// fpF is the fixed-limb Montgomery field context of the default
-	// backend (nil when the prime does not fit, which never happens
-	// for the bundled curves), with the curve coefficients a and b in
-	// Montgomery form alongside.
+	// backend, with the curve coefficients a and b in Montgomery form
+	// alongside. newCurve admits no prime that fp.New rejects.
 	fpF      *fp.Field
 	fpA, fpB fp.Element
 
@@ -75,9 +74,9 @@ type Curve struct {
 	comb     []combRow
 }
 
-// useFP reports whether the fixed-limb backend serves this curve in
-// this build.
-func (c *Curve) useFP() bool { return !useBigBackend && c.fpF != nil }
+// useFP reports whether the fixed-limb backend serves curves in this
+// build.
+func (c *Curve) useFP() bool { return !useBigBackend }
 
 // UsesFPBackend reports whether this build selected the fixed-limb
 // Montgomery backend (false under -tags ec_purebig). Allocation-budget
@@ -121,11 +120,13 @@ func newCurve(name string, p, a, b, gx, gy, n string, h, bits int) *Curve {
 	scalarLimbs(c.N, &c.nLimbs)
 	c.combSpacing = (c.N.BitLen() + 3) / 4
 	c.baseWindows = (c.N.BitLen() + baseWindowBits) / baseWindowBits
-	if f, err := fp.New(c.P); err == nil {
-		c.fpF = f
-		f.FromBig(&c.fpA, c.A)
-		f.FromBig(&c.fpB, c.B)
+	f, err := fp.New(c.P)
+	if err != nil {
+		panic("ec: curve " + name + " has no fixed-limb field: " + err.Error())
 	}
+	c.fpF = f
+	f.FromBig(&c.fpA, c.A)
+	f.FromBig(&c.fpB, c.B)
 	return c
 }
 

@@ -3,6 +3,7 @@ package ec
 import (
 	"crypto/elliptic"
 	"math/big"
+	"strings"
 	"testing"
 )
 
@@ -26,6 +27,22 @@ func TestCurveParameters(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNewCurveRejectsPrimeWithoutFixedLimbField: a curve whose prime
+// fp.New rejects must fail at construction, never fall back to the
+// math/big oracle in a default build. p = 2^257 − 1 is one bit too
+// wide for the fixed-limb field; a = p − 3 passes the check before.
+func TestNewCurveRejectsPrimeWithoutFixedLimbField(t *testing.T) {
+	p := "1" + strings.Repeat("f", 64)
+	a := "1" + strings.Repeat("f", 63) + "c"
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "no fixed-limb field") {
+			t.Fatalf("newCurve on a 257-bit prime: recovered %q, want the fixed-limb panic", msg)
+		}
+	}()
+	newCurve("wide", p, a, "7", "1", "2", "5", 1, 257)
 }
 
 func TestCurveByName(t *testing.T) {

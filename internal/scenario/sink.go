@@ -47,21 +47,12 @@ type Summary struct {
 // the emitter, so implementations need no locking. Any returned error
 // aborts the whole run.
 //
-// trace carries the point's private trace bytes when the run is
-// tracing and the sink asked for them via TraceConsumer; otherwise it
-// is nil.
+// trace carries the point's private trace bytes when the sink is a
+// *TraceSink; every other sink receives nil.
 type PointSink interface {
 	Begin(h Header) error
 	Point(i int, pt Point, trace []byte) error
 	End(sum Summary) error
-}
-
-// TraceConsumer marks a PointSink that wants per-point trace bytes.
-// Sinks that do not implement it (or return false) receive nil traces,
-// and a streaming run with no trace-consuming sink skips trace
-// generation entirely — the buffers are the expensive part.
-type TraceConsumer interface {
-	WantsTrace() bool
 }
 
 // JSONSink streams a Result as indented JSON, byte-identical to
@@ -177,10 +168,6 @@ type TraceSink struct {
 // NewTraceSink returns a sink that writes the trace to w.
 func NewTraceSink(w io.Writer) *TraceSink { return &TraceSink{w: w} }
 
-// WantsTrace marks this sink as a trace consumer, which is what makes
-// the streaming run generate traces at all.
-func (s *TraceSink) WantsTrace() bool { return true }
-
 // Begin writes the trace header line.
 func (s *TraceSink) Begin(h Header) error {
 	_, err := fmt.Fprintf(s.w, "# scenario %s workload=%s seed=%d peers=%d segments=%d axis=%s\n",
@@ -224,10 +211,12 @@ func (s *collectSink) Point(i int, pt Point, _ []byte) error {
 
 func (s *collectSink) End(Summary) error { return nil }
 
-// wantsTrace reports whether any sink consumes traces.
+// wantsTrace reports whether any sink is a TraceSink. A run without
+// one skips trace generation entirely — the buffers are the expensive
+// part.
 func wantsTrace(sinks []PointSink) bool {
 	for _, s := range sinks {
-		if tc, ok := s.(TraceConsumer); ok && tc.WantsTrace() {
+		if _, ok := s.(*TraceSink); ok {
 			return true
 		}
 	}
@@ -236,9 +225,8 @@ func wantsTrace(sinks []PointSink) bool {
 
 // compile-time interface checks for the shipped sinks.
 var (
-	_ PointSink     = (*JSONSink)(nil)
-	_ PointSink     = (*CSVSink)(nil)
-	_ PointSink     = (*TraceSink)(nil)
-	_ TraceConsumer = (*TraceSink)(nil)
-	_ PointSink     = (*collectSink)(nil)
+	_ PointSink = (*JSONSink)(nil)
+	_ PointSink = (*CSVSink)(nil)
+	_ PointSink = (*TraceSink)(nil)
+	_ PointSink = (*collectSink)(nil)
 )

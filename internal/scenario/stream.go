@@ -40,10 +40,10 @@ const heapSampleEvery = 32
 // No deadlock is possible: internal/conc dispatches indices in order,
 // so the worker holding the next unflushed index is never gated.
 //
-// Trace generation is skipped entirely unless some sink implements
-// TraceConsumer and wants it (a TraceSink). Any sink or trace-write
-// error aborts the run. On success every sink has seen Begin, every
-// Point, and End.
+// Trace generation is skipped entirely unless some sink is a
+// *TraceSink, and only TraceSinks receive trace bytes. Any sink or
+// trace-write error aborts the run. On success every sink has seen
+// Begin, every Point, and End.
 func RunStreamWith(s Scenario, sinks []PointSink, o Options) (*Timing, error) {
 	if len(sinks) == 0 {
 		return nil, fmt.Errorf("scenario: RunStreamWith needs at least one sink")
@@ -226,7 +226,7 @@ func (em *emitter) deliver(i int, pt Point, trace []byte, trErr error) {
 		}
 		for _, sink := range em.sinks {
 			var tb []byte
-			if tc, isTC := sink.(TraceConsumer); isTC && tc.WantsTrace() {
+			if _, isTrace := sink.(*TraceSink); isTrace {
 				tb = rec.trace
 			}
 			if err := sink.Point(em.next, rec.pt, tb); err != nil {
