@@ -10,13 +10,20 @@ SHELL := /bin/bash
 BENCH_COMPARE ?= BenchmarkScalarMultAblation|BenchmarkFig3_STSOperations|BenchmarkLiveHandshake
 BENCH_COUNT ?= 5
 
-.PHONY: build test race race-parallel test-purebig test-386 bench bench-smoke bench-check bench-compare bench-batch bench-alloc bench-scenarios scenario-smoke sweep-smoke adversarial-smoke parallel-invariance fuzz-smoke examples fmt fmt-check vet lint doccheck linkcheck detlint cover
+.PHONY: build test rerun race race-parallel test-purebig test-386 bench bench-smoke bench-check bench-compare bench-batch bench-alloc bench-scenarios scenario-smoke sweep-smoke adversarial-smoke parallel-invariance fuzz-smoke examples fmt fmt-check vet lint doccheck linkcheck detlint cover
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The packages that hold or exercise process-global mutable state
+# (core's SharedTableCache), every test run ten times in one process
+# (used by CI): a test that passes on its first run but not on a
+# repeat reads state an earlier run left behind.
+rerun:
+	$(GO) test -count=10 ./internal/fleet ./internal/core
 
 # The explicit -timeout bounds the chaos stress tests (seeded
 # impairment + retransmission over the 3-segment topology) under the

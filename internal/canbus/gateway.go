@@ -3,7 +3,9 @@ package canbus
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -39,15 +41,35 @@ import (
 // that port never hears its own forward; and routes are directional
 // with explicit filters, so a bridged frame only continues along
 // routes whose filter admits its identifier.
+//
+// A gateway keeps its next release time — the earliest time a frame
+// scheduled on an up port may leave, a shared port's frames no earlier
+// than its next rate slot — up to date wherever its schedule changes:
+// when a frame becomes a flow's head, when frames are released, and in
+// SetEgress and SetLinkUp. NextDeadline is therefore one atomic load,
+// and a Pump with nothing to do returns without taking the gateway's
+// lock, just as an idle endpoint costs a world round two atomic loads.
 type Gateway struct {
 	name  string
 	clock *Clock
+
+	// The lock-free view read by NextDeadline and an idle Pump: the
+	// port nodes in port order, republished whole whenever a port is
+	// attached, and the kept release time, stored under mu by every
+	// schedule change (noRelease when nothing up is scheduled).
+	nodes   atomic.Pointer[[]*Node]
+	release atomic.Int64
 
 	mu     sync.Mutex
 	ports  []*gatewayPort
 	routes []gatewayRoute
 	stats  GatewayStats
 }
+
+// noRelease is the kept release time of a schedule holding nothing:
+// later than any simulated time, so an idle check is one comparison,
+// and distinct from a frame due at time 0.
+const noRelease = time.Duration(math.MaxInt64)
 
 // GatewayStats counts forwarding activity.
 type GatewayStats struct {
@@ -163,10 +185,37 @@ type gatewayPort struct {
 	// clamped to so it neither starves nor is starved.
 	nextTx time.Duration
 	vtime  uint64
+
+	// release is the port's earliest release time (scan), down or not;
+	// emit lowers it, and drainEgress and SetEgress recompute it.
+	release time.Duration
 }
 
 // shared reports whether the port runs the shared-capacity scheduler.
 func (p *gatewayPort) shared() bool { return p.policy.limited() && p.policy.Shared }
+
+// releaseAt returns when a flow's head frame may leave the port: its
+// release tag, or on a shared-capacity port the port's next rate slot
+// when that comes later. The flow must hold a frame.
+func (p *gatewayPort) releaseAt(fl *egressFlow) time.Duration {
+	due := fl.queue.front().due
+	if p.shared() && p.nextTx > due {
+		due = p.nextTx
+	}
+	return due
+}
+
+// scan returns the earliest releaseAt over the port's backlogged
+// flows, or noRelease when none holds a frame.
+func (p *gatewayPort) scan() time.Duration {
+	earliest := noRelease
+	for _, fl := range p.flows {
+		if fl.queue.len() > 0 {
+			earliest = min(earliest, p.releaseAt(fl))
+		}
+	}
+	return earliest
+}
 
 // flow returns (creating on demand) the port's scheduler state for a
 // frame's conversation.
@@ -204,7 +253,9 @@ type gatewayRoute struct {
 // store-and-forward and egress releases; without one there is no
 // timekeeping to gate on and every forward is immediate.
 func NewGateway(name string, clock *Clock) *Gateway {
-	return &Gateway{name: name, clock: clock}
+	g := &Gateway{name: name, clock: clock}
+	g.release.Store(int64(noRelease))
+	return g
 }
 
 // Name returns the gateway's name.
@@ -224,9 +275,28 @@ func (g *Gateway) port(bus *Bus) *gatewayPort {
 			return p
 		}
 	}
-	p := &gatewayPort{bus: bus, node: bus.Attach(fmt.Sprintf("%s:port%d", g.name, len(g.ports)))}
+	p := &gatewayPort{bus: bus, node: bus.Attach(fmt.Sprintf("%s:port%d", g.name, len(g.ports))), release: noRelease}
 	g.ports = append(g.ports, p)
+	nodes := make([]*Node, len(g.ports))
+	for i, p := range g.ports {
+		nodes[i] = p.node
+	}
+	g.nodes.Store(&nodes)
 	return p
+}
+
+// publish stores the gateway's kept release time: the earliest
+// release time of any up port (a severed port's schedule is held, so
+// it arms no timer). Callers hold mu and call it after every schedule
+// change.
+func (g *Gateway) publish() {
+	earliest := noRelease
+	for _, p := range g.ports {
+		if !p.down {
+			earliest = min(earliest, p.release)
+		}
+	}
+	g.release.Store(int64(earliest))
 }
 
 // SetEgress installs an egress policy on the gateway's port for a
@@ -243,7 +313,12 @@ func (g *Gateway) SetEgress(bus *Bus, p EgressPolicy) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.port(bus).policy = p
+	port := g.port(bus)
+	port.policy = p
+	// Entering or leaving shared capacity adds or drops the rate-slot
+	// clamp on every queued frame's release time.
+	port.release = port.scan()
+	g.publish()
 	return nil
 }
 
@@ -266,6 +341,7 @@ func (g *Gateway) SetLinkUp(bus *Bus, up bool) error {
 	for _, p := range g.ports {
 		if p.bus == bus {
 			p.down = !up
+			g.publish()
 			return nil
 		}
 	}
@@ -326,7 +402,14 @@ func (g *Gateway) Route(from, to *Bus, filter func(Frame) bool, latency time.Dur
 // Frames still gated behind a store latency or rate limit do not
 // count as movement; their release time is exposed through
 // NextDeadline so the world's timer loop can advance to it.
+//
+// A Pump with nothing to do — no frame in any port's receive queue,
+// and the kept release time later than now — returns 0 after a few
+// atomic loads, without taking the gateway's lock.
 func (g *Gateway) Pump() int {
+	if g.idle() {
+		return 0
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	moved := 0
@@ -363,7 +446,26 @@ func (g *Gateway) Pump() int {
 	for _, p := range g.ports {
 		moved += g.drainEgress(p)
 	}
+	g.publish()
 	return moved
+}
+
+// idle reports whether Pump would move nothing, reading only atomics
+// and the published node list: no port node holds a frame, and no
+// frame on an up port is due yet. Port nodes carry no acceptance
+// filter, so Pending counts queued frames only.
+func (g *Gateway) idle() bool {
+	if time.Duration(g.release.Load()) <= g.clock.Now() {
+		return false
+	}
+	if nodes := g.nodes.Load(); nodes != nil {
+		for _, n := range *nodes {
+			if n.Pending() > 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // emit puts a routed frame onto the destination port. Store-and-
@@ -407,6 +509,10 @@ func (g *Gateway) emit(p *gatewayPort, f Frame, latency time.Duration) {
 		fl.vnext = due + p.policy.gap()
 	}
 	fl.queue.push(gatedFrame{frame: f, due: due})
+	if fl.queue.len() == 1 {
+		// A new head frame: the only way admission moves the schedule.
+		p.release = min(p.release, p.releaseAt(fl))
+	}
 	g.stats.EgressQueued++
 }
 
@@ -429,7 +535,7 @@ func (g *Gateway) drainEgress(p *gatewayPort) int {
 	for {
 		now := g.clock.Now()
 		if p.shared() && p.nextTx > now {
-			return sent
+			break
 		}
 		var best *egressFlow
 		for _, fl := range p.flows {
@@ -441,7 +547,7 @@ func (g *Gateway) drainEgress(p *gatewayPort) int {
 			}
 		}
 		if best == nil {
-			return sent
+			break
 		}
 		f := best.queue.pop().frame
 		if p.shared() {
@@ -459,6 +565,12 @@ func (g *Gateway) drainEgress(p *gatewayPort) int {
 		g.forward(p, f)
 		sent++
 	}
+	if sent > 0 {
+		// Releases replaced head frames and, on a shared port, moved
+		// the next rate slot.
+		p.release = p.scan()
+	}
+	return sent
 }
 
 // serveBefore orders two release-eligible flows. Per-flow mode: the
@@ -506,36 +618,20 @@ func (g *Gateway) forward(p *gatewayPort, f Frame) {
 }
 
 // NextDeadline returns the earliest simulated time a scheduled frame
-// becomes releasable, or 0 when no port holds a gated frame. The
-// world's timer loop (transport.World.Step) treats it like a protocol
-// timer: time advances to it, then the pump releases the frame.
+// becomes releasable — on a shared-capacity port no earlier than its
+// next rate slot — or 0 when no up port holds a gated frame: nothing
+// releases from a severed port, so its schedule arms no timer, and the
+// heal (an adversary deadline) is what the world steps to. The world's
+// timer loop (transport.World.Step) treats it like a protocol timer:
+// time advances to it, then the pump releases the frame.
+//
+// It is one atomic load of the kept release time, with no lock and no
+// scan of the ports' flows.
 func (g *Gateway) NextDeadline() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var min time.Duration
-	for _, p := range g.ports {
-		if p.down {
-			// Nothing releases from a severed port, so its schedule
-			// arms no timer; the heal (an adversary deadline) is what
-			// the world will step to.
-			continue
-		}
-		for _, fl := range p.flows {
-			if fl.queue.len() == 0 {
-				continue
-			}
-			due := fl.queue.front().due
-			if p.shared() && p.nextTx > due {
-				// The shared port cannot transmit before its next rate
-				// slot, whatever the frame's own eligibility.
-				due = p.nextTx
-			}
-			if min == 0 || due < min {
-				min = due
-			}
-		}
+	if r := time.Duration(g.release.Load()); r != noRelease {
+		return r
 	}
-	return min
+	return 0
 }
 
 // IDRange returns a frame filter admitting identifiers in [lo, hi].

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -17,7 +18,7 @@ import (
 // establishes, per-peer failures are reported without aborting the
 // batch, and the established fleet carries traffic.
 func TestEstablishAll(t *testing.T) {
-	parties := provisionBatch(t, 61, 9)
+	parties := provisionBatch(t, 61, 9, 0)
 	m, err := NewManager(parties[0], core.OptNone, session.DefaultPolicy)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +69,10 @@ func TestEstablishAll(t *testing.T) {
 }
 
 // provisionBatch provisions a gateway plus peers through the batched
-// path, so the stress tests also cover concurrent enrollment.
-func provisionBatch(t *testing.T, seed int64, n int) []*core.Party {
+// path on the given number of workers (GOMAXPROCS when 0), so the
+// stress tests also cover concurrent enrollment. With one worker the
+// certificates are a function of the seed alone.
+func provisionBatch(t *testing.T, seed int64, n, workers int) []*core.Party {
 	t.Helper()
 	net, err := core.NewNetwork(ec.P256(), newDetRand(seed))
 	if err != nil {
@@ -80,7 +83,7 @@ func provisionBatch(t *testing.T, seed int64, n int) []*core.Party {
 	for i := 1; i < n; i++ {
 		names[i] = fmt.Sprintf("peer-%02d", i)
 	}
-	parties, err := net.ProvisionBatch(names, 0)
+	parties, err := net.ProvisionBatch(names, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestManagerConcurrentStress(t *testing.T) {
 		noisyPeers = 4 // traffic racing EstablishAll re-keys
 		records    = 8
 	)
-	parties := provisionBatch(t, 62, 1+quietPeers+noisyPeers+1)
+	parties := provisionBatch(t, 62, 1+quietPeers+noisyPeers+1, 0)
 	gw := parties[0]
 	quiet := parties[1 : 1+quietPeers]
 	noisy := parties[1+quietPeers : 1+quietPeers+noisyPeers]
@@ -233,11 +236,19 @@ func TestManagerConcurrentStress(t *testing.T) {
 	}
 }
 
+// sharedStressRuns counts the runs of TestSharedTableStressConsistency
+// in this process. Each run provisions from its own seed, so a
+// repeated run (-count=N) presents certificates whose tables the
+// process-wide SharedTableCache has never built.
+var sharedStressRuns atomic.Int64
+
 // TestSharedTableStressConsistency runs concurrent EstablishAll waves
 // plus rekey-forcing traffic and then reconciles the fleet-global
 // SharedTableCache counters against the per-party key caches. The
 // global cache is process-wide, so everything is asserted on deltas
-// from a baseline snapshot. Invariants checked:
+// from a baseline snapshot, and every run provisions a fresh set of
+// certificates (seed 63 on the first run, 1063 on the second, and so
+// on, each on one worker). Invariants checked:
 //
 //   - every shared hit recorded globally is attributed to exactly one
 //     party's SharedHits counter (Σ ΔSharedHits == ΔHits);
@@ -250,7 +261,8 @@ func TestSharedTableStressConsistency(t *testing.T) {
 		t.Skip("stress test skipped in -short mode")
 	}
 	const peers = 8
-	parties := provisionBatch(t, 63, 1+peers)
+	seed := 63 + 1000*(sharedStressRuns.Add(1)-1)
+	parties := provisionBatch(t, seed, 1+peers, 1)
 	gw := parties[0]
 
 	base := core.SharedTables().Stats()

@@ -11,10 +11,11 @@ import (
 )
 
 // fabricChain builds a lossless three-segment chain: two gateways with
-// 50 µs store-and-forward latency, eight initiators on the first
-// segment and eight responders on the last, so every frame fans out
-// to a full segment. It returns a link and the first pair.
-func fabricChain(tb testing.TB) (link *Link, src, dst *Endpoint) {
+// 50 µs store-and-forward latency and the given egress policy on
+// every port, eight initiators on the first segment and eight
+// responders on the last, so every frame fans out to a full segment.
+// It returns a link and the first pair.
+func fabricChain(tb testing.TB, egress canbus.EgressPolicy) (link *Link, src, dst *Endpoint) {
 	tb.Helper()
 	w := NewWorld(nil)
 	buses := make([]*canbus.Bus, 3)
@@ -30,6 +31,11 @@ func fabricChain(tb testing.TB) (link *Link, src, dst *Endpoint) {
 		}
 		if err := gw.Route(buses[i+1], buses[i], rev, 50*time.Microsecond); err != nil {
 			tb.Fatal(err)
+		}
+		for _, b := range buses[i : i+2] {
+			if err := gw.SetEgress(b, egress); err != nil {
+				tb.Fatal(err)
+			}
 		}
 		w.AddGateway(gw)
 	}
@@ -49,8 +55,8 @@ func fabricChain(tb testing.TB) (link *Link, src, dst *Endpoint) {
 // across fabricChain, a different message on every call: a reliable
 // endpoint drops a message byte-equal to the one before it as a
 // duplicate, so repeating one message would never arrive.
-func deliverDistinct(tb testing.TB) func() {
-	link, src, dst := fabricChain(tb)
+func deliverDistinct(tb testing.TB, egress canbus.EgressPolicy) func() {
+	link, src, dst := fabricChain(tb, egress)
 	m := Message{CommCode: 1, SessionID: 7, OpCode: 1, Payload: testPayload(200)}
 	var seq uint64
 	return func() {
@@ -66,8 +72,24 @@ func deliverDistinct(tb testing.TB) func() {
 	}
 }
 
+// BenchmarkFabricDeliver times one lossless 200 B Deliver across
+// fabricChain with no egress policy: every frame leaves a gateway
+// 50 µs after it arrived.
 func BenchmarkFabricDeliver(b *testing.B) {
-	deliver := deliverDistinct(b)
+	benchmarkDeliver(b, canbus.EgressPolicy{})
+}
+
+// BenchmarkFabricDeliverGated is BenchmarkFabricDeliver behind the
+// gateway policy of the layered benchmark's fabric-relay workload:
+// each flow paced at 600 frames/s with a queue of 256, still lossless,
+// so every delivery succeeds and the world steps from one release to
+// the next while most gateways and endpoints sit idle.
+func BenchmarkFabricDeliverGated(b *testing.B) {
+	benchmarkDeliver(b, canbus.EgressPolicy{Rate: 600, Queue: 256})
+}
+
+func benchmarkDeliver(b *testing.B, egress canbus.EgressPolicy) {
+	deliver := deliverDistinct(b, egress)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,7 +104,7 @@ func BenchmarkFabricDeliver(b *testing.B) {
 const deliverAllocBudget = 34
 
 func TestDeliverAllocBudget(t *testing.T) {
-	got := testing.AllocsPerRun(100, deliverDistinct(t))
+	got := testing.AllocsPerRun(100, deliverDistinct(t, canbus.EgressPolicy{}))
 	t.Logf("200 B Deliver over 3 segments: %.0f allocs (budget %d)", got, deliverAllocBudget)
 	if got > deliverAllocBudget {
 		t.Fatalf("200 B Deliver allocates %.0f, budget %d", got, deliverAllocBudget)

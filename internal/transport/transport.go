@@ -367,7 +367,10 @@ func (e *Endpoint) transmit(payload []byte) (time.Duration, error) {
 // land in the inbox after checksum verification, and the frames the
 // node's acceptance filter rejected since the last drain are counted
 // in Stats.FilteredFrames. Protocol violations are counted in Stats
-// and survived. It also services the receiver's timers. Returns the
+// and survived. It also services the receiver's timers, unless the
+// receiver has no transfer in progress and so arms none: then it
+// returns right after counting the rejected frames, which is all a
+// node holding only other identifiers' frames costs. Returns the
 // number of frames processed, rejected ones included, as the world
 // pump's progress measure.
 func (e *Endpoint) Service() int {
@@ -399,13 +402,15 @@ func (e *Endpoint) Service() int {
 	}
 	filtered := e.node.TakeRejected()
 	e.stats.FilteredFrames += filtered
-	e.expire()
+	if e.rx.Active() {
+		e.expire()
+	}
 	return processed + filtered
 }
 
-// idle reports whether Service, expire and nextDeadline would do
-// nothing: no frame holds a slot in the node's receive queue, and the
-// receiver has no transfer in progress, so no timer is armed.
+// idle reports whether Service and expire would do nothing: no frame
+// holds a slot in the node's receive queue, and the receiver has no
+// transfer in progress, so no timer is armed.
 func (e *Endpoint) idle() bool { return e.node.Pending() == 0 && !e.rx.Active() }
 
 // serviceFlowControl routes an FC frame to the active sender, or
@@ -442,10 +447,6 @@ func (e *Endpoint) expire() {
 		return
 	}
 }
-
-// nextDeadline exposes the receiver's earliest timer to the world; it
-// is 0, no timer, while no transfer is in progress.
-func (e *Endpoint) nextDeadline() time.Duration { return e.rx.Deadline() }
 
 // deliver verifies, decodes and enqueues a reassembled message.
 func (e *Endpoint) deliver(raw []byte) {

@@ -86,11 +86,13 @@ func (w *World) AddAgent(a Agent) { w.agents = append(w.agents, a) }
 func (w *World) addEndpoint(e *Endpoint) { w.endpoints = append(w.endpoints, e) }
 
 // Run pumps gateways, agents and endpoints until the topology is
-// quiescent — no queued frame anywhere that a pump would move. A round
-// skips every idle endpoint: one whose node holds no frame, queued or
-// rejected by its acceptance filter, and whose receiver has no
-// transfer in progress — the state in which Service does nothing.
-// Returns the number of frames moved.
+// quiescent — no queued frame anywhere that a pump would move. The
+// pump's idle polls are lock-free loads: a round skips every idle
+// endpoint — one whose node holds no frame, queued or rejected by its
+// acceptance filter, and whose receiver has no transfer in progress,
+// the state in which Service does nothing — and an idle gateway's Pump
+// returns before taking its lock (see canbus.Gateway.Pump). Returns
+// the number of frames moved.
 func (w *World) Run() int {
 	total := 0
 	for {
@@ -115,11 +117,16 @@ func (w *World) Run() int {
 
 // nextTimer returns the earliest pending timer after now — endpoint
 // protocol deadlines and gateway egress release times — or 0 when
-// none is armed.
+// none is armed. It asks only endpoints whose receiver has a transfer
+// in progress, since no other endpoint arms a timer, and each gateway
+// answers with one atomic load of its kept release time.
 func (w *World) nextTimer(now time.Duration) time.Duration {
 	var min time.Duration
 	for _, e := range w.endpoints {
-		if dl := e.nextDeadline(); dl > now && (min == 0 || dl < min) {
+		if !e.rx.Active() {
+			continue
+		}
+		if dl := e.rx.Deadline(); dl > now && (min == 0 || dl < min) {
 			min = dl
 		}
 	}
@@ -152,7 +159,7 @@ func (w *World) Step(t time.Duration) {
 	}
 	w.Clock.AdvanceTo(step)
 	for _, e := range w.endpoints {
-		if !e.idle() {
+		if e.rx.Active() {
 			e.expire()
 		}
 	}
