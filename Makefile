@@ -96,12 +96,14 @@ bench-compare:
 # key derivation multiplies them. The Deliver gate guards the CAN
 # fabric's one-allocation broadcast and non-reallocating receive
 # queues: a return to a payload copy per receiver multiplies its
-# allocations several times over. The warm-handshake gate is the one
-# above ecdsa: a whole in-memory STS rekey between two parties that
-# have met twice, each verifying with one VerifyDigest call on its
-# cached comb, which must also be all KeyCache hits, so it fails when
-# a rekey extracts, builds a table or verifies from the certificate
-# again.
+# allocations several times over. The Flush gate holds an idle
+# endpoint's reset, run twice per fleet handshake attempt, at zero:
+# the receiver is reset in place, not rebuilt. The warm-handshake
+# gate is the one above ecdsa: a whole in-memory STS rekey between
+# two parties that have met twice, each verifying with one
+# VerifyDigest call on its cached comb, which must also be all
+# KeyCache hits, so it fails when a rekey extracts, builds a table or
+# verifies from the certificate again.
 bench-alloc:
 	$(GO) test -run='^$$' -bench='BenchmarkScalarMultAblation' -benchtime=5x -benchmem .
 	$(GO) test -run='TestFieldKernelsAllocFree' -v ./internal/ec/fp/
@@ -111,6 +113,7 @@ bench-alloc:
 	$(GO) test -run='TestVerifyImplicitAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestSealOpenAllocBudget' -v ./internal/session/
 	$(GO) test -run='TestDeliverAllocBudget' -v ./internal/transport/
+	$(GO) test -run='TestFlushAllocFree' -v ./internal/transport/
 	$(GO) test -run='TestWarmHandshakeAllocBudget' -v ./internal/core/
 
 # The batch-amortized pipeline benches behind BENCH_ec_backend.json's

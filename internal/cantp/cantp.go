@@ -51,7 +51,7 @@ const MaxMessageLen = 0xFFF
 // escape PCI (byte0 = 0x00, byte1 = length).
 const maxSingle = frameLen - 2
 
-// Errors surfaced by the reassembler.
+// Errors surfaced by Receiver.Push.
 var (
 	ErrTooLong       = fmt.Errorf("cantp: message exceeds %d bytes", MaxMessageLen)
 	ErrUnexpected    = errors.New("cantp: unexpected frame for reassembly state")
@@ -63,9 +63,8 @@ var (
 // segment splits msg into ISO-TP frame payloads for Sender. The first
 // returned payload is a SingleFrame when the whole message fits,
 // otherwise a FirstFrame followed by ConsecutiveFrames. FlowControl
-// frames are inserted by the receiving side (see
-// reassembler.flowControlNeeded); segment produces only the sender's
-// data frames.
+// frames come from the receiving side (Receiver.Push answers each
+// FirstFrame); segment produces only the sender's data frames.
 func segment(msg []byte) ([][]byte, error) {
 	if len(msg) > MaxMessageLen {
 		return nil, ErrTooLong
@@ -122,109 +121,10 @@ func ParseFlowControl(data []byte) (FlowStatus, byte, byte, error) {
 	return status, data[1], data[2], nil
 }
 
-// reassembler rebuilds one message from a frame sequence; Receiver
-// wraps it with timers and flow control. A zero value is ready for a
-// new message.
-type reassembler struct {
-	buf       []byte
-	want      int
-	nextSeq   byte
-	active    bool
-	needsFlow bool
-}
-
-// reset discards any partial state.
-func (r *reassembler) reset() { *r = reassembler{} }
-
-// flowControlNeeded reports whether the caller should send a
-// FlowControl(Continue) to the peer (set after a FirstFrame), and
-// clears the flag.
-func (r *reassembler) flowControlNeeded() bool {
-	need := r.needsFlow
-	r.needsFlow = false
-	return need
-}
-
-// push feeds one received frame payload. It returns the completed
-// message when the final frame arrives, or nil while the transfer is
-// still in progress (r.active).
-func (r *reassembler) push(data []byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, ErrBadPCI
-	}
-	switch data[0] >> 4 {
-	case pciSingle:
-		if r.active {
-			return nil, fmt.Errorf("%w: single frame during multi-frame transfer", ErrUnexpected)
-		}
-		// Escape form only (FD): byte0 low nibble must be 0.
-		if data[0]&0x0F != 0 {
-			// Classic form: low nibble is the length (≤ 7 bytes).
-			n := int(data[0] & 0x0F)
-			if n > 7 || len(data) < 1+n {
-				return nil, ErrLengthInvalid
-			}
-			return append([]byte(nil), data[1:1+n]...), nil
-		}
-		if len(data) < 2 {
-			return nil, ErrBadPCI
-		}
-		n := int(data[1])
-		if n == 0 || n > maxSingle || len(data) < 2+n {
-			return nil, ErrLengthInvalid
-		}
-		return append([]byte(nil), data[2:2+n]...), nil
-
-	case pciFirst:
-		if r.active {
-			return nil, fmt.Errorf("%w: first frame during multi-frame transfer", ErrUnexpected)
-		}
-		if len(data) < 3 {
-			return nil, ErrBadPCI
-		}
-		total := int(data[0]&0x0F)<<8 | int(data[1])
-		if total <= maxSingle || total > MaxMessageLen {
-			return nil, ErrLengthInvalid
-		}
-		r.buf = append([]byte(nil), data[2:]...)
-		r.want = total
-		r.nextSeq = 1
-		r.active = true
-		r.needsFlow = true
-		if len(r.buf) > total {
-			r.buf = r.buf[:total] // DLC padding past the message end
-		}
-		return nil, nil
-
-	case pciConsec:
-		if !r.active {
-			return nil, fmt.Errorf("%w: consecutive frame without first frame", ErrUnexpected)
-		}
-		seq := data[0] & 0x0F
-		if seq != r.nextSeq {
-			r.reset()
-			return nil, fmt.Errorf("%w: got %d", ErrBadSequence, seq)
-		}
-		r.nextSeq = (r.nextSeq + 1) & 0x0F
-		r.buf = append(r.buf, data[1:]...)
-		if len(r.buf) >= r.want {
-			msg := r.buf[:r.want]
-			r.reset()
-			return msg, nil
-		}
-		return nil, nil
-
-	case pciFlow:
-		// Flow control is handled by the sender path; receiving one
-		// here is a protocol confusion.
-		return nil, fmt.Errorf("%w: flow control on data path", ErrUnexpected)
-	}
-	return nil, fmt.Errorf("%w: PCI type %#x", ErrBadPCI, data[0]>>4)
-}
-
 // FrameCount returns how many data frames a Sender transmits for a
 // message of length n on a lossless link, plus whether a FlowControl
-// exchange occurs.
+// exchange occurs (a Receiver answers the FirstFrame with one
+// FlowControl that clears the whole remainder).
 // Used by the overhead accounting of Table II and the Fig. 7 timeline.
 func FrameCount(n int) (dataFrames int, flowControl bool, err error) {
 	if n > MaxMessageLen {

@@ -15,12 +15,13 @@ func testMsg(n int) []byte {
 	return msg
 }
 
-// reassemble pushes a frame sequence through a fresh reassembler.
+// reassemble pushes a frame sequence through a fresh Receiver at time
+// 0, discarding the FlowControl it answers the FirstFrame with.
 func reassemble(t *testing.T, frames [][]byte) ([]byte, error) {
 	t.Helper()
-	var r reassembler
+	var rx Receiver
 	for i, f := range frames {
-		msg, err := r.push(f)
+		msg, _, err := rx.Push(f, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -86,14 +87,14 @@ func TestSegmentBoundaries(t *testing.T) {
 		t.Error("oversize message accepted")
 	}
 	// Empty message: legal SF with length 0? ISO-TP requires ≥ 1 byte;
-	// segment emits it but push rejects length 0 — assert the pair.
+	// segment emits it but Push rejects length 0 — assert the pair.
 	frames, err = segment(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r reassembler
-	if _, err := r.push(frames[0]); err == nil {
-		t.Error("zero-length single frame accepted by reassembler")
+	var rx Receiver
+	if _, _, err := rx.Push(frames[0], 0); err == nil {
+		t.Error("zero-length single frame accepted by the receiver")
 	}
 }
 
@@ -129,72 +130,78 @@ func TestReassemblerErrors(t *testing.T) {
 	frames, _ := segment(msg)
 
 	t.Run("bad sequence", func(t *testing.T) {
-		var r reassembler
-		if _, err := r.push(frames[0]); err != nil {
+		var rx Receiver
+		if _, _, err := rx.Push(frames[0], 0); err != nil {
 			t.Fatal(err)
 		}
-		r.flowControlNeeded()
 		// Skip frames[1], push frames[2].
-		if _, err := r.push(frames[2]); !errors.Is(err, ErrBadSequence) {
+		if _, _, err := rx.Push(frames[2], 0); !errors.Is(err, ErrBadSequence) {
 			t.Errorf("got %v, want ErrBadSequence", err)
 		}
-		if r.active {
-			t.Error("reassembler still active after sequence error")
+		if rx.Active() {
+			t.Error("receiver still active after sequence error")
 		}
 	})
 
 	t.Run("CF without FF", func(t *testing.T) {
-		var r reassembler
-		if _, err := r.push(frames[1]); !errors.Is(err, ErrUnexpected) {
+		var rx Receiver
+		if _, _, err := rx.Push(frames[1], 0); !errors.Is(err, ErrUnexpected) {
 			t.Errorf("got %v, want ErrUnexpected", err)
 		}
 	})
 
+	// A second FirstFrame is no error: it is the sender restarting
+	// after an N_Bs expiry (TestReceiverRestartOnDuplicateFirstFrame
+	// completes such a restart).
 	t.Run("second FF mid-transfer", func(t *testing.T) {
-		var r reassembler
-		r.push(frames[0])
-		if _, err := r.push(frames[0]); !errors.Is(err, ErrUnexpected) {
-			t.Errorf("got %v, want ErrUnexpected", err)
+		var rx Receiver
+		rx.Push(frames[0], 0)
+		_, fc, err := rx.Push(frames[0], 0)
+		if err != nil || !bytes.Equal(fc, FlowControlFrame(FlowContinue, 0, 0)) {
+			t.Errorf("got FC %x, %v; want a Continue", fc, err)
+		}
+		if !rx.Active() || rx.Stats().Restarts != 1 {
+			t.Errorf("active %v, stats %+v; want a restarted transfer", rx.Active(), rx.Stats())
 		}
 	})
 
 	t.Run("SF mid-transfer", func(t *testing.T) {
-		var r reassembler
-		r.push(frames[0])
+		var rx Receiver
+		rx.Push(frames[0], 0)
 		sf, _ := segment(testMsg(10))
-		if _, err := r.push(sf[0]); !errors.Is(err, ErrUnexpected) {
+		if _, _, err := rx.Push(sf[0], 0); !errors.Is(err, ErrUnexpected) {
 			t.Errorf("got %v, want ErrUnexpected", err)
 		}
 	})
 
 	t.Run("empty frame", func(t *testing.T) {
-		var r reassembler
-		if _, err := r.push(nil); !errors.Is(err, ErrBadPCI) {
+		var rx Receiver
+		if _, _, err := rx.Push(nil, 0); !errors.Is(err, ErrBadPCI) {
 			t.Errorf("got %v, want ErrBadPCI", err)
 		}
 	})
 
 	t.Run("FF too short", func(t *testing.T) {
-		var r reassembler
-		if _, err := r.push([]byte{pciFirst << 4}); !errors.Is(err, ErrBadPCI) {
+		var rx Receiver
+		if _, _, err := rx.Push([]byte{pciFirst << 4}, 0); !errors.Is(err, ErrBadPCI) {
 			t.Errorf("got %v, want ErrBadPCI", err)
 		}
 	})
 
 	t.Run("FF length fits single frame", func(t *testing.T) {
-		var r reassembler
+		var rx Receiver
 		// A FirstFrame declaring 10 bytes is bogus (must be > 62).
 		ff := make([]byte, frameLen)
 		ff[0] = pciFirst << 4
 		ff[1] = 10
-		if _, err := r.push(ff); !errors.Is(err, ErrLengthInvalid) {
+		if _, _, err := rx.Push(ff, 0); !errors.Is(err, ErrLengthInvalid) {
 			t.Errorf("got %v, want ErrLengthInvalid", err)
 		}
 	})
 
 	t.Run("flow control on data path", func(t *testing.T) {
-		var r reassembler
-		if _, err := r.push(FlowControlFrame(FlowContinue, 0, 0)); !errors.Is(err, ErrUnexpected) {
+		var rx Receiver
+		if _, _, err := rx.Push(FlowControlFrame(FlowContinue, 0, 0), 0); !errors.Is(err, ErrUnexpected) {
 			t.Errorf("got %v, want ErrUnexpected", err)
 		}
 	})
@@ -202,9 +209,9 @@ func TestReassemblerErrors(t *testing.T) {
 
 func TestClassicSingleFrame(t *testing.T) {
 	// Classic (non-escape) SF: low nibble carries the length.
-	var r reassembler
+	var rx Receiver
 	classic := []byte{0x03, 0xAA, 0xBB, 0xCC}
-	msg, err := r.push(classic)
+	msg, _, err := rx.Push(classic, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +219,7 @@ func TestClassicSingleFrame(t *testing.T) {
 		t.Errorf("classic SF decoded to %x", msg)
 	}
 	// Declared length beyond the frame.
-	if _, err := r.push([]byte{0x05, 1, 2}); !errors.Is(err, ErrLengthInvalid) {
+	if _, _, err := rx.Push([]byte{0x05, 1, 2}, 0); !errors.Is(err, ErrLengthInvalid) {
 		t.Errorf("got %v, want ErrLengthInvalid", err)
 	}
 }
@@ -243,22 +250,25 @@ func TestFlowControlRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlowControlNeededFlag pins when the receiver asks for a
+// FlowControl to go out: once per accepted FirstFrame, always
+// Continue with block size 0 and STmin 0, and never for a
+// ConsecutiveFrame or a SingleFrame.
 func TestFlowControlNeededFlag(t *testing.T) {
-	msg := testMsg(100)
-	frames, _ := segment(msg)
-	var r reassembler
-	r.push(frames[0])
-	if !r.flowControlNeeded() {
-		t.Error("no flow control requested after FF")
+	frames, _ := segment(testMsg(100))
+	var rx Receiver
+	_, fc, err := rx.Push(frames[0], 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.flowControlNeeded() {
-		t.Error("flag not cleared")
+	if !bytes.Equal(fc, FlowControlFrame(FlowContinue, 0, 0)) {
+		t.Errorf("FF answered with %x, want Continue(0, 0)", fc)
 	}
-	// SF transfers never need flow control.
-	var r2 reassembler
+	if _, fc, _ := rx.Push(frames[1], 0); fc != nil {
+		t.Errorf("CF answered with FC %x", fc)
+	}
 	sf, _ := segment(testMsg(10))
-	r2.push(sf[0])
-	if r2.flowControlNeeded() {
+	if _, fc, _ := rx.Push(sf[0], 0); fc != nil {
 		t.Error("flow control requested for single frame")
 	}
 }
@@ -282,14 +292,13 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var r reassembler
+		var rx Receiver
 		var got []byte
 		for _, fr := range frames {
-			m, err := r.push(fr)
+			m, _, err := rx.Push(fr, 0)
 			if err != nil {
 				return false
 			}
-			r.flowControlNeeded()
 			if m != nil {
 				got = m
 			}

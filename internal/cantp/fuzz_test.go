@@ -1,30 +1,27 @@
 package cantp
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
 
-// fuzzCapacity is the receiver capacity the harness enforces: any
-// FirstFrame announcing more must be refused with
-// FlowControl(Overflow) and never buffered.
-const fuzzCapacity = 256
-
 // FuzzReceiverPush feeds arbitrary frame sequences — malformed PCIs,
 // truncated FirstFrames, out-of-order and duplicated
-// ConsecutiveFrames, FlowControls on the data path — into the
-// timer-aware Receiver. The properties: never panic, never reassemble
-// past the capacity refusal, and never grow the reassembly buffer
-// beyond capacity plus one frame of DLC padding.
+// ConsecutiveFrames, FlowControls on the data path — into a zero
+// Receiver. The properties: never panic, never complete a message
+// longer than MaxMessageLen, never grow the reassembly buffer beyond
+// MaxMessageLen plus one frame of DLC padding, and never answer with
+// any FlowControl but Continue at block size 0 and STmin 0.
 //
 // The input encodes a frame sequence: each frame is a length byte
 // (mod 65) followed by that many payload bytes; a high length bit
-// also advances the simulated clock, exercising the N_Cr expiry and
-// Wait-chain paths mid-sequence.
+// also advances the simulated clock, exercising the N_Cr expiry path
+// mid-sequence.
 func FuzzReceiverPush(f *testing.F) {
 	// A clean two-frame transfer.
 	f.Add([]byte("\x0a\x10\x40AAAAAAAA\x0a\x21BBBBBBBBB"))
-	// FirstFrame announcing more than capacity (overflow refusal).
+	// FirstFrame announcing the 12-bit maximum of 4095 bytes.
 	f.Add([]byte("\x0a\x1f\xffAAAAAAAA"))
 	// Escape-form SingleFrame, classic SingleFrame, empty frame.
 	f.Add([]byte("\x06\x00\x04ABCD\x03\x02XY\x00"))
@@ -37,13 +34,9 @@ func FuzzReceiverPush(f *testing.F) {
 	// Clock-advancing frames (high bit set on the length byte).
 	f.Add([]byte("\x8a\x10\x40AAAAAAAA\xc5\x21BBBB"))
 
+	cont := FlowControlFrame(FlowContinue, 0, 0)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rx := NewReceiver(ReceiverConfig{
-			MaxMessage:   fuzzCapacity,
-			BlockSize:    2,
-			InitialWaits: 1,
-			WaitInterval: 10 * time.Millisecond,
-		})
+		var rx Receiver
 		var now time.Duration
 		for len(data) > 0 {
 			spec := data[0]
@@ -55,24 +48,21 @@ func FuzzReceiverPush(f *testing.F) {
 			frame := data[:n]
 			data = data[n:]
 			if spec&0x80 != 0 {
-				// Jump the clock, then service the due timers the way
-				// the transport layer does.
+				// Jump the clock (two jumps outlast N_Cr), then service
+				// the timer the way the transport layer does.
 				now += 600 * time.Millisecond
-				for {
-					fc, _ := rx.Expire(now)
-					if fc == nil {
-						break
-					}
-				}
+				_ = rx.Expire(now)
 			}
 			msg, fc, err := rx.Push(frame, now)
-			_ = fc
 			_ = err // protocol errors are the point; they must just not panic
-			if msg != nil && len(msg) > fuzzCapacity {
-				t.Fatalf("reassembled %d bytes past the %d-byte capacity refusal", len(msg), fuzzCapacity)
+			if len(msg) > MaxMessageLen {
+				t.Fatalf("reassembled %d bytes, past the %d-byte protocol maximum", len(msg), MaxMessageLen)
 			}
-			if got := len(rx.r.buf); got > fuzzCapacity+frameLen {
-				t.Fatalf("reassembly buffer grew to %d bytes (capacity %d + frame %d)", got, fuzzCapacity, frameLen)
+			if got := len(rx.buf); got > MaxMessageLen+frameLen {
+				t.Fatalf("reassembly buffer grew to %d bytes (maximum %d + frame %d)", got, MaxMessageLen, frameLen)
+			}
+			if fc != nil && !bytes.Equal(fc, cont) {
+				t.Fatalf("receiver answered with FlowControl %x, want %x", fc, cont)
 			}
 			now += 100 * time.Microsecond
 		}
@@ -102,7 +92,7 @@ func FuzzFlowControlParse(f *testing.F) {
 			t.Fatalf("STmin %#x decoded to %v", stmin, d)
 		}
 		// A live sender must survive the same bytes mid-transfer.
-		s, errNew := NewSender(DefaultSenderConfig(), make([]byte, 300), 0)
+		s, errNew := NewSender(make([]byte, 300), 0)
 		if errNew != nil {
 			t.Fatal(errNew)
 		}

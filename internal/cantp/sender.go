@@ -9,72 +9,30 @@ import (
 // ISO 15765-2 error handling: on impaired, gateway-bridged segments a
 // FlowControl can be lost and a ConsecutiveFrame can go missing or
 // arrive twice. Sender (this file) and Receiver (receiver.go) are the
-// timer-aware halves of the protocol, over the unexported segment and
-// reassembler in cantp.go: all deadlines run on the harness's
-// simulated clock (expressed as time.Duration since epoch), never on
-// the host clock, so timeout behaviour is exactly reproducible.
+// timer-aware halves of the protocol, over the unexported segment in
+// cantp.go: all deadlines run on the harness's simulated clock
+// (expressed as time.Duration since epoch), never on the host clock,
+// so timeout behaviour is exactly reproducible.
 
-// Timeouts are the ISO 15765-2 §9.8 timing parameters, on the
-// simulated clock.
-type Timeouts struct {
-	// NAs bounds the sender's frame-to-wire time. The simulated data
-	// link transmits synchronously, so N_As can only be exceeded by
-	// gateway store latency; it is validated but expiry cannot occur
-	// mid-transfer.
-	NAs time.Duration
-	// NBs bounds the sender's wait for a FlowControl after a
+// The one ISO-TP profile every endpoint runs: the standard's timers
+// (ISO 15765-2 §9.8) on the simulated clock, plus the bounded
+// FirstFrame retransmission that the impaired fabric relies on.
+const (
+	// nBs bounds the sender's wait for a FlowControl after a
 	// FirstFrame (or between blocks).
-	NBs time.Duration
-	// NCr bounds the receiver's wait for the next ConsecutiveFrame.
-	NCr time.Duration
-}
-
-// DefaultTimeouts returns the ISO default of 1 s for each parameter.
-func DefaultTimeouts() Timeouts {
-	return Timeouts{NAs: time.Second, NBs: time.Second, NCr: time.Second}
-}
-
-// withDefaults fills zero fields from DefaultTimeouts.
-func (t Timeouts) withDefaults() Timeouts {
-	d := DefaultTimeouts()
-	if t.NAs <= 0 {
-		t.NAs = d.NAs
-	}
-	if t.NBs <= 0 {
-		t.NBs = d.NBs
-	}
-	if t.NCr <= 0 {
-		t.NCr = d.NCr
-	}
-	return t
-}
-
-// SenderConfig parameterizes one transmitting state machine.
-type SenderConfig struct {
-	Timeouts Timeouts
-	// MaxRetransmit caps FirstFrame retransmissions after an N_Bs
-	// expiry. Strict ISO 15765-2 aborts on the first expiry
-	// (MaxRetransmit = 0); the chaos experiments allow a bounded
-	// retry budget with backoff instead.
-	MaxRetransmit int
-	// Backoff multiplies the N_Bs wait after every retransmission
-	// (values < 1 are treated as 1 — constant timeout).
-	Backoff float64
-	// MaxWait caps consecutive FlowControl(Wait) frames tolerated
-	// before aborting (ISO WFTmax). 0 means no Wait is tolerated.
-	MaxWait int
-}
-
-// DefaultSenderConfig is the profile used by the reliable transport:
-// three FF retransmissions with 1.5× backoff and a small Wait budget.
-func DefaultSenderConfig() SenderConfig {
-	return SenderConfig{
-		Timeouts:      DefaultTimeouts(),
-		MaxRetransmit: 3,
-		Backoff:       1.5,
-		MaxWait:       4,
-	}
-}
+	nBs = time.Second
+	// nCr bounds the receiver's wait for the next ConsecutiveFrame.
+	nCr = time.Second
+	// maxRetransmit caps FirstFrame retransmissions after an N_Bs
+	// expiry. Strict ISO 15765-2 aborts on the first expiry; a bounded
+	// retry budget with backoff rides out a lost FlowControl instead.
+	maxRetransmit = 3
+	// backoff multiplies the N_Bs wait after every retransmission.
+	backoff = 1.5
+	// maxWait caps consecutive FlowControl(Wait) frames tolerated
+	// before aborting (ISO WFTmax).
+	maxWait = 4
+)
 
 // Sender errors.
 var (
@@ -84,8 +42,8 @@ var (
 	// ErrFlowOverflow: the receiver answered FlowControl(Overflow);
 	// the message cannot be delivered at any retry count.
 	ErrFlowOverflow = errors.New("cantp: receiver signalled overflow")
-	// ErrWaitBudget: the receiver kept answering FlowControl(Wait)
-	// past the configured WFTmax.
+	// ErrWaitBudget: the peer kept answering FlowControl(Wait) past
+	// WFTmax (maxWait).
 	ErrWaitBudget = errors.New("cantp: flow control wait budget exhausted")
 	// ErrSendAborted: the transfer already failed terminally.
 	ErrSendAborted = errors.New("cantp: transfer aborted")
@@ -107,14 +65,15 @@ const (
 	sendAborted                    // terminal failure
 )
 
-// Sender drives one ISO-TP transmission with N_Bs supervision, block
-// and STmin pacing, FlowControl Wait/Overflow handling and bounded
-// FirstFrame retransmission. It is a pure state machine: the caller
-// owns the wire (Next returns payloads to transmit) and the clock
-// (OnTimeout fires when the caller advances simulated time past
-// Deadline).
+// Sender drives one ISO-TP transmission with N_Bs supervision (1 s),
+// up to 3 FirstFrame retransmissions with 1.5× backoff, and up to 4
+// consecutive FlowControl(Wait)s. It honours every FlowControl form
+// that reaches it from the wire, genuine or forged: Continue with any
+// block size and STmin, Wait, and Overflow. It is a pure state
+// machine: the caller owns the wire (Next returns payloads to
+// transmit) and the clock (OnTimeout fires when the caller advances
+// simulated time past Deadline).
 type Sender struct {
-	cfg    SenderConfig
 	frames [][]byte
 	multi  bool
 
@@ -131,20 +90,15 @@ type Sender struct {
 
 // NewSender segments msg and returns a sender ready to transmit at
 // simulated time now.
-func NewSender(cfg SenderConfig, msg []byte, now time.Duration) (*Sender, error) {
-	cfg.Timeouts = cfg.Timeouts.withDefaults()
-	if cfg.Backoff < 1 {
-		cfg.Backoff = 1
-	}
+func NewSender(msg []byte, now time.Duration) (*Sender, error) {
 	frames, err := segment(msg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Sender{
-		cfg:     cfg,
 		frames:  frames,
 		multi:   len(frames) > 1,
-		curNBs:  cfg.Timeouts.NBs,
+		curNBs:  nBs,
 		readyAt: now,
 	}
 	return s, nil
@@ -244,7 +198,7 @@ func (s *Sender) OnFlowControl(data []byte, now time.Duration) error {
 	case FlowWait:
 		s.waits++
 		s.stats.WaitsHonoured++
-		if s.waits > s.cfg.MaxWait {
+		if s.waits > maxWait {
 			s.state = sendAborted
 			return ErrWaitBudget
 		}
@@ -266,12 +220,12 @@ func (s *Sender) OnTimeout(now time.Duration) error {
 	if s.state != sendAwaitFC || now < s.deadline {
 		return nil
 	}
-	if s.stats.Retransmits >= s.cfg.MaxRetransmit {
+	if s.stats.Retransmits >= maxRetransmit {
 		s.state = sendAborted
 		return ErrSendTimeout
 	}
 	s.stats.Retransmits++
-	s.curNBs = time.Duration(float64(s.curNBs) * s.cfg.Backoff)
+	s.curNBs = time.Duration(float64(s.curNBs) * backoff)
 	// Restart from the FirstFrame: the receiver abandons its partial
 	// transfer on the duplicate FF (see Receiver) or has already timed
 	// out via N_Cr.

@@ -45,12 +45,11 @@ func drive(t *testing.T, s *Sender, rx *Receiver) []byte {
 func TestSenderReceiverPerfectWire(t *testing.T) {
 	for _, n := range []int{1, 62, 63, 200, 491, 1024} {
 		msg := testMsg(n)
-		s, err := NewSender(DefaultSenderConfig(), msg, 0)
+		s, err := NewSender(msg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rx := NewReceiver(ReceiverConfig{})
-		got := drive(t, s, rx)
+		got := drive(t, s, &Receiver{})
 		if !bytes.Equal(got, msg) {
 			t.Fatalf("size %d corrupted", n)
 		}
@@ -60,26 +59,118 @@ func TestSenderReceiverPerfectWire(t *testing.T) {
 	}
 }
 
+// TestFrameCountMatchesSender checks FrameCount, which prices the
+// Table II wire costs through transport.WireCost, against the live
+// state machines: for every message length, a Sender driving a
+// Receiver on a perfect wire transmits exactly FrameCount's data
+// frames, and one FlowControl crosses exactly when FrameCount says so.
+func TestFrameCountMatchesSender(t *testing.T) {
+	for n := 1; n <= MaxMessageLen; n++ {
+		wantFrames, wantFC, err := FrameCount(n)
+		if err != nil {
+			t.Fatalf("size %d: %v", n, err)
+		}
+		msg := testMsg(n)
+		s, err := NewSender(msg, 0)
+		if err != nil {
+			t.Fatalf("size %d: %v", n, err)
+		}
+		var rx Receiver
+		var got []byte
+		frames, fcs := 0, 0
+		for got == nil {
+			f := s.Next(0)
+			if f == nil {
+				t.Fatalf("size %d: sender stalled after %d frames", n, frames)
+			}
+			frames++
+			m, fc, err := rx.Push(f, 0)
+			if err != nil {
+				t.Fatalf("size %d: frame %d: %v", n, frames, err)
+			}
+			if fc != nil {
+				fcs++
+				if err := s.OnFlowControl(fc, 0); err != nil {
+					t.Fatalf("size %d: %v", n, err)
+				}
+			}
+			got = m
+		}
+		if !s.Done() || !bytes.Equal(got, msg) {
+			t.Fatalf("size %d: sender done %v, message intact %v", n, s.Done(), bytes.Equal(got, msg))
+		}
+		if frames != wantFrames || fcs > 1 || (fcs == 1) != wantFC {
+			t.Fatalf("size %d: %d data frames and %d FlowControls, FrameCount says %d and %v", n, frames, fcs, wantFrames, wantFC)
+		}
+	}
+}
+
+// TestSenderBlockSizeAndSTmin drives the sender with hand-built
+// FlowControls granting 2 ConsecutiveFrames per block at a 100 µs
+// STmin, the pacing a peer on the wire may ask for even though
+// Receiver itself always grants the whole remainder at once.
 func TestSenderBlockSizeAndSTmin(t *testing.T) {
 	msg := testMsg(500) // FF + 7 CFs
-	s, err := NewSender(DefaultSenderConfig(), msg, 0)
+	s, err := NewSender(msg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx := NewReceiver(ReceiverConfig{BlockSize: 2, STmin: 0xF1}) // 2 CFs per FC, 100µs gap
-	got := drive(t, s, rx)
+	const gap = 100 * time.Microsecond
+	grant := FlowControlFrame(FlowContinue, 2, 0xF1)
+	var rx Receiver
+	var got []byte
+	now, lastCF := time.Duration(0), time.Duration(-1)
+	fcs, inBlock := 0, 0
+	for got == nil {
+		f := s.Next(now)
+		if f == nil {
+			if at := s.ReadyAt(); at > now {
+				now = at // honour STmin pacing
+				continue
+			}
+			if s.Deadline() == 0 {
+				t.Fatal("sender stalled without awaiting a FlowControl")
+			}
+			if inBlock != 0 && inBlock != 2 {
+				t.Fatalf("sender paused for a FlowControl after %d CFs of a 2-CF block", inBlock)
+			}
+			if err := s.OnFlowControl(grant, now); err != nil {
+				t.Fatal(err)
+			}
+			fcs++
+			inBlock = 0
+			continue
+		}
+		if f[0]>>4 == pciConsec {
+			if lastCF >= 0 && now-lastCF < gap {
+				t.Fatalf("CF at %v, %v after the previous one; STmin is %v", now, now-lastCF, gap)
+			}
+			lastCF = now
+			inBlock++
+			if inBlock > 2 {
+				t.Fatal("sender overran its 2-CF block")
+			}
+		}
+		m, _, err := rx.Push(f, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = m
+	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("block-size transfer corrupted")
 	}
-	if rx.Stats().Completed != 1 {
-		t.Errorf("receiver stats %+v", rx.Stats())
+	if fcs != 4 { // after the FF and after CFs 2, 4 and 6
+		t.Errorf("%d FlowControls consumed, want 4", fcs)
+	}
+	if !s.Done() {
+		t.Error("sender not done after the last CF")
 	}
 }
 
 func TestSenderRetransmitsOnLostFlowControl(t *testing.T) {
 	msg := testMsg(200)
-	cfg := DefaultSenderConfig()
-	s, err := NewSender(cfg, msg, 0)
+	s, err := NewSender(msg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +183,8 @@ func TestSenderRetransmitsOnLostFlowControl(t *testing.T) {
 		t.Error("sender transmitted without clearance")
 	}
 	dl := s.Deadline()
-	if dl != cfg.Timeouts.NBs {
-		t.Fatalf("deadline %v, want N_Bs %v", dl, cfg.Timeouts.NBs)
+	if dl != nBs {
+		t.Fatalf("deadline %v, want N_Bs %v", dl, nBs)
 	}
 	if err := s.OnTimeout(dl); err != nil {
 		t.Fatal(err)
@@ -107,11 +198,11 @@ func TestSenderRetransmitsOnLostFlowControl(t *testing.T) {
 		t.Errorf("retransmits %d, want 1", s.Stats().Retransmits)
 	}
 	next := s.Deadline()
-	if next-dl <= cfg.Timeouts.NBs {
-		t.Errorf("no backoff: second wait %v not longer than first %v", next-dl, cfg.Timeouts.NBs)
+	if want := time.Duration(float64(nBs) * backoff); next-dl != want {
+		t.Errorf("second wait %v, want N_Bs backed off to %v", next-dl, want)
 	}
 	// This time the FC arrives; the transfer completes.
-	rx := NewReceiver(ReceiverConfig{})
+	var rx Receiver
 	now := next - time.Millisecond
 	if _, fc, err := rx.Push(ff2, now); err != nil || fc == nil {
 		t.Fatalf("receiver did not clear retransmitted FF: %v", err)
@@ -132,9 +223,7 @@ func TestSenderRetransmitsOnLostFlowControl(t *testing.T) {
 }
 
 func TestSenderRetransmissionCapExhaustion(t *testing.T) {
-	cfg := DefaultSenderConfig()
-	cfg.MaxRetransmit = 2
-	s, err := NewSender(cfg, testMsg(200), 0)
+	s, err := NewSender(testMsg(200), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +231,11 @@ func TestSenderRetransmissionCapExhaustion(t *testing.T) {
 	if s.Next(now) == nil {
 		t.Fatal("no FF")
 	}
-	for i := 0; i < 2; i++ {
+	wait := nBs
+	for i := 0; i < maxRetransmit; i++ {
+		if got := s.Deadline() - now; got != wait {
+			t.Fatalf("retry %d: waited %v for the FC, want %v", i, got, wait)
+		}
 		now = s.Deadline()
 		if err := s.OnTimeout(now); err != nil {
 			t.Fatalf("retry %d refused: %v", i, err)
@@ -150,126 +243,126 @@ func TestSenderRetransmissionCapExhaustion(t *testing.T) {
 		if s.Next(now) == nil {
 			t.Fatalf("retry %d: no FF", i)
 		}
+		wait = time.Duration(float64(wait) * backoff)
 	}
 	now = s.Deadline()
 	if err := s.OnTimeout(now); !errors.Is(err, ErrSendTimeout) {
-		t.Fatalf("got %v, want ErrSendTimeout after cap", err)
+		t.Fatalf("got %v, want ErrSendTimeout after %d retransmissions", err, maxRetransmit)
 	}
 	if s.Next(now) != nil {
 		t.Error("aborted sender still transmitting")
 	}
-	if s.Stats().Retransmits != 2 {
-		t.Errorf("retransmits %d, want 2", s.Stats().Retransmits)
+	if s.Stats().Retransmits != 3 {
+		t.Errorf("retransmits %d, want 3", s.Stats().Retransmits)
 	}
 }
 
+// TestFlowControlWaitHonouredThenCleared drives the sender with
+// hand-built FlowControls, as a busy peer or the inject adversary puts
+// them on the wire: two Waits, each re-arming N_Bs, then the Continue
+// that releases the rest of the message.
 func TestFlowControlWaitHonouredThenCleared(t *testing.T) {
 	msg := testMsg(200)
-	s, err := NewSender(DefaultSenderConfig(), msg, 0)
+	s, err := NewSender(msg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx := NewReceiver(ReceiverConfig{InitialWaits: 2})
+	var rx Receiver
 	now := time.Duration(0)
 	ff := s.Next(now)
-	_, fc, err := rx.Push(ff, now)
-	if err != nil {
-		t.Fatal(err)
+	_, cont, err := rx.Push(ff, now)
+	if err != nil || cont == nil {
+		t.Fatalf("receiver did not answer the FF: %v", err)
 	}
-	status, _, _, _ := ParseFlowControl(fc)
-	if status != FlowWait {
-		t.Fatalf("first FC %v, want Wait", status)
-	}
-	if err := s.OnFlowControl(fc, now); err != nil {
-		t.Fatal(err)
-	}
-	// The receiver owes more FCs on its own schedule.
+	wait := FlowControlFrame(FlowWait, 0, 0)
 	for i := 0; i < 2; i++ {
-		due := rx.Deadline()
-		fc, err := rx.Expire(due)
-		if err != nil {
-			t.Fatal(err)
+		now += 100 * time.Millisecond
+		if err := s.OnFlowControl(wait, now); err != nil {
+			t.Fatalf("wait %d: %v", i+1, err)
 		}
-		if fc == nil {
-			t.Fatalf("FC %d not emitted at its due time", i+2)
+		if dl := s.Deadline(); dl != now+nBs {
+			t.Errorf("wait %d re-armed N_Bs to %v, want %v", i+1, dl, now+nBs)
 		}
-		now = due
-		if err := s.OnFlowControl(fc, now); err != nil {
-			t.Fatal(err)
+		if s.Next(now) != nil {
+			t.Fatalf("sender transmitted after wait %d", i+1)
 		}
 	}
 	if s.Stats().WaitsHonoured != 2 {
 		t.Errorf("sender honoured %d waits, want 2", s.Stats().WaitsHonoured)
 	}
+	if err := s.OnFlowControl(cont, now); err != nil {
+		t.Fatal(err)
+	}
 	// Cleared: the rest of the transfer flows.
+	var got []byte
 	for !s.Done() {
 		f := s.Next(now)
 		if f == nil {
 			t.Fatal("sender stalled after Continue")
 		}
-		got, _, err := rx.Push(f, now)
+		m, _, err := rx.Push(f, now)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != nil && !bytes.Equal(got, msg) {
-			t.Fatal("waited transfer corrupted")
-		}
+		got = m
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("waited transfer corrupted")
 	}
 }
 
 func TestFlowControlWaitBudgetExhaustion(t *testing.T) {
-	cfg := DefaultSenderConfig()
-	cfg.MaxWait = 1
-	s, err := NewSender(cfg, testMsg(200), 0)
+	s, err := NewSender(testMsg(200), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Next(0)
 	wait := FlowControlFrame(FlowWait, 0, 0)
-	if err := s.OnFlowControl(wait, 0); err != nil {
-		t.Fatalf("first wait refused: %v", err)
+	for i := 0; i < maxWait; i++ {
+		if err := s.OnFlowControl(wait, 0); err != nil {
+			t.Fatalf("wait %d of %d refused: %v", i+1, maxWait, err)
+		}
 	}
 	if err := s.OnFlowControl(wait, 0); !errors.Is(err, ErrWaitBudget) {
-		t.Fatalf("got %v, want ErrWaitBudget", err)
+		t.Fatalf("got %v, want ErrWaitBudget after %d waits", err, maxWait)
+	}
+	if s.Next(0) != nil {
+		t.Error("sender kept transmitting past its wait budget")
+	}
+	if s.Stats().WaitsHonoured != 5 {
+		t.Errorf("waits honoured %d, want 5 (4 tolerated, the 5th aborts)", s.Stats().WaitsHonoured)
 	}
 }
 
+// TestFlowControlOverflowAborts: a hand-built FlowControl(Overflow),
+// the refusal the inject adversary forges, aborts the sender without
+// retransmission.
 func TestFlowControlOverflowAborts(t *testing.T) {
-	// Receiver capacity below the announced length → FC(Overflow) →
-	// sender aborts without retransmission.
-	msg := testMsg(500)
-	s, err := NewSender(DefaultSenderConfig(), msg, 0)
+	s, err := NewSender(testMsg(500), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx := NewReceiver(ReceiverConfig{MaxMessage: 300})
-	ff := s.Next(0)
-	_, fc, err := rx.Push(ff, 0)
-	if err != nil {
-		t.Fatal(err)
+	if ff := s.Next(0); ff == nil || ff[0]>>4 != pciFirst {
+		t.Fatal("sender did not open with a FirstFrame")
 	}
-	status, _, _, _ := ParseFlowControl(fc)
-	if status != FlowOverflow {
-		t.Fatalf("FC %v, want Overflow", status)
-	}
-	if rx.Active() {
-		t.Error("receiver buffered an overflowing transfer")
-	}
-	if rx.Stats().Overflows != 1 {
-		t.Errorf("overflow count %+v", rx.Stats())
-	}
-	if err := s.OnFlowControl(fc, 0); !errors.Is(err, ErrFlowOverflow) {
+	if err := s.OnFlowControl(FlowControlFrame(FlowOverflow, 0, 0), 0); !errors.Is(err, ErrFlowOverflow) {
 		t.Fatalf("got %v, want ErrFlowOverflow", err)
 	}
 	if s.Next(0) != nil {
 		t.Error("sender kept transmitting after Overflow")
+	}
+	if s.Deadline() != 0 {
+		t.Error("aborted sender still arms N_Bs")
+	}
+	if err := s.OnFlowControl(FlowControlFrame(FlowContinue, 0, 0), 0); !errors.Is(err, ErrSendAborted) {
+		t.Errorf("a Continue after the Overflow: got %v, want ErrSendAborted", err)
 	}
 }
 
 func TestReceiverDuplicateConsecutiveFrameIgnored(t *testing.T) {
 	msg := testMsg(300)
 	frames, _ := segment(msg)
-	rx := NewReceiver(ReceiverConfig{})
+	var rx Receiver
 	now := time.Duration(0)
 	var got []byte
 	for i, f := range frames {
@@ -295,11 +388,14 @@ func TestReceiverDuplicateConsecutiveFrameIgnored(t *testing.T) {
 	}
 }
 
+// TestReceiverCorruptedFirstFrameLength pins what a corrupted FF
+// length field does on the fabric: one that claims a
+// single-frame-sized message is refused and leaves the receiver idle;
+// one that claims the 12-bit maximum of 4095 bytes is accepted (no
+// receiver refuses a length the field can carry), and the clean
+// retransmission restarts the transfer and completes it.
 func TestReceiverCorruptedFirstFrameLength(t *testing.T) {
-	// A corrupted FF length field either claims a single-frame-sized
-	// message (invalid) or a huge one (overflow); both must leave the
-	// receiver idle and ready for the retransmission.
-	rx := NewReceiver(ReceiverConfig{MaxMessage: 1024})
+	var rx Receiver
 
 	small := make([]byte, frameLen)
 	small[0] = pciFirst << 4
@@ -313,27 +409,44 @@ func TestReceiverCorruptedFirstFrameLength(t *testing.T) {
 
 	huge := make([]byte, frameLen)
 	huge[0] = pciFirst<<4 | 0x0F
-	huge[1] = 0xFF // claims 4095 bytes > MaxMessage
+	huge[1] = 0xFF // claims 4095 bytes
 	_, fc, err := rx.Push(huge, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _, _, _ := ParseFlowControl(fc); st != FlowOverflow {
-		t.Fatalf("corrupted-huge FF answered with %v, want Overflow", st)
+	if !bytes.Equal(fc, FlowControlFrame(FlowContinue, 0, 0)) {
+		t.Fatalf("corrupted-huge FF answered with %x, want Continue", fc)
+	}
+	if !rx.Active() {
+		t.Fatal("corrupted-huge FF not accepted")
 	}
 
-	// The clean retransmission is then accepted normally.
+	// The clean retransmission restarts the transfer and completes.
 	msg := testMsg(200)
 	frames, _ := segment(msg)
 	if _, fc, err := rx.Push(frames[0], 0); err != nil || fc == nil {
 		t.Fatalf("clean FF refused after corrupted ones: %v", err)
+	}
+	if rx.Stats().Restarts != 1 {
+		t.Errorf("restarts %+v, want 1", rx.Stats())
+	}
+	var got []byte
+	for _, f := range frames[1:] {
+		m, _, err := rx.Push(f, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = m
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("restarted transfer corrupted")
 	}
 }
 
 func TestReceiverNCrTimeoutAbandons(t *testing.T) {
 	msg := testMsg(300)
 	frames, _ := segment(msg)
-	rx := NewReceiver(ReceiverConfig{})
+	var rx Receiver
 	if _, _, err := rx.Push(frames[0], 0); err != nil {
 		t.Fatal(err)
 	}
@@ -341,13 +454,13 @@ func TestReceiverNCrTimeoutAbandons(t *testing.T) {
 		t.Fatal(err)
 	}
 	dl := rx.Deadline()
-	if dl <= time.Millisecond {
-		t.Fatalf("implausible N_Cr deadline %v", dl)
+	if dl != time.Millisecond+nCr {
+		t.Fatalf("N_Cr deadline %v, want %v", dl, time.Millisecond+nCr)
 	}
-	if _, err := rx.Expire(dl - 1); err != nil {
+	if err := rx.Expire(dl - 1); err != nil {
 		t.Fatal("expired early")
 	}
-	if _, err := rx.Expire(dl); !errors.Is(err, ErrReceiveTimeout) {
+	if err := rx.Expire(dl); !errors.Is(err, ErrReceiveTimeout) {
 		t.Fatal("N_Cr lapse not reported")
 	}
 	if rx.Active() {
@@ -358,7 +471,7 @@ func TestReceiverNCrTimeoutAbandons(t *testing.T) {
 	}
 	// A frame arriving after the lapse (without Expire being called)
 	// also voids the stale transfer first.
-	rx2 := NewReceiver(ReceiverConfig{})
+	var rx2 Receiver
 	rx2.Push(frames[0], 0)
 	rx2.Push(frames[1], time.Millisecond)
 	if _, _, err := rx2.Push(frames[0], rx2.Deadline()+time.Second); err != nil {
@@ -372,7 +485,7 @@ func TestReceiverNCrTimeoutAbandons(t *testing.T) {
 func TestReceiverRestartOnDuplicateFirstFrame(t *testing.T) {
 	msg := testMsg(300)
 	frames, _ := segment(msg)
-	rx := NewReceiver(ReceiverConfig{})
+	var rx Receiver
 	rx.Push(frames[0], 0)
 	rx.Push(frames[1], 0)
 	// Sender timed out on a lost FC and restarts from the FF.
@@ -438,7 +551,7 @@ func TestDecodeSTmin(t *testing.T) {
 func TestSenderClampsReservedSTmin(t *testing.T) {
 	for _, stmin := range []byte{0x80, 0xC3, 0xF0, 0xFA, 0xFF} {
 		msg := make([]byte, 200)
-		s, err := NewSender(DefaultSenderConfig(), msg, 0)
+		s, err := NewSender(msg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -174,7 +174,10 @@ func (an *Analyzer) Analyze(p core.Protocol) (*Assessment, error) {
 	as.record("MitM (T2): complete the handshake with credentials from a rogue CA", !mitmRejected, detail5)
 
 	// --- Attack 6: replay of recorded authentication material (T2).
-	replayOK, detail6 := an.attackReplay(p, s1, s2, a, b)
+	replayOK, detail6, err := an.attackReplay(p, s1, s2, a, b)
+	if err != nil {
+		return nil, err
+	}
 	as.record("replay (T2): inject session-1 authentication material into session 2", replayOK, detail6)
 	if replayOK {
 		mitmRejected = false // a replayable handshake has no freshness

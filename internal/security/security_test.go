@@ -197,6 +197,38 @@ func TestReplayRejectedEverywhere(t *testing.T) {
 	}
 }
 
+// TestReplayPositiveControl replays each protocol's session 1 into
+// session 1 itself. Every arm must then accept the replay: otherwise a
+// "replay rejected" verdict in TestReplayRejectedEverywhere could come
+// from a misread recording rather than from a fresh challenge.
+func TestReplayPositiveControl(t *testing.T) {
+	an := NewAnalyzer(newDetRand(9))
+	net, err := core.NewNetwork(an.curve, an.rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, err := net.Pair("alice", "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []core.Protocol{
+		core.NewSECDSA(false), core.NewSTS(core.OptNone), core.NewSCIANC(), core.NewPORAMB(),
+	} {
+		s1, err := p.Run(a, b)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		ok, detail, err := an.attackReplay(p, s1, s1, a, b)
+		if err != nil {
+			t.Errorf("%s: %v", p.Name(), err)
+			continue
+		}
+		if !ok {
+			t.Errorf("%s: session 1 replayed into itself was rejected (%s)", p.Name(), detail)
+		}
+	}
+}
+
 func TestFig8Consistency(t *testing.T) {
 	an := NewAnalyzer(newDetRand(7))
 	sts, err := an.Analyze(core.NewSTS(core.OptNone))

@@ -110,3 +110,13 @@ func TestDeliverAllocBudget(t *testing.T) {
 		t.Fatalf("200 B Deliver allocates %.0f, budget %d", got, deliverAllocBudget)
 	}
 }
+
+// TestFlushAllocFree gates Flush on an idle endpoint at zero heap
+// allocations: fleet.NetCarrier.Exchange flushes both ends before
+// every handshake attempt, and the receiver is reset in place.
+func TestFlushAllocFree(t *testing.T) {
+	a, _, _ := newPair(t)
+	if got := testing.AllocsPerRun(100, a.Flush); got != 0 {
+		t.Fatalf("Flush on an idle endpoint allocates %.0f, want 0", got)
+	}
+}

@@ -11,13 +11,12 @@
 // cryptographic processing time.
 //
 // Every Endpoint belongs to a World (see NewReliableEndpoint) and runs
-// the timer- and retransmission-aware ISO-TP state machines of
-// internal/cantp — N_Bs and N_Cr supervision on the simulated clock,
-// FlowControl Wait/Overflow handling, bounded FirstFrame
-// retransmission with backoff — plus, when configured, a CRC-32
-// message trailer that rejects payloads corrupted below the CAN CRC's
-// notice. On a lossless bus with a zero Config this puts exactly the
-// frames of the paper's prototype on the wire. Link layers
+// the one ISO-TP profile of internal/cantp — N_Bs and N_Cr supervision
+// on the simulated clock, FlowControl Wait/Overflow handling, bounded
+// FirstFrame retransmission with backoff — plus, when configured, a
+// CRC-32 message trailer that rejects payloads corrupted below the CAN
+// CRC's notice. On a lossless bus with a zero Config this puts exactly
+// the frames of the paper's prototype on the wire. Link layers
 // whole-message retransmission on top, which is what the handshake
 // retry policies of internal/fleet build on.
 package transport
@@ -94,15 +93,10 @@ type Stats struct {
 	FilteredFrames int
 }
 
-// Config parameterizes an endpoint. The zero Config is the paper's
-// prototype link: cantp defaults, no trailer, no acceptance filter.
+// Config parameterizes an endpoint. The ISO-TP timers and budgets are
+// cantp's one profile and not configurable. The zero Config is the
+// paper's prototype link: no trailer, no acceptance filter.
 type Config struct {
-	// Sender configures N_Bs supervision, retransmission budget,
-	// backoff and the Wait budget. Zero takes cantp defaults.
-	Sender cantp.SenderConfig
-	// Receiver configures N_Cr supervision, BlockSize/STmin
-	// advertisement and capacity. Zero takes cantp defaults.
-	Receiver cantp.ReceiverConfig
 	// Checksum appends a CRC-32 trailer to every message and rejects
 	// reassembled messages whose trailer does not verify — the
 	// "CRC-collision" corruption class the bit-level CAN CRC model
@@ -125,15 +119,10 @@ type Config struct {
 	Accounting *Accounting
 }
 
-// DefaultConfig is the impaired-fabric profile used by the chaos
-// harness: cantp's retransmission defaults plus the CRC-32 trailer.
-func DefaultConfig() Config {
-	return Config{
-		Sender:   cantp.DefaultSenderConfig(),
-		Receiver: cantp.ReceiverConfig{},
-		Checksum: true,
-	}
-}
+// DefaultConfig is the impaired-fabric profile used by the scenario
+// engine, the fleet and the benchmark: the zero Config plus the CRC-32
+// trailer.
+func DefaultConfig() Config { return Config{Checksum: true} }
 
 // Endpoint is one session participant attached to a CAN bus node.
 type Endpoint struct {
@@ -142,10 +131,9 @@ type Endpoint struct {
 	cfg   Config
 	world *World
 
-	rx      *cantp.Receiver
-	rxBase  cantp.ReceiverStats // counters of receivers retired by Flush
-	sender  *cantp.Sender       // non-nil only inside Send
-	sendErr error               // terminal FC verdict discovered during Service
+	rx      cantp.Receiver
+	sender  *cantp.Sender // non-nil only inside Send
+	sendErr error         // terminal FC verdict discovered during Service
 	inbox   []Message
 	lastMsg []byte // last delivered message bytes, for duplicate suppression
 	stats   Stats
@@ -166,7 +154,6 @@ func NewReliableEndpoint(w *World, node *canbus.Node, txID uint32, cfg Config) *
 		txID:  txID,
 		cfg:   cfg,
 		world: w,
-		rx:    cantp.NewReceiver(cfg.Receiver),
 	}
 	w.addEndpoint(e)
 	return e
@@ -177,19 +164,7 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 
 // ReceiverStats returns the ISO-TP reassembly counters, cumulative
 // across Flushes.
-func (e *Endpoint) ReceiverStats() cantp.ReceiverStats {
-	return addReceiverStats(e.rxBase, e.rx.Stats())
-}
-
-func addReceiverStats(a, b cantp.ReceiverStats) cantp.ReceiverStats {
-	a.Completed += b.Completed
-	a.Abandoned += b.Abandoned
-	a.Duplicates += b.Duplicates
-	a.Restarts += b.Restarts
-	a.Overflows += b.Overflows
-	a.Waits += b.Waits
-	return a
-}
+func (e *Endpoint) ReceiverStats() cantp.ReceiverStats { return e.rx.Stats() }
 
 // Flush discards buffered messages, partial reassembly state and any
 // pending send verdict — the clean slate a fresh handshake attempt
@@ -201,8 +176,7 @@ func (e *Endpoint) Flush() {
 		}
 	}
 	e.node.TakeRejected()
-	e.rxBase = addReceiverStats(e.rxBase, e.rx.Stats())
-	e.rx = cantp.NewReceiver(e.cfg.Receiver)
+	e.rx.Reset()
 	e.inbox = nil
 	e.lastMsg = nil
 	e.sender = nil
@@ -266,7 +240,7 @@ func (e *Endpoint) send(m Message) (time.Duration, error) {
 	if e.cfg.Checksum {
 		payload = appendChecksum(payload)
 	}
-	s, err := cantp.NewSender(e.cfg.Sender, payload, e.now())
+	s, err := cantp.NewSender(payload, e.now())
 	if err != nil {
 		return 0, fmt.Errorf("transport: send: %w", err)
 	}
@@ -315,8 +289,8 @@ func (e *Endpoint) send(m Message) (time.Duration, error) {
 		if s.Deadline() > 0 {
 			// ...or toward the N_Bs deadline one timer at a time,
 			// stopping the moment the awaited FlowControl lands (a
-			// Wait chain re-arms the deadline; a Continue clears it,
-			// and simulated time must not inflate past that point).
+			// Wait re-arms the deadline; a Continue clears it, and
+			// simulated time must not inflate past that point).
 			for s.Deadline() > 0 && e.now() < s.Deadline() {
 				e.world.Step(s.Deadline())
 				if err := e.takeSendErr(); err != nil {
@@ -363,11 +337,11 @@ func (e *Endpoint) transmit(payload []byte) (time.Duration, error) {
 
 // Service drains the receive queue into the protocol state machines:
 // FlowControls feed the active sender, data frames feed the receiver
-// (answering with FCs as the receiver dictates), completed messages
+// (answering each FirstFrame with its FlowControl), completed messages
 // land in the inbox after checksum verification, and the frames the
 // node's acceptance filter rejected since the last drain are counted
 // in Stats.FilteredFrames. Protocol violations are counted in Stats
-// and survived. It also services the receiver's timers, unless the
+// and survived. It also services the receiver's N_Cr timer, unless the
 // receiver has no transfer in progress and so arms none: then it
 // returns right after counting the rejected frames, which is all a
 // node holding only other identifiers' frames costs. Returns the
@@ -433,20 +407,10 @@ func (e *Endpoint) serviceFlowControl(data []byte, now time.Duration) {
 	}
 }
 
-// expire services the receiver's simulated-time obligations: owed
-// Wait-chain FlowControls are transmitted, and N_Cr expiry abandons
-// the partial transfer (counted by the receiver).
-func (e *Endpoint) expire() {
-	for {
-		fc, err := e.rx.Expire(e.now())
-		if fc != nil {
-			e.transmit(fc)
-			continue
-		}
-		_ = err // abandonment is counted in ReceiverStats
-		return
-	}
-}
+// expire services the receiver's N_Cr timer: a lapse abandons the
+// partial transfer, which ReceiverStats counts, so the error adds
+// nothing.
+func (e *Endpoint) expire() { _ = e.rx.Expire(e.now()) }
 
 // deliver verifies, decodes and enqueues a reassembled message.
 func (e *Endpoint) deliver(raw []byte) {

@@ -167,8 +167,8 @@ func (w *World) Step(t time.Duration) {
 }
 
 // AdvanceTo moves simulated time forward to t, stopping at every
-// intermediate endpoint timer so owed FlowControls fire and N_Cr
-// expiries abandon stale transfers in order.
+// intermediate timer so N_Cr expiries abandon stale transfers in
+// order.
 func (w *World) AdvanceTo(t time.Duration) {
 	for w.Clock.Now() < t {
 		w.Step(t)
@@ -179,27 +179,24 @@ func (w *World) AdvanceTo(t time.Duration) {
 // world: ISO-TP recovers frame-level loss inside Endpoint.Send, and
 // Deliver adds whole-message retransmission on top for the losses
 // ISO-TP cannot see (a lost ConsecutiveFrame abandons the transfer at
-// the receiver with nothing to tell the sender when BlockSize is 0).
+// the receiver with nothing to tell the sender, whose one FlowControl
+// cleared every ConsecutiveFrame). Deliver waits 2 s of simulated time
+// for a sent message to complete before it resends.
 type Link struct {
 	World *World
 
-	// ResponseTimeout bounds the wait for the message to complete at
-	// the destination before a resend (default 2 s simulated).
-	ResponseTimeout time.Duration
 	// MaxResend caps whole-message retransmissions (default 2).
 	MaxResend int
 }
 
+// responseTimeout bounds Deliver's wait for a sent message to complete
+// at the destination before a resend. It outlasts the receiver's 1 s
+// N_Cr, so a partial transfer is abandoned before the resend arrives.
+const responseTimeout = 2 * time.Second
+
 // ErrDeliveryFailed is returned when a message could not be completed
 // at the destination within the resend budget.
 var ErrDeliveryFailed = errors.New("transport: delivery failed after resend budget")
-
-func (l *Link) responseTimeout() time.Duration {
-	if l.ResponseTimeout > 0 {
-		return l.ResponseTimeout
-	}
-	return 2 * time.Second
-}
 
 func (l *Link) maxResend() int {
 	if l.MaxResend > 0 {
@@ -246,7 +243,7 @@ func (l *Link) Deliver(src, dst *Endpoint, m Message) (Message, error) {
 		// after the full timeout; only a genuinely lost tail burns the
 		// whole budget (letting the destination's N_Cr lapse clean any
 		// partial state) and forces a resend.
-		deadline := l.World.Clock.Now() + l.responseTimeout()
+		deadline := l.World.Clock.Now() + responseTimeout
 		for l.World.Clock.Now() < deadline {
 			l.World.Step(deadline)
 			if got, err := dst.Poll(); err == nil {
