@@ -90,6 +90,10 @@ bench-compare:
 # batches of one and of 16; only the layered benchmark batches), per
 # cached-key verification (every rekey's) and per first-sight
 # verification straight from a certificate (even and odd u2 alike).
+# The ReconstructBatch gate holds the batched ECQV reconstruction
+# check, per certificate of a 64-item batch, to big.Int and encoding
+# work per item: a per-item point multiplication or table returning
+# to the batch would show there.
 # The Seal+Open gate guards the record layer's
 # key-once-per-session contract: keying the MAC again for every record
 # (hmac.New per tag) more than doubles its allocations, and per-record
@@ -111,6 +115,7 @@ bench-alloc:
 	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestVerifyDigestAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestVerifyImplicitAllocBudget' -v ./internal/ecdsa/
+	$(GO) test -run='TestReconstructBatchAllocBudget' -v ./internal/ecqv/
 	$(GO) test -run='TestSealOpenAllocBudget' -v ./internal/session/
 	$(GO) test -run='TestDeliverAllocBudget' -v ./internal/transport/
 	$(GO) test -run='TestFlushAllocFree' -v ./internal/transport/
@@ -273,11 +278,13 @@ bench-scenarios:
 # (ValidateJSON), of the field kernels against math/big, of point
 # multiplication against math/big and crypto/elliptic (FuzzPointMult)
 # and against crypto/elliptic alone (FuzzPointMultStdlib, which skips
-# the slow oracle and so mutates far more inputs), and of the
-# first-sight verification against explicit extraction (committed
-# corpora under testdata/fuzz replay in every plain `go test` run;
-# this target digs further — used by CI with a short budget, locally
-# run longer). One FuzzPointMult* or FuzzVerifyImplicit input
+# the slow oracle and so mutates far more inputs), of the
+# first-sight verification against explicit extraction, and of the
+# batched ECQV reconstruction check against the one-item check
+# (committed corpora under testdata/fuzz replay in every plain
+# `go test` run; this target digs further — used by CI with a short
+# budget, locally run longer). One FuzzPointMult*, FuzzVerifyImplicit
+# or FuzzReconstructBatch input
 # costs several point multiplications, so the default minute
 # of minimization per new input would use up the whole budget; ten
 # executions bound it.
@@ -291,6 +298,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ec -fuzz FuzzPointMultStdlib -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ec -fuzz FuzzDecodePoint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecqv -fuzz FuzzECQVDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ecqv -fuzz FuzzReconstructBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/ecdsa -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecdsa -fuzz FuzzVerifyImplicit -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/core -fuzz FuzzDecodePointRaw -fuzztime $(FUZZTIME)

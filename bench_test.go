@@ -295,7 +295,9 @@ func BenchmarkScalarMultAblation(b *testing.B) {
 }
 
 // BenchmarkECQVLifecycle prices the certificate-derivation stage:
-// request, issuance, reconstruction, extraction.
+// request, issuance, reconstruction (one subject's, then batches of 1,
+// 17 and 64 subjects checked together, with their time per subject),
+// extraction.
 func BenchmarkECQVLifecycle(b *testing.B) {
 	rng := detrand.NewReader(19)
 	curve := ec.P256()
@@ -335,6 +337,30 @@ func BenchmarkECQVLifecycle(b *testing.B) {
 			}
 		}
 	})
+	for _, n := range []int{1, 17, 64} {
+		b.Run(fmt.Sprintf("reconstruct-batch-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			secs := make([]*ecqv.RequestSecret, n)
+			resps := make([]*ecqv.Response, n)
+			for i := range secs {
+				req, sec, err := ecqv.NewRequest(curve, ecqv.NewID(fmt.Sprintf("dev-%02d", i)), rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resps[i], err = ca.Issue(req, params); err != nil {
+					b.Fatal(err)
+				}
+				secs[i] = sec
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, errs := ecqv.ReconstructBatch(secs, resps, ca.PublicKey()); errs[0] != nil {
+					b.Fatal(errs[0])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
+		})
+	}
 	b.Run("extract-pubkey", func(b *testing.B) {
 		b.ReportAllocs()
 		req, _, _ := ecqv.NewRequest(curve, ecqv.NewID("dev"), rng)

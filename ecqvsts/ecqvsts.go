@@ -166,12 +166,13 @@ func (a *Authority) Enroll(name string) (*Device, error) {
 	return &Device{party: p}, nil
 }
 
-// EnrollBatch provisions many devices concurrently: certificate
-// requests, batched ECQV issuance and private-key reconstruction fan
-// out over a worker pool sized to GOMAXPROCS, amortizing the per-curve
-// precomputation across the whole batch. Devices align with names; if
-// any enrollment fails, the per-name errors are joined into the
-// returned error and the corresponding slots are nil.
+// EnrollBatch provisions many devices at once: each device's
+// certificate request and ECQV issuance run on a worker pool sized to
+// GOMAXPROCS, and the private-key reconstructions end in one batched
+// consistency check, one equation per 64 devices
+// (ecqv.ReconstructBatch). Devices align with names; if any enrollment
+// fails, the per-name errors are joined into the returned error and
+// the corresponding slots are nil.
 func (a *Authority) EnrollBatch(names []string) ([]*Device, error) {
 	parties, err := a.net.ProvisionBatch(names, 0)
 	devices := make([]*Device, len(parties))

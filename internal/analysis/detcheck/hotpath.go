@@ -24,7 +24,7 @@ import (
 //     //detlint:allow hotpath annotations stating their O(1) cost.
 //
 //  2. Functions on the hot call graph — everything that can run under
-//     ScalarMult, ScalarBaseMult, CombinedMult(2) or the fp field ops
+//     ScalarMult, ScalarBaseMult, CombinedMult(N) or the fp field ops
 //     (hotpathRoots) — must not call fmt or box concrete values into
 //     interfaces: both allocate, and the budgets exist precisely to
 //     keep the per-op allocation count fixed and small.
@@ -35,7 +35,7 @@ import (
 var Hotpath = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "flags math/big outside the approved boundary files and fmt/interface-boxing " +
-		"on the call graph of ScalarMult, ScalarBaseMult, CombinedMult(2) and the fp field ops " +
+		"on the call graph of ScalarMult, ScalarBaseMult, CombinedMult(N) and the fp field ops " +
 		"in internal/ec and internal/ec/fp; " +
 		"the static counterpart of the allocation-budget CI gates",
 	Run: runHotpath,
@@ -77,7 +77,7 @@ var hotpathRoots = map[string]bool{
 	"ScalarMult":     true,
 	"ScalarBaseMult": true,
 	"CombinedMult":   true,
-	"CombinedMult2":  true,
+	"CombinedMultN":  true,
 	"Mul":            true,
 	"Sqr":            true,
 	"Add":            true,

@@ -73,100 +73,63 @@ func NewNetwork(curve *ec.Curve, rng io.Reader) (*Network, error) {
 
 // Provision runs the full certificate-derivation stage for one device:
 // request generation, CA issuance and private-key reconstruction,
-// returning a session-ready Party.
+// returning a session-ready Party. It is ProvisionBatch of one name.
 func (n *Network) Provision(name string) (*Party, error) {
-	id := ecqv.NewID(name)
-	req, sec, err := ecqv.NewRequest(n.Curve, id, n.rand)
-	if err != nil {
-		return nil, fmt.Errorf("core: provision %s: %w", name, err)
-	}
-	resp, err := n.CA.Issue(req, ecqv.IssueParams{
-		ValidFrom: n.notBefore,
-		ValidTo:   n.notBefore.Add(n.certValidity),
-		KeyUsage:  ecqv.UsageKeyAgreement | ecqv.UsageSignature,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: issue %s: %w", name, err)
-	}
-	priv, _, err := ecqv.ReconstructPrivateKey(sec, resp, n.CA.PublicKey())
-	if err != nil {
-		return nil, fmt.Errorf("core: reconstruct %s: %w", name, err)
-	}
-	return &Party{
-		ID:    id,
-		Curve: n.Curve,
-		Cert:  resp.Cert,
-		Priv:  priv,
-		CAPub: n.CA.PublicKey(),
-		Rand:  n.rand,
-	}, nil
+	parties, err := n.ProvisionBatch([]string{name}, 1)
+	return parties[0], err
 }
 
 // ProvisionBatch runs the certificate-derivation stage for many
-// devices at once, fanning each phase over a pool of at most
-// parallelism workers (GOMAXPROCS when ≤ 0): request generation,
-// batched CA issuance via ecqv.CA.IssueBatch (which warms the
-// per-curve base-point table once for the whole batch) and
-// private-key reconstruction. Parties align with names; per-device
+// devices at once. Each device's request and then its CA issuance run
+// on a pool of at most parallelism workers (GOMAXPROCS when ≤ 0); with
+// one worker the randomness is drawn in the order of Provision calls
+// made one name at a time, so both give the same parties. The
+// private-key reconstructions then end in one batched consistency
+// check (ecqv.ReconstructBatch). Parties align with names; per-device
 // failures are joined into the returned error while the rest of the
 // batch still completes.
 func (n *Network) ProvisionBatch(names []string, parallelism int) ([]*Party, error) {
-	reqs := make([]ecqv.Request, len(names))
-	secs := make([]*ecqv.RequestSecret, len(names))
-	errs := make([]error, len(names))
-	conc.ForEach(len(names), parallelism, func(i int) {
-		var err error
-		reqs[i], secs[i], err = ecqv.NewRequest(n.Curve, ecqv.NewID(names[i]), n.rand)
-		if err != nil {
-			errs[i] = fmt.Errorf("core: provision %s: %w", names[i], err)
-		}
-	})
-
-	// Only requests that generated cleanly go to the CA, so a
-	// request-phase failure is reported exactly once.
-	valid := make([]int, 0, len(names))
-	for i := range names {
-		if errs[i] == nil {
-			valid = append(valid, i)
-		}
-	}
-	validReqs := make([]ecqv.Request, len(valid))
-	for j, i := range valid {
-		validReqs[j] = reqs[i]
-	}
-	validResps, issueErr := n.CA.IssueBatch(validReqs, ecqv.IssueParams{
+	params := ecqv.IssueParams{
 		ValidFrom: n.notBefore,
 		ValidTo:   n.notBefore.Add(n.certValidity),
 		KeyUsage:  ecqv.UsageKeyAgreement | ecqv.UsageSignature,
-	}, parallelism)
-	resps := make([]*ecqv.Response, len(names))
-	for j, i := range valid {
-		resps[i] = validResps[j]
 	}
-
-	out := make([]*Party, len(names))
+	secs := make([]*ecqv.RequestSecret, len(names))
+	resps := make([]*ecqv.Response, len(names))
+	errs := make([]error, len(names))
 	conc.ForEach(len(names), parallelism, func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		if resps[i] == nil {
-			return // issuance failure already reported by issueErr
-		}
-		priv, _, err := ecqv.ReconstructPrivateKey(secs[i], resps[i], n.CA.PublicKey())
+		req, sec, err := ecqv.NewRequest(n.Curve, ecqv.NewID(names[i]), n.rand)
 		if err != nil {
-			errs[i] = fmt.Errorf("core: reconstruct %s: %w", names[i], err)
+			errs[i] = fmt.Errorf("core: provision %s: %w", names[i], err)
 			return
 		}
-		out[i] = &Party{
-			ID:    resps[i].Cert.SubjectID,
-			Curve: n.Curve,
-			Cert:  resps[i].Cert,
-			Priv:  priv,
-			CAPub: n.CA.PublicKey(),
-			Rand:  n.rand,
+		resp, err := n.CA.Issue(req, params)
+		if err != nil {
+			errs[i] = fmt.Errorf("core: issue %s: %w", names[i], err)
+			return
 		}
+		secs[i], resps[i] = sec, resp
 	})
-	return out, errors.Join(append(errs, issueErr)...)
+
+	keys, rerrs := ecqv.ReconstructBatch(secs, resps, n.CA.PublicKey())
+	out := make([]*Party, len(names))
+	for i, name := range names {
+		switch {
+		case errs[i] != nil:
+		case rerrs[i] != nil:
+			errs[i] = fmt.Errorf("core: reconstruct %s: %w", name, rerrs[i])
+		default:
+			out[i] = &Party{
+				ID:    resps[i].Cert.SubjectID,
+				Curve: n.Curve,
+				Cert:  resps[i].Cert,
+				Priv:  keys[i],
+				CAPub: n.CA.PublicKey(),
+				Rand:  n.rand,
+			}
+		}
+	}
+	return out, errors.Join(errs...)
 }
 
 // Pair provisions two devices and installs the pairwise pre-shared

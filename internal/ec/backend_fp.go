@@ -94,6 +94,22 @@ func (c *Curve) rhsSqrtFP(x *big.Int) (*big.Int, bool) {
 	return f.ToBig(&rhs), true
 }
 
+// isOnCurveFP reports whether y² = (x² + a)·x + b for a point whose
+// coordinates lie in [0, p), on limb elements in Montgomery form: the
+// Horner form of rhsSqrtFP, compared with y² limb for limb.
+func (c *Curve) isOnCurveFP(p Point) bool {
+	f := c.fpF
+	var x, y, rhs fp.Element
+	f.FromBig(&x, p.X)
+	f.FromBig(&y, p.Y)
+	f.Sqr(&y, &y)
+	f.Sqr(&rhs, &x)
+	f.Add(&rhs, &rhs, &c.fpA)
+	f.Mul(&rhs, &rhs, &x)
+	f.Add(&rhs, &rhs, &c.fpB)
+	return f.Equal(&y, &rhs)
+}
+
 // fpDouble sets p = 2p in place: dbl-2001-b evaluated over Y′ = 2Y,
 // 4M + 4S and 10 field additions where the textbook order spends
 // 3M + 5S and 16. It takes the a = −3 shortcut α = 3(X − δ)(X + δ)
@@ -455,13 +471,17 @@ func (c *Curve) combAccumulate(acc *fpJac, k *big.Int, s *fpScratch) {
 
 // --- scalar multiplication (fp backend) ---
 
-// fpOddMultiples fills table with [P, 3P, 5P, ..., 15P] in Jacobian
-// form for the wNAF loop. p must be finite.
-func (c *Curve) fpOddMultiples(p Point, table *[8]fpJac, s *fpScratch) {
+// fpOddMultiples fills table[:count] with [P, 3P, ..., (2·count − 1)P]
+// in Jacobian form for the wNAF loop, count in [1, 8]. p must be
+// finite.
+func (c *Curve) fpOddMultiples(p Point, table *[8]fpJac, count int, s *fpScratch) {
 	c.fpFromAffinePoint(&table[0], p)
+	if count == 1 {
+		return
+	}
 	twoP := table[0]
 	c.fpDouble(&twoP, s)
-	for i := 1; i < 8; i++ {
+	for i := 1; i < count; i++ {
 		table[i] = table[i-1]
 		c.fpAddJac(&table[i], &twoP, false, s)
 	}
@@ -497,7 +517,7 @@ func (c *Curve) wnafAdd(acc *fpJac, table *[8]fpJac, d int8, s *fpScratch) {
 func (c *Curve) scalarMultFP(p Point, kr *big.Int) Point {
 	var s fpScratch
 	var table [8]fpJac
-	c.fpOddMultiples(p, &table, &s)
+	c.fpOddMultiples(p, &table, len(table), &s)
 	var dbuf [264]int8
 	digits := wnafFixed(kr, wnafWindow, dbuf[:])
 	var acc fpJac
@@ -540,7 +560,7 @@ func (c *Curve) scalarMultNaiveFP(p Point, kr *big.Int) Point {
 func (c *Curve) combinedMultFP(q Point, u1, u2 *big.Int) Point {
 	var s fpScratch
 	var table [8]fpJac
-	c.fpOddMultiples(q, &table, &s)
+	c.fpOddMultiples(q, &table, len(table), &s)
 	var dbuf [264]int8
 	digits := wnafFixed(u2, wnafWindow, dbuf[:])
 	var acc fpJac
@@ -550,41 +570,61 @@ func (c *Curve) combinedMultFP(q Point, u1, u2 *big.Int) Point {
 	return c.fpToPoint(&acc)
 }
 
-// combinedMult2FP evaluates u1·G + a·P + b·Q for reduced scalars and
-// reports whether a·P + b·Q is infinity: the wNAF digits of a and b
-// share one doubling chain over per-call Jacobian odd-multiple tables
-// of P and Q, the chain's result is tested for infinity, and u1·G is
-// folded in through the comb before the one affine conversion. A zero
-// scalar or an infinity point drops its term.
-func (c *Curve) combinedMult2FP(p, q Point, u1, a, b *big.Int) (Point, bool) {
+// straussTerm is one point's share of combinedMultNFP's doubling
+// chain: the n wNAF digits of its scalar, least significant first, and
+// the odd multiples of the point that those digits select.
+type straussTerm struct {
+	table  [8]fpJac
+	digits [264]int8
+	n      int
+}
+
+// combinedMultNFP evaluates u1·G + Σ k_i·P_i for a reduced u1 and
+// reports whether Σ k_i·P_i is infinity: the wNAF digits of every k_i
+// share one doubling chain over per-call Jacobian odd-multiple tables,
+// each built up to its largest digit, the chain's result is tested for
+// infinity, and u1·G is folded in through the comb before the one
+// affine conversion. A zero scalar or an infinity point drops its term.
+// Up to two terms live on the stack; more take one allocation.
+func (c *Curve) combinedMultNFP(u1 *big.Int, points []Point, scalars []*big.Int) (Point, bool) {
 	var s fpScratch
-	var pTab, qTab [8]fpJac
-	var pBuf, qBuf [264]int8
-	var pd, qd []int8
-	if a.Sign() != 0 && !p.IsInfinity() {
-		c.fpOddMultiples(p, &pTab, &s)
-		pd = wnafFixed(a, wnafWindow, pBuf[:])
+	var inline [2]straussTerm
+	var terms []straussTerm
+	if len(points) <= len(inline) {
+		terms = inline[:len(points)]
+	} else {
+		terms = make([]straussTerm, len(points))
 	}
-	if b.Sign() != 0 && !q.IsInfinity() {
-		c.fpOddMultiples(q, &qTab, &s)
-		qd = wnafFixed(b, wnafWindow, qBuf[:])
+	chain := 0
+	for i, p := range points {
+		k := c.modN(scalars[i])
+		if k.Sign() == 0 || p.IsInfinity() {
+			continue
+		}
+		t := &terms[i]
+		t.n = len(wnafFixed(k, wnafWindow, t.digits[:]))
+		top := int8(1)
+		for _, d := range t.digits[:t.n] {
+			top = max(top, d, -d)
+		}
+		c.fpOddMultiples(p, &t.table, int(top+1)/2, &s)
+		chain = max(chain, t.n)
 	}
 	var acc fpJac
 	c.fpSetInfinity(&acc)
-	for i := max(len(pd), len(qd)) - 1; i >= 0; i-- {
+	for i := chain - 1; i >= 0; i-- {
 		c.fpDouble(&acc, &s)
-		if i < len(pd) {
-			c.wnafAdd(&acc, &pTab, pd[i], &s)
-		}
-		if i < len(qd) {
-			c.wnafAdd(&acc, &qTab, qd[i], &s)
+		for j := range terms {
+			if t := &terms[j]; i < t.n {
+				c.wnafAdd(&acc, &t.table, t.digits[i], &s)
+			}
 		}
 	}
-	pqZero := c.fpIsInfinity(&acc)
+	sumZero := c.fpIsInfinity(&acc)
 	if u1.Sign() != 0 {
 		c.combAccumulate(&acc, u1, &s)
 	}
-	return c.fpToPoint(&acc), pqZero
+	return c.fpToPoint(&acc), sumZero
 }
 
 // addFP is the group addition at the public API boundary.

@@ -138,6 +138,56 @@ func TestCombinedMultDifferential(t *testing.T) {
 	}
 }
 
+// TestCombinedMultNDifferential proves CombinedMultN's parity with
+// its math/big twin, infinity report included, from zero to 66 points
+// (a 64-certificate reconstruction chunk plus Q_CA, and one over):
+// edge and random scalars, u1 = 0, infinity points, a point repeated,
+// and a point beside its negation under one scalar, whose terms cancel.
+func TestCombinedMultNDifferential(t *testing.T) {
+	requireFP(t)
+	r := rand.New(rand.NewSource(107))
+	for _, c := range Curves() {
+		edge := edgeScalars(c)
+		pick := func() *big.Int {
+			if r.Intn(3) == 0 {
+				return edge[r.Intn(len(edge))]
+			}
+			return new(big.Int).Rand(r, c.N)
+		}
+		for _, n := range []int{0, 1, 2, 3, 5, 17, 65, 66} {
+			for trial := 0; trial < 3; trial++ {
+				points := make([]Point, n)
+				scalars := make([]*big.Int, n)
+				for i := range points {
+					points[i] = c.scalarBaseMultBig(pick())
+					scalars[i] = pick()
+				}
+				if n >= 2 {
+					// Terms j and j+1 cancel: P and −P under one scalar.
+					j := r.Intn(n - 1)
+					points[j+1], scalars[j+1] = c.Neg(points[j]), scalars[j]
+				}
+				u1 := pick()
+				if trial == 0 {
+					u1 = new(big.Int)
+				}
+				got, gotZero := c.CombinedMultN(u1, points, scalars)
+				want, wantZero := c.combinedMultNBig(u1, points, scalars)
+				if !got.Equal(want) || gotZero != wantZero {
+					t.Fatalf("%s: CombinedMultN over %d points (trial %d) = %v, infinite sum %v; math/big %v, %v",
+						c.Name, n, trial, got, gotZero, want, wantZero)
+				}
+			}
+		}
+		// Every term cancelling reports an infinite sum.
+		p := c.scalarBaseMultBig(big.NewInt(77))
+		k := big.NewInt(5)
+		if got, zero := c.CombinedMultN(big.NewInt(3), []Point{p, c.Neg(p)}, []*big.Int{k, k}); !zero || !got.Equal(c.scalarBaseMultBig(big.NewInt(3))) {
+			t.Fatalf("%s: cancelling terms: %v, infinite sum %v", c.Name, got, zero)
+		}
+	}
+}
+
 // TestAddDoubleDifferential proves the group law entry points agree,
 // including the identity, inverse and doubling corners.
 func TestAddDoubleDifferential(t *testing.T) {

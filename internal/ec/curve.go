@@ -194,14 +194,28 @@ func (c *Curve) Generator() Point {
 	return Point{X: new(big.Int).Set(c.Gx), Y: new(big.Int).Set(c.Gy)}
 }
 
-// IsOnCurve reports whether the affine point (x, y) satisfies the curve
-// equation. The point at infinity is not considered on the curve by
-// this predicate.
+// IsOnCurve reports whether the affine point (x, y) has both
+// coordinates in [0, p) and satisfies the curve equation. The point at
+// infinity is not considered on the curve by this predicate. The range
+// checks run on big.Int and the equation on the fixed-limb field
+// (isOnCurveFP); under -tags ec_purebig the whole predicate is
+// isOnCurveBig, its differential oracle.
 func (c *Curve) IsOnCurve(p Point) bool {
-	if p.IsInfinity() {
-		return false
+	if !c.useFP() {
+		return c.isOnCurveBig(p)
 	}
-	if p.X.Sign() < 0 || p.X.Cmp(c.P) >= 0 || p.Y.Sign() < 0 || p.Y.Cmp(c.P) >= 0 {
+	return c.inField(p) && c.isOnCurveFP(p)
+}
+
+// inField reports whether p is finite with both coordinates in [0, p).
+func (c *Curve) inField(p Point) bool {
+	return !p.IsInfinity() && p.X.Sign() >= 0 && p.X.Cmp(c.P) < 0 && p.Y.Sign() >= 0 && p.Y.Cmp(c.P) < 0
+}
+
+// isOnCurveBig is IsOnCurve in math/big: the same range checks, then
+// y² = x³ + ax + b (mod p) with four reductions.
+func (c *Curve) isOnCurveBig(p Point) bool {
+	if !c.inField(p) {
 		return false
 	}
 	// y² = x³ + ax + b (mod p)

@@ -3,6 +3,7 @@ package ec
 import (
 	"crypto/elliptic"
 	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,61 @@ func TestIsOnCurveRejects(t *testing.T) {
 	neg := Point{X: big.NewInt(-1), Y: big.NewInt(1)}
 	if c.IsOnCurve(neg) {
 		t.Error("negative coordinate accepted")
+	}
+}
+
+// TestIsOnCurveMatchesBig pins IsOnCurve, whose equation runs on the
+// fixed-limb field, to its math/big form isOnCurveBig on every curve:
+// the point at infinity; coordinates equal to p, negative, or p away
+// from a curve point's (each ≡ a point on the curve, so only the range
+// checks reject them); y ± 1 off the curve; and random points with
+// their y ± 1.
+func TestIsOnCurveMatchesBig(t *testing.T) {
+	r := rand.New(rand.NewSource(106))
+	one := big.NewInt(1)
+	for _, c := range Curves() {
+		type tc struct {
+			name string
+			p    Point
+			want bool
+		}
+		shift := func(p Point, dx, dy *big.Int) Point {
+			return Point{X: new(big.Int).Add(p.X, dx), Y: new(big.Int).Add(p.Y, dy)}
+		}
+		g, zero, negP := c.Generator(), new(big.Int), new(big.Int).Neg(c.P)
+		cases := []tc{
+			{"infinity", Point{}, false},
+			{"G", g, true},
+			{"x + p", shift(g, c.P, zero), false},
+			{"y + p", shift(g, zero, c.P), false},
+			{"x − p", shift(g, negP, zero), false},
+			{"y − p", shift(g, zero, negP), false},
+			{"x = −1", Point{X: big.NewInt(-1), Y: g.Y}, false},
+			{"y + 1", shift(g, zero, one), false},
+			{"y − 1", shift(g, zero, new(big.Int).Neg(one)), false},
+		}
+		if y, ok := c.rhsSqrtBig(zero); ok {
+			// (0, √b) is on the curve and (p, √b) is congruent to it.
+			cases = append(cases,
+				tc{"(0, √b)", Point{X: new(big.Int), Y: y}, true},
+				tc{"(p, √b)", Point{X: new(big.Int).Set(c.P), Y: y}, false})
+		}
+		for i := 0; i < 16; i++ {
+			p := c.scalarBaseMultBig(new(big.Int).Rand(r, c.N))
+			if p.IsInfinity() {
+				continue
+			}
+			cases = append(cases,
+				tc{"random", p, true},
+				tc{"random y + 1", shift(p, zero, one), false},
+				tc{"random y − 1", shift(p, zero, new(big.Int).Neg(one)), false})
+		}
+		for _, tc := range cases {
+			got, oracle := c.IsOnCurve(tc.p), c.isOnCurveBig(tc.p)
+			if got != tc.want || oracle != tc.want {
+				t.Errorf("%s: %s %v: IsOnCurve %v, isOnCurveBig %v, want %v", c.Name, tc.name, tc.p, got, oracle, tc.want)
+			}
+		}
 	}
 }
 

@@ -22,24 +22,27 @@ import (
 // Each of a and b is run through ScalarMult, ScalarBaseMult and a
 // MultTable's ScalarMult, and the pair through CombinedMult and a
 // MultTable's CombinedMult in both orders.
-// CombinedMult2 runs with P = Q, the second point G and u1 = s, again
-// in both orders of a and b, and its infinity report is checked
-// against both references' a·P + b·Q; crypto/elliptic sums its three
+// CombinedMultN runs with u1 = s over two points, Q and G, taking a
+// and b, and over three, Q, G and Q again, the third taking b as well,
+// again in both orders of a and b; its infinity report is checked
+// against both references' Σ k_i·P_i, and crypto/elliptic sums the
 // terms with Add.
 //
 // The committed corpus (testdata/fuzz/FuzzPointMult) names the edge
 // scalars of each curve: 0, 1, 2, n − 2, n − 1, n, n + 1, the
 // all-ones 2^(bitlen(n)−1) − 1 (a carry through every signed window)
 // and an even and an odd scalar, plus Q = G and Q = −G with a = b,
-// whose combined results double and cancel. For CombinedMult2 it also
-// names a ≡ 0 and b ≡ 0 (mult2-a-zero, mult2-b-zero), P = Q and
-// P = −Q with full-length a = b (mult2-p-eq-q, mult2-p-neg-q, where
-// a·P + b·Q is infinity), and a·P = −b·Q for P = 2G (mult2-cancel).
+// whose combined results double and cancel. For CombinedMultN it also
+// names a ≡ 0 and b ≡ 0 (mult2-a-zero, mult2-b-zero), Q = G and
+// Q = −G with full-length a = b (mult2-p-eq-q, mult2-p-neg-q, where
+// the two-point sum a·Q + b·G is infinity), and a·Q = −b·G for Q = 2G
+// (mult2-cancel).
 // Four more drive the additions into their doubling and cancellation
 // branches with a negated addend, the case where R is held negated:
 // with Q = G, CombinedMult's first comb digit −1 meets (n − 1)·G
 // (madd-neg-double) or G (madd-neg-cancel) in the mixed addition, and
-// CombinedMult2's last wNAF digit −1 meets a sum ≡ −1 or +1 when
+// the two-point CombinedMultN's last wNAF digit −1 meets a sum ≡ −1 or
+// +1 when
 // a + b ≡ −2 or 0 (mod n) in the Jacobian one (jadd-neg-double,
 // jadd-neg-cancel).
 func FuzzPointMult(f *testing.F) { fuzzPointMult(f, true) }
@@ -148,17 +151,29 @@ func checkPointMult(t *testing.T, c *Curve, std elliptic.Curve, s, a, b []byte, 
 		x, y := new(big.Int).SetBytes(u[0]), new(big.Int).SetBytes(u[1])
 		px, py := std.ScalarMult(q.X, q.Y, u[0])
 		gx, gy := std.ScalarBaseMult(u[1])
-		pqx, pqy := std.Add(px, py, gx, gy)
-		wantStd, stdZero := fromStd(std.Add(sx, sy, pqx, pqy)), fromStd(pqx, pqy).IsInfinity()
-		want, wantZero := wantStd, stdZero
-		if oracle {
-			want, wantZero = c.combinedMult2Big(q, g, u1, x, y)
+		twoX, twoY := std.Add(px, py, gx, gy)
+		qx, qy := std.ScalarMult(q.X, q.Y, u[1])
+		threeX, threeY := std.Add(twoX, twoY, qx, qy)
+		forms := []struct {
+			points     []Point
+			scalars    []*big.Int
+			sumX, sumY *big.Int
+		}{
+			{[]Point{q, g}, []*big.Int{x, y}, twoX, twoY},
+			{[]Point{q, g, q}, []*big.Int{x, y, y}, threeX, threeY},
 		}
-		got, zero := c.CombinedMult2(q, g, u1, x, y)
-		same(got, want, wantStd, "CombinedMult2(%x; %x, %x)", s, u[0], u[1])
-		if zero != wantZero || wantZero != stdZero {
-			t.Fatalf("%s: CombinedMult2(%x; %x, %x) reports a·P + b·Q infinite %v: math/big oracle %v, crypto/elliptic %v",
-				c.Name, s, u[0], u[1], zero, wantZero, stdZero)
+		for _, fm := range forms {
+			wantStd, stdZero := fromStd(std.Add(sx, sy, fm.sumX, fm.sumY)), fromStd(fm.sumX, fm.sumY).IsInfinity()
+			want, wantZero := wantStd, stdZero
+			if oracle {
+				want, wantZero = c.combinedMultNBig(u1, fm.points, fm.scalars)
+			}
+			got, zero := c.CombinedMultN(u1, fm.points, fm.scalars)
+			same(got, want, wantStd, "CombinedMultN(%x; %x, %x) over %d points", s, u[0], u[1], len(fm.points))
+			if zero != wantZero || wantZero != stdZero {
+				t.Fatalf("%s: CombinedMultN(%x; %x, %x) over %d points reports Σ k_i·P_i infinite %v: math/big oracle %v, crypto/elliptic %v",
+					c.Name, s, u[0], u[1], len(fm.points), zero, wantZero, stdZero)
+			}
 		}
 	}
 }
@@ -167,7 +182,7 @@ func checkPointMult(t *testing.T, c *Curve, std elliptic.Curve, s, a, b []byte, 
 // curve. A rejection must wrap ErrInvalidPoint, and a well-formed
 // compressed x below p may be rejected only when the math/big square
 // root (rhsSqrtBig) finds no point either. A decoded point must lie on
-// the curve by the math/big check (IsOnCurve), re-encode in its input's
+// the curve by the math/big check (isOnCurveBig), re-encode in its input's
 // form to the input bytes, and decode from its other form to itself;
 // the point at infinity comes only from the single byte 0x00.
 //
@@ -207,7 +222,7 @@ func checkDecodePoint(t *testing.T, c *Curve, data []byte) {
 		}
 		return
 	}
-	if !c.IsOnCurve(p) {
+	if !c.isOnCurveBig(p) {
 		t.Fatalf("%s: DecodePoint(%x) = %v, not on the curve", c.Name, data, p)
 	}
 	same, other := c.EncodeCompressed(p), c.EncodeUncompressed(p)

@@ -9,8 +9,9 @@ import "math/big"
 //   - ScalarBaseMult: fixed-base comb over a cached per-curve table
 //     (no doublings at all on the default backend).
 //   - CombinedMult: u1·G + u2·Q, the hot path of ECDSA verification.
-//   - CombinedMult2: u1·G + a·P + b·Q, ECDSA verification under an
-//     ECQV key Q_U = e·P_U + Q_CA that was never reconstructed.
+//   - CombinedMultN: u1·G + Σ k_i·P_i on one doubling chain, for ECDSA
+//     verification under an ECQV key Q_U = e·P_U + Q_CA that was never
+//     reconstructed, and for the batched ECQV reconstruction check.
 //
 // Each strategy has two implementations: the default fixed-limb
 // Montgomery backend (backend_fp.go, O(1) allocations per call) and
@@ -251,35 +252,52 @@ func (c *Curve) CombinedMult(q Point, u1, u2 *big.Int) Point {
 	return c.combinedMultBigReduced(q, u1r, u2r)
 }
 
-// CombinedMult2 returns u1·G + a·P + b·Q and reports whether
-// a·P + b·Q is the point at infinity. The scalars are reduced modulo
-// the group order; a zero scalar or an infinity point drops its term.
-// On the default backend the wNAF digits of a and b share one doubling
-// chain over per-call odd-multiple tables of P and Q, and u1·G comes
-// through the comb table, with one affine conversion at the end; the
-// oracle path sums three independent multiplications.
+// CombinedMultN returns u1·G + Σ k_i·P_i, pairing points[i] with
+// scalars[i], and reports whether Σ k_i·P_i is the point at infinity.
+// Every point must be on c. The scalars are reduced modulo the group
+// order; a zero scalar or an infinity point drops its term, and u1 = 0
+// drops the base term. On the default backend the wNAF digits of every
+// k_i share one doubling chain over per-point odd-multiple tables, each
+// built only as far as its scalar's largest digit needs, u1·G comes
+// through the comb, and one inversion ends it; the oracle path sums
+// independent multiplications.
 //
-// It verifies an ECDSA signature under an implicit-certificate key
+// It serves two callers, both with public scalars. ecdsa.VerifyImplicit
+// verifies a signature under an implicit-certificate key
 // Q_U = e·P_U + Q_CA (the paper's equation (1)) without reconstructing
-// Q_U: u2·Q_U = (u2·e)·P_U + u2·Q_CA. The infinity report keeps the
-// identity check: on these prime-order curves u2·Q_U is infinity for
-// a nonzero u2 exactly when Q_U is.
-func (c *Curve) CombinedMult2(p, q Point, u1, a, b *big.Int) (Point, bool) {
-	u1r := new(big.Int).Mod(u1, c.N)
-	ar := new(big.Int).Mod(a, c.N)
-	br := new(big.Int).Mod(b, c.N)
-	if c.useFP() {
-		return c.combinedMult2FP(p, q, u1r, ar, br)
+// Q_U, since u2·Q_U = (u2·e)·P_U + u2·Q_CA; its infinity report keeps
+// the identity check, because on these prime-order curves u2·Q_U is
+// infinity for a nonzero u2 exactly when Q_U is. The ECQV
+// reconstruction check (ecqv.ReconstructBatch) puts one point per
+// certificate and Q_CA on the chain.
+func (c *Curve) CombinedMultN(u1 *big.Int, points []Point, scalars []*big.Int) (Point, bool) {
+	if len(points) != len(scalars) {
+		panic("ec: CombinedMultN: points and scalars differ in length")
 	}
-	return c.combinedMult2Big(p, q, u1r, ar, br)
+	if c.useFP() {
+		return c.combinedMultNFP(c.modN(u1), points, scalars)
+	}
+	return c.combinedMultNBig(u1, points, scalars)
 }
 
-// combinedMult2Big is the math/big twin of CombinedMult2 (the oracle
-// backend and its differential reference): three independent
-// multiplications and two additions.
-func (c *Curve) combinedMult2Big(p, q Point, u1, a, b *big.Int) (Point, bool) {
-	pq := c.addBig(c.scalarMultBig(p, a), c.scalarMultBig(q, b))
-	return c.addBig(c.scalarBaseMultBig(u1), pq), pq.IsInfinity()
+// modN returns k when it already lies in [0, n) and a reduced copy
+// otherwise, so that a reduced scalar costs no allocation.
+func (c *Curve) modN(k *big.Int) *big.Int {
+	if k.Sign() >= 0 && k.Cmp(c.N) < 0 {
+		return k
+	}
+	return new(big.Int).Mod(k, c.N)
+}
+
+// combinedMultNBig is the math/big twin of CombinedMultN (the oracle
+// backend and its differential reference): independent
+// multiplications and their sum.
+func (c *Curve) combinedMultNBig(u1 *big.Int, points []Point, scalars []*big.Int) (Point, bool) {
+	var sum Point
+	for i, p := range points {
+		sum = c.addBig(sum, c.scalarMultBig(p, scalars[i]))
+	}
+	return c.addBig(c.scalarBaseMultBig(u1), sum), sum.IsInfinity()
 }
 
 // combinedMultBig is the math/big Strauss–Shamir path (differential

@@ -166,11 +166,12 @@ func (p *PublicKey) VerifyDigest(digest []byte, sig Signature) bool {
 // key Q_U = e·pU + qCA (the paper's equation (1)) without
 // reconstructing Q_U, for a certificate whose key verifies exactly
 // once. Since u2·Q_U = (u2·e)·pU + u2·qCA, R' = u1·G + u2·Q_U is one
-// ec.Curve.CombinedMult2 chain. The verdict is VerifyDigest's under
-// the extracted key, an identity Q_U (which extraction refuses) being
-// a reject: for u2 in [1, n−1] on these prime-order curves, the
-// chain's u2·Q_U is infinity exactly when Q_U is. pU and qCA must be
-// finite points on c; e is reduced modulo the group order.
+// two-point ec.Curve.CombinedMultN chain. The verdict is
+// VerifyDigest's under the extracted key, an identity Q_U (which
+// extraction refuses) being a reject: for u2 in [1, n−1] on these
+// prime-order curves, the chain's u2·Q_U is infinity exactly when Q_U
+// is. pU and qCA must be finite points on c; e is reduced modulo the
+// group order.
 func VerifyImplicit(c *ec.Curve, pU ec.Point, e *big.Int, qCA ec.Point, digest []byte, sig Signature) bool {
 	var w, u1, u2, u2e big.Int
 	if !inRange(c, sig) || w.ModInverse(sig.S, c.N) == nil ||
@@ -178,8 +179,8 @@ func VerifyImplicit(c *ec.Curve, pU ec.Point, e *big.Int, qCA ec.Point, digest [
 		return false
 	}
 	verifyScalars(c, digest, sig, &w, &u1, &u2)
-	u2e.Mul(&u2, e) // CombinedMult2 reduces it mod n
-	rp, identity := c.CombinedMult2(pU, qCA, &u1, &u2e, &u2)
+	u2e.Mul(&u2, e).Mod(&u2e, c.N)
+	rp, identity := c.CombinedMultN(&u1, []ec.Point{pU, qCA}, []*big.Int{&u2e, &u2})
 	return !identity && matchesR(c, rp, sig.R)
 }
 

@@ -377,10 +377,34 @@ func TestVerifyDigestAllocBudget(t *testing.T) {
 // handshake with a certificate the verifier has not seen before —
 // enforced by CI next to the VerifyDigest gate. The point arithmetic,
 // two per-call odd-multiple tables included, is allocation-free; what
-// remains is big.Int boundary work (digest, w, u1, u2, u2·e, three
-// scalar reductions, two on-curve checks and the affine conversion),
-// the same for even and odd u2.
+// remains is big.Int boundary work (digest, w, u1, u2, u2·e and its
+// reduction, and the affine conversion), the same for even and odd u2.
 const verifyImplicitAllocBudget = 52
+
+// implicitKey returns an implicit key Q_U = e·P_U + Q_CA on P-256 with
+// its private key d_U = e·k + d_CA for P_U = k·G, as ECQV issuance
+// produces.
+func implicitKey(tb testing.TB, seed int64) (c *ec.Curve, pU ec.Point, e *big.Int, qCA ec.Point, key *PrivateKey) {
+	tb.Helper()
+	c = ec.P256()
+	rng := newDetRand(seed)
+	var k, dCA *big.Int
+	for _, s := range []**big.Int{&k, &dCA, &e} {
+		v, err := c.RandomScalar(rng)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		*s = v
+	}
+	pU, qCA = c.ScalarBaseMult(k), c.ScalarBaseMult(dCA)
+	d := new(big.Int).Mul(e, k)
+	d.Add(d, dCA).Mod(d, c.N)
+	key, err := NewPrivateKey(c, d)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, pU, e, qCA, key
+}
 
 func TestVerifyImplicitAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -392,25 +416,7 @@ func TestVerifyImplicitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("built with -race: sync.Pool drops math/big's scratch at random, so counts vary")
 	}
-	c := ec.P256()
-	rng := newDetRand(44)
-	// An implicit key Q_U = e·P_U + Q_CA with its private key
-	// d_U = e·k + d_CA for P_U = k·G, as ECQV issuance produces.
-	var k, dCA, e *big.Int
-	for _, s := range []**big.Int{&k, &dCA, &e} {
-		v, err := c.RandomScalar(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		*s = v
-	}
-	pU, qCA := c.ScalarBaseMult(k), c.ScalarBaseMult(dCA)
-	d := new(big.Int).Mul(e, k)
-	d.Add(d, dCA).Mod(d, c.N)
-	key, err := NewPrivateKey(c, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, pU, e, qCA, key := implicitKey(t, 44)
 	var sigs [2]Signature
 	var digests [2][]byte
 	for i, found := 0, 0; found < 2; i++ {
@@ -437,6 +443,26 @@ func TestVerifyImplicitAllocBudget(t *testing.T) {
 		t.Logf("VerifyImplicit, %s: %.0f allocs/op (budget %d)", name, got, verifyImplicitAllocBudget)
 		if got > verifyImplicitAllocBudget {
 			t.Errorf("VerifyImplicit, %s: %.0f allocs/op, budget %d", name, got, verifyImplicitAllocBudget)
+		}
+	}
+}
+
+// BenchmarkVerifyImplicit prices a first-sight verification: one
+// signature checked straight from a certificate's P_U, e and Q_CA on
+// the two-point CombinedMultN chain, as every STS handshake with a
+// peer certificate not seen before runs it.
+func BenchmarkVerifyImplicit(b *testing.B) {
+	c, pU, e, qCA, key := implicitKey(b, 45)
+	digest := sha256.Sum256([]byte("first sight"))
+	sig, err := key.SignDigest(digest[:])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !VerifyImplicit(c, pU, e, qCA, digest[:], sig) {
+			b.Fatal("valid signature rejected")
 		}
 	}
 }

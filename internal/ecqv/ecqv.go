@@ -22,6 +22,7 @@ package ecqv
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/ec"
 )
 
@@ -103,7 +103,7 @@ type Response struct {
 // CA is an ECQV certificate authority. Issuance is safe for
 // concurrent use: the randomness source and the serial counter are the
 // only mutable state, and both are guarded internally, so any number
-// of Issue calls (or one IssueBatch) may run in parallel.
+// of Issue calls may run in parallel.
 type CA struct {
 	Curve *ec.Curve
 	ID    ID
@@ -250,29 +250,6 @@ func (ca *CA) Issue(req Request, params IssueParams) (*Response, error) {
 	return nil, errors.New("ecqv: issuance did not converge")
 }
 
-// IssueBatch amortizes issuance over many requests: the per-curve
-// base-point table is warmed once up front (so workers share the
-// cached precomputation instead of serializing on its lazy build), and
-// the heavy point arithmetic fans out over a pool of at most
-// parallelism workers (GOMAXPROCS when ≤ 0). Responses align with
-// reqs; per-request failures are joined into the returned error while
-// the remaining requests still complete.
-func (ca *CA) IssueBatch(reqs []Request, params IssueParams, parallelism int) ([]*Response, error) {
-	ca.Curve.ScalarBaseMult(big.NewInt(1)) // warm the shared base table
-
-	out := make([]*Response, len(reqs))
-	errs := make([]error, len(reqs))
-	conc.ForEach(len(reqs), parallelism, func(i int) {
-		resp, err := ca.Issue(reqs[i], params)
-		if err != nil {
-			errs[i] = fmt.Errorf("ecqv: batch request %d (%s): %w", i, reqs[i].SubjectID, err)
-			return
-		}
-		out[i] = resp
-	})
-	return out, errors.Join(errs...)
-}
-
 // HashToScalar computes e = H_n(Cert) over the certificate's canonical
 // encoding: SHA-256 truncated into the scalar field, the same mapping
 // used by ECDSA (SEC 4 §3.5).
@@ -285,30 +262,194 @@ func (cert *Certificate) HashToScalar() *big.Int {
 // d_U = H(Cert)·k_U + r (mod n), then confirms Q_U = d_U·G matches the
 // public key any relying party would extract — the SEC 4 §3.4
 // consistency check that detects a corrupted or substituted response.
+// It is ReconstructBatch's check on a batch of one, where the equation
+// is d_U·G = H(Cert)·P_U + Q_CA and its left side is the Q_U returned.
 func ReconstructPrivateKey(sec *RequestSecret, resp *Response, caPub ec.Point) (*big.Int, ec.Point, error) {
+	item, err := prepare(sec, resp, caPub)
+	if err != nil {
+		return nil, ec.Point{}, err
+	}
+	q, rhs := equation([]pending{item}, caPub)
+	if !q.Equal(rhs) {
+		return nil, ec.Point{}, mismatch(rhs)
+	}
+	return item.d, q, nil
+}
+
+// batchSize is the number of certificates one equation of
+// ReconstructBatch covers.
+const batchSize = 64
+
+// ReconstructBatch runs ReconstructPrivateKey's check for many subjects
+// under one CA key, pairing secs[i] with resps[i], and returns the
+// private keys and errors aligned with them: each item gets exactly the
+// key or the error that ReconstructPrivateKey gives it. Every item
+// first passes the per-item checks (inputs present, certificate on the
+// request's curve, r in [0, n), d_i ≠ 0, P_i finite and on the curve,
+// Q_CA valid). Then each chunk of at most 64 items is checked as
+// one equation, the small-exponent batch test of Bellare, Garay and
+// Rabin (EUROCRYPT 1998):
+//
+//	(Σ z_i·d_i)·G = Σ (z_i·e_i)·P_i + (Σ z_i)·Q_CA,  e_i = H_n(Cert_i)
+//
+// with z_1 = 1 and z_i (i ≥ 2) the first 128 bits of
+// SHA-256(T ‖ i), T = SHA-256(Q_CA ‖ Cert_1 ‖ r_1 ‖ … ‖ Cert_m ‖ r_m).
+// The coefficients depend on every input of the chunk, so a chunk in
+// which some d_i·G differs from its certificate's key passes with
+// probability at most 2⁻¹²⁸, and the check draws no randomness. The
+// secret Σ z_i·d_i goes through ScalarBaseMult; the n-point
+// CombinedMultN chain sees only public scalars. A chunk that fails is
+// checked again item by item, so that each subject gets its own
+// verdict.
+func ReconstructBatch(secs []*RequestSecret, resps []*Response, caPub ec.Point) ([]*big.Int, []error) {
+	if len(secs) != len(resps) {
+		panic("ecqv: ReconstructBatch: secrets and responses differ in length")
+	}
+	keys := make([]*big.Int, len(secs))
+	errs := make([]error, len(secs))
+	items := make([]pending, 0, len(secs))
+	for i := range secs {
+		item, err := prepare(secs[i], resps[i], caPub)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		item.index = i
+		items = append(items, item)
+	}
+	for len(items) > 0 {
+		m := 1
+		for m < len(items) && m < batchSize && items[m].curve == items[0].curve {
+			m++
+		}
+		settle(items[:m], caPub, keys, errs)
+		items = items[m:]
+	}
+	return keys, errs
+}
+
+// settle checks one chunk of a ReconstructBatch and records each item's
+// key, or its error: a chunk whose equation fails is settled again one
+// item at a time.
+func settle(chunk []pending, caPub ec.Point, keys []*big.Int, errs []error) {
+	lhs, rhs := equation(chunk, caPub)
+	switch {
+	case lhs.Equal(rhs):
+		for _, item := range chunk {
+			keys[item.index] = item.d
+		}
+	case len(chunk) == 1:
+		errs[chunk[0].index] = mismatch(rhs)
+	default:
+		for j := range chunk {
+			settle(chunk[j:j+1], caPub, keys, errs)
+		}
+	}
+}
+
+// pending is a response that passed the per-item checks of the
+// reconstruction and waits for its chunk's equation.
+type pending struct {
+	index int // position in the batch
+	curve *ec.Curve
+	enc   []byte   // Cert_i's encoding
+	r     *big.Int // the CA's reconstruction value r_i
+	e     *big.Int // H_n(Cert_i)
+	d     *big.Int // d_i = e_i·k_i + r_i mod n
+	pU    ec.Point // P_i
+}
+
+// prepare runs the per-item checks of a reconstruction, in the order
+// that fixes which error a response with several faults gets, and
+// computes its private key.
+func prepare(sec *RequestSecret, resp *Response, caPub ec.Point) (pending, error) {
 	if sec == nil || resp == nil || resp.Cert == nil || resp.R == nil {
-		return nil, ec.Point{}, errors.New("ecqv: nil reconstruction input")
+		return pending{}, errors.New("ecqv: nil reconstruction input")
 	}
 	curve := sec.curve
-	if resp.R.Sign() < 0 || resp.R.Cmp(curve.N) >= 0 {
-		return nil, ec.Point{}, errors.New("ecqv: reconstruction value out of range")
+	if resp.Cert.Curve != curve {
+		return pending{}, errors.New("ecqv: certificate curve differs from the request's")
 	}
-	e := resp.Cert.HashToScalar()
+	if resp.R.Sign() < 0 || resp.R.Cmp(curve.N) >= 0 {
+		return pending{}, errors.New("ecqv: reconstruction value out of range")
+	}
+	enc := resp.Cert.Encode()
+	digest := sha256.Sum256(enc)
+	e := curve.HashToInt(digest[:])
 	d := new(big.Int).Mul(e, sec.k)
 	d.Add(d, resp.R)
 	d.Mod(d, curve.N)
 	if d.Sign() == 0 {
-		return nil, ec.Point{}, errors.New("ecqv: degenerate private key")
+		return pending{}, errors.New("ecqv: degenerate private key")
 	}
+	pU := resp.Cert.PubRecon
+	if pU.IsInfinity() || !curve.IsOnCurve(pU) {
+		return pending{}, errors.New("ecqv: certificate reconstruction point invalid")
+	}
+	if caPub.IsInfinity() || !curve.IsOnCurve(caPub) {
+		return pending{}, errors.New("ecqv: CA public key invalid")
+	}
+	return pending{curve: curve, enc: enc, r: resp.R, e: e, d: d, pU: pU}, nil
+}
 
-	q, err := ExtractPublicKey(resp.Cert, caPub)
-	if err != nil {
-		return nil, ec.Point{}, err
+// equation evaluates the two sides of a chunk's check,
+// (Σ z_i·d_i)·G and Σ (z_i·e_i)·P_i + (Σ z_i)·Q_CA (see
+// ReconstructBatch). A chunk of one has z_1 = 1 and hashes nothing.
+func equation(chunk []pending, caPub ec.Point) (lhs, rhs ec.Point) {
+	curve := chunk[0].curve
+	n := curve.N
+	points := make([]ec.Point, len(chunk)+1)
+	scalars := make([]*big.Int, len(chunk)+1)
+	sumD := new(big.Int).Set(chunk[0].d)
+	sumZ := big.NewInt(1)
+	points[0], scalars[0] = chunk[0].pU, chunk[0].e
+	if len(chunk) > 1 {
+		t := transcript(chunk, caPub)
+		var block [sha256.Size + 4]byte
+		copy(block[:], t[:])
+		z, zd := new(big.Int), new(big.Int)
+		for i := 1; i < len(chunk); i++ {
+			binary.BigEndian.PutUint32(block[sha256.Size:], uint32(i))
+			h := sha256.Sum256(block[:])
+			z.SetBytes(h[:16])
+			sumD.Add(sumD, zd.Mul(z, chunk[i].d))
+			sumZ.Add(sumZ, z)
+			points[i] = chunk[i].pU
+			scalars[i] = new(big.Int).Mul(z, chunk[i].e)
+			scalars[i].Mod(scalars[i], n)
+		}
+		sumD.Mod(sumD, n)
 	}
-	if !curve.ScalarBaseMult(d).Equal(q) {
-		return nil, ec.Point{}, errors.New("ecqv: reconstructed key does not match certificate")
+	points[len(chunk)], scalars[len(chunk)] = caPub, sumZ
+	rhs, _ = curve.CombinedMultN(new(big.Int), points, scalars)
+	return curve.ScalarBaseMult(sumD), rhs
+}
+
+// transcript returns T = SHA-256(Q_CA ‖ Cert_1 ‖ r_1 ‖ … ‖ Cert_m ‖ r_m),
+// each r_i in the fixed width of a field element, from which equation
+// derives the chunk's coefficients.
+func transcript(chunk []pending, caPub ec.Point) [sha256.Size]byte {
+	curve := chunk[0].curve
+	h := sha256.New()
+	h.Write(curve.EncodeCompressed(caPub))
+	r := make([]byte, curve.ByteLen())
+	for _, item := range chunk {
+		h.Write(item.enc)
+		h.Write(item.r.FillBytes(r))
 	}
-	return d, q, nil
+	var t [sha256.Size]byte
+	h.Sum(t[:0])
+	return t
+}
+
+// mismatch is the error of a response whose key fails the check,
+// given the check's right side e·P_U + Q_CA for it alone: an identity
+// key, which no nonzero d_U matches, or another point.
+func mismatch(rhs ec.Point) error {
+	if rhs.IsInfinity() {
+		return errors.New("ecqv: extracted public key is the identity")
+	}
+	return errors.New("ecqv: reconstructed key does not match certificate")
 }
 
 // ExtractPublicKey implements the relying-party computation — the

@@ -114,18 +114,19 @@ func runPoint(s Scenario, v float64, axis Axis, tr *tracer) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	self, err := net.Provision("scenario-manager")
+	names := []string{"scenario-manager"}
+	for i := 0; i < s.Peers; i++ {
+		names = append(names, fmt.Sprintf("ecu-%02d", i))
+	}
+	parties, err := net.ProvisionBatch(names, 1)
 	if err != nil {
 		return Point{}, err
 	}
-	peers := make([]*core.Party, s.Peers)
-	for i := range peers {
-		if peers[i], err = net.Provision(fmt.Sprintf("ecu-%02d", i)); err != nil {
-			return Point{}, err
-		}
+	self, peers := parties[0], parties[1:]
+	for _, peer := range peers {
 		// Private responder-side randomness per peer: leg two of
 		// reproducible concurrency (leg one is content-keyed faults).
-		peers[i].Rand = detrand.NewReader(detrand.DeriveSeed(s.Seed, peers[i].ID[:], 0xB0B))
+		peer.Rand = detrand.NewReader(detrand.DeriveSeed(s.Seed, peer.ID[:], 0xB0B))
 	}
 
 	var faultTrace func(canbus.FaultEvent)
