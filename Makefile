@@ -90,7 +90,10 @@ bench-compare:
 # batches of one and of 16; only the layered benchmark batches), per
 # cached-key verification (every rekey's) and per first-sight
 # verification straight from a certificate (even and odd u2 alike).
-# The ReconstructBatch gate holds the batched ECQV reconstruction
+# The ExtractPublicKey gate holds the relying party's equation (1) to
+# one CombinedMultN call and its big.Int and encoding work: a return to
+# ScalarMult and Add, which reduce e and convert to affine twice, fails
+# it. The ReconstructBatch gate holds the batched ECQV reconstruction
 # check, per certificate of a 64-item batch, to big.Int and encoding
 # work per item: a per-item point multiplication or table returning
 # to the batch would show there.
@@ -115,6 +118,7 @@ bench-alloc:
 	$(GO) test -run='TestVerifyBatchAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestVerifyDigestAllocBudget' -v ./internal/ecdsa/
 	$(GO) test -run='TestVerifyImplicitAllocBudget' -v ./internal/ecdsa/
+	$(GO) test -run='TestExtractPublicKeyAllocBudget' -v ./internal/ecqv/
 	$(GO) test -run='TestReconstructBatchAllocBudget' -v ./internal/ecqv/
 	$(GO) test -run='TestSealOpenAllocBudget' -v ./internal/session/
 	$(GO) test -run='TestDeliverAllocBudget' -v ./internal/transport/

@@ -10,7 +10,7 @@ import (
 )
 
 // Hotpath is the static counterpart of the EC allocation budgets
-// (the 24-alloc ScalarMult CI gate and the zero-alloc field kernels;
+// (the 7-alloc ScalarMult CI gate and the zero-alloc field kernels;
 // the ecdsa verification gates above them count on both). In
 // internal/ec and internal/ec/fp it enforces two rules:
 //

@@ -11,12 +11,12 @@ import (
 )
 
 // KeyCache memoizes the per-peer public-key work of repeated session
-// establishments: the ECQV public-key extraction (one ScalarMult + Add
-// per certificate) and the precomputed ec.MultTable (a signed comb)
-// that ECDSA verification multiplies against. A device that re-keys
-// against the same static peer — the fleet steady state — pays the
-// extraction and the table build once per peer instead of once per
-// handshake.
+// establishments: the ECQV public-key extraction (one two-point
+// ec.Curve.CombinedMultN per certificate) and the precomputed
+// ec.MultTable (a signed comb) that ECDSA verification multiplies
+// against. A device that re-keys against the same static peer — the
+// fleet steady state — pays the extraction and the table build once
+// per peer instead of once per handshake.
 //
 // It holds one entry per peer certificate, keyed by the certificate's
 // fingerprint together with the CA key, so a re-issued certificate or

@@ -553,23 +553,6 @@ func (c *Curve) scalarMultNaiveFP(p Point, kr *big.Int) Point {
 	return c.fpToPoint(&acc)
 }
 
-// combinedMultFP evaluates u1·G + u2·Q: the u2 part through the wNAF
-// double-and-add chain, the base part folded in afterwards via the
-// comb (which needs no doublings, so nothing is gained interleaving
-// it). Both scalars reduced and nonzero, Q finite.
-func (c *Curve) combinedMultFP(q Point, u1, u2 *big.Int) Point {
-	var s fpScratch
-	var table [8]fpJac
-	c.fpOddMultiples(q, &table, len(table), &s)
-	var dbuf [264]int8
-	digits := wnafFixed(u2, wnafWindow, dbuf[:])
-	var acc fpJac
-	c.fpSetInfinity(&acc)
-	c.wnafAccumulate(&acc, &table, digits, &s)
-	c.combAccumulate(&acc, u1, &s)
-	return c.fpToPoint(&acc)
-}
-
 // straussTerm is one point's share of combinedMultNFP's doubling
 // chain: the n wNAF digits of its scalar, least significant first, and
 // the odd multiples of the point that those digits select.

@@ -113,8 +113,10 @@ func TestScalarBaseMultDifferential(t *testing.T) {
 	}
 }
 
-// TestCombinedMultDifferential proves u1·G + u2·Q parity, including
-// the degenerate zero-scalar corners.
+// TestCombinedMultDifferential proves u1·G + u2·Q parity with the
+// math/big CombinedMultN over the one point Q (independent
+// multiplications, summed), including the degenerate zero-scalar
+// corners.
 func TestCombinedMultDifferential(t *testing.T) {
 	requireFP(t)
 	r := rand.New(rand.NewSource(103))
@@ -124,7 +126,7 @@ func TestCombinedMultDifferential(t *testing.T) {
 		for _, u1 := range scalars {
 			for _, u2 := range scalars {
 				got := c.CombinedMult(q, u1, u2)
-				want := c.combinedMultBig(q, u1, u2)
+				want, _ := c.combinedMultNBig(u1, []Point{q}, []*big.Int{u2})
 				if !got.Equal(want) {
 					t.Fatalf("%s: CombinedMult(%v, %v) backend mismatch:\n fp  = %v\n big = %v",
 						c.Name, u1, u2, got, want)
@@ -272,15 +274,13 @@ func TestAgainstCryptoElliptic(t *testing.T) {
 // what the direct entry points return.
 func TestMultTableParity(t *testing.T) {
 	r := rand.New(rand.NewSource(106))
+	zero := new(big.Int)
 	for _, c := range Curves() {
 		q := c.ScalarBaseMult(big.NewInt(0xcafe))
 		tab := c.NewMultTable(q)
-		if !tab.Point().Equal(q) || tab.Curve() != c {
-			t.Fatalf("%s: MultTable identity accessors wrong", c.Name)
-		}
 		for _, k := range append(edgeScalars(c), randScalars(c, r, 20)...) {
-			if got, want := tab.ScalarMult(k), c.ScalarMult(q, k); !got.Equal(want) {
-				t.Fatalf("%s: MultTable.ScalarMult(%v) mismatch", c.Name, k)
+			if got, want := tab.CombinedMult(zero, k), c.ScalarMult(q, k); !got.Equal(want) {
+				t.Fatalf("%s: MultTable.CombinedMult(0, %v) mismatch", c.Name, k)
 			}
 		}
 		scalars := append(edgeScalars(c), randScalars(c, r, 6)...)
@@ -295,8 +295,8 @@ func TestMultTableParity(t *testing.T) {
 	// Infinity table degenerates cleanly.
 	c := P256()
 	tab := c.NewMultTable(Point{})
-	if !tab.ScalarMult(big.NewInt(5)).IsInfinity() {
-		t.Fatal("infinity MultTable.ScalarMult not infinity")
+	if !tab.CombinedMult(zero, big.NewInt(5)).IsInfinity() {
+		t.Fatal("infinity MultTable.CombinedMult(0, 5) not infinity")
 	}
 	if got, want := tab.CombinedMult(big.NewInt(5), big.NewInt(7)), c.ScalarBaseMult(big.NewInt(5)); !got.Equal(want) {
 		t.Fatal("infinity MultTable.CombinedMult did not degenerate to base term")
@@ -316,8 +316,8 @@ func TestMultTableConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if !tab.ScalarMult(big.NewInt(1234)).Equal(want) {
-					t.Error("concurrent MultTable.ScalarMult mismatch")
+				if !tab.CombinedMult(new(big.Int), big.NewInt(1234)).Equal(want) {
+					t.Error("concurrent MultTable.CombinedMult(0, k) mismatch")
 					return
 				}
 			}
@@ -328,9 +328,13 @@ func TestMultTableConcurrent(t *testing.T) {
 
 // allocBudget is the hard ceiling on heap allocations per scalar
 // multiplication on the fp backend — CI fails if the hot path regresses
-// into per-digit allocation again. The handful that remain are the
-// boundary big.Ints (scalar reduction, output point).
-const allocBudget = 24
+// into per-digit allocation again. What remains is the boundary
+// big.Ints: the output point's two coordinates (four allocations) and,
+// for ScalarMult and ScalarBaseMult, the reduced copy of k. Measured:
+// 6 for ScalarMult and ScalarBaseMult, 4 for CombinedMult and
+// MultTable.CombinedMult, on amd64 and 386 alike and under -race; the
+// budget is the largest plus 10%.
+const allocBudget = 7
 
 func TestScalarMultAllocBudget(t *testing.T) {
 	requireFP(t)
@@ -348,12 +352,13 @@ func TestScalarMultAllocBudget(t *testing.T) {
 		{"ScalarMult", func() { c.ScalarMult(q, k) }},
 		{"ScalarBaseMult", func() { c.ScalarBaseMult(k) }},
 		{"CombinedMult", func() { c.CombinedMult(q, k, k) }},
-		{"MultTable.ScalarMult", func() { tab.ScalarMult(k) }},
 		{"MultTable.CombinedMult", func() { tab.CombinedMult(k, k) }},
 	}
 	for _, tc := range cases {
 		tc.fn() // warm lazy tables outside the measurement
-		if got := testing.AllocsPerRun(20, tc.fn); got > allocBudget {
+		got := testing.AllocsPerRun(20, tc.fn)
+		t.Logf("%s: %.0f allocs/op (budget %d)", tc.name, got, allocBudget)
+		if got > allocBudget {
 			t.Errorf("%s: %.0f allocs/op, budget %d", tc.name, got, allocBudget)
 		}
 	}
@@ -369,18 +374,6 @@ func BenchmarkMultTableBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = c.NewMultTable(q)
-	}
-}
-
-func BenchmarkMultTableScalarMult(b *testing.B) {
-	c := P256()
-	q := c.ScalarBaseMult(big.NewInt(0xabc))
-	tab := c.NewMultTable(q)
-	k, _ := c.RandomScalar(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.ScalarMult(k)
 	}
 }
 

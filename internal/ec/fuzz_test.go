@@ -14,14 +14,15 @@ import (
 
 // FuzzPointMult diffs every point multiplication of the package
 // against two references on P-256 and P-224: the math/big oracle
-// (scalarMultBig, scalarBaseMultBig, combinedMultBig) and
-// crypto/elliptic, whose combined multiplication is an Add of its two
-// terms and whose (0, 0) is the point at infinity. Q = s·G for the
-// fuzzed s, so that Q is always a valid point (crypto/elliptic panics
-// on any other); s ≡ 0 selects G. a and b are scalars of any length.
-// Each of a and b is run through ScalarMult, ScalarBaseMult and a
-// MultTable's ScalarMult, and the pair through CombinedMult and a
-// MultTable's CombinedMult in both orders.
+// (scalarMultBig, scalarBaseMultBig, and combinedMultNBig, which sums
+// independent multiplications) and crypto/elliptic, whose combined
+// multiplication is an Add of its two terms and whose (0, 0) is the
+// point at infinity. Q = s·G for the fuzzed s, so that Q is always a
+// valid point (crypto/elliptic panics on any other); s ≡ 0 selects G.
+// a and b are scalars of any length. Each of a and b is run through
+// ScalarMult, ScalarBaseMult and a MultTable's CombinedMult with
+// u1 = 0, and the pair through CombinedMult and a MultTable's
+// CombinedMult in both orders.
 // CombinedMultN runs with u1 = s over two points, Q and G, taking a
 // and b, and over three, Q, G and Q again, the third taking b as well,
 // again in both orders of a and b; its infinity report is checked
@@ -128,7 +129,7 @@ func checkPointMult(t *testing.T, c *Curve, std elliptic.Curve, s, a, b []byte, 
 			want, base = c.scalarMultBig(q, k), c.scalarBaseMultBig(k)
 		}
 		same(c.ScalarMult(q, k), want, wantStd, "ScalarMult(%x)", kb)
-		same(tab.ScalarMult(k), want, wantStd, "MultTable.ScalarMult(%x)", kb)
+		same(tab.CombinedMult(new(big.Int), k), want, wantStd, "MultTable.CombinedMult(0, %x)", kb)
 		same(c.ScalarBaseMult(k), base, baseStd, "ScalarBaseMult(%x)", kb)
 	}
 
@@ -139,7 +140,7 @@ func checkPointMult(t *testing.T, c *Curve, std elliptic.Curve, s, a, b []byte, 
 		wantStd := fromStd(std.Add(gx, gy, qx, qy))
 		want := wantStd
 		if oracle {
-			want = c.combinedMultBig(q, u1, u2)
+			want, _ = c.combinedMultNBig(u1, []Point{q}, []*big.Int{u2})
 		}
 		same(c.CombinedMult(q, u1, u2), want, wantStd, "CombinedMult(%x, %x)", u[0], u[1])
 		same(tab.CombinedMult(u1, u2), want, wantStd, "MultTable.CombinedMult(%x, %x)", u[0], u[1])

@@ -10,7 +10,7 @@ import (
 // key. On the default backend it is a signed comb with four teeth
 // d = ⌈bitlen(n)/4⌉ bits apart (64 on P-256): eight affine points.
 // Building it costs 3d doublings, ten additions and one batched
-// inversion; afterwards every ScalarMult/CombinedMult against Q takes
+// inversion; afterwards every CombinedMult against Q walks Q's term in
 // d − 1 doublings and d mixed additions (63 and 64 on P-256) instead
 // of a full-length double-and-add chain. That is the win for fleets:
 // repeated STS handshakes and rekeys against the same static peer stop
@@ -22,8 +22,7 @@ type MultTable struct {
 	c *Curve
 	q Point
 
-	fpTab  []fpAffine // default backend: the signed comb T[0..7], Montgomery form
-	bigTab []Point    // oracle backend: affine odd multiples
+	fpTab []fpAffine // the signed comb T[0..7], Montgomery form; nil without one
 }
 
 // maxCombSpacing bounds Curve.combSpacing for a 256-bit order.
@@ -31,19 +30,13 @@ const maxCombSpacing = 64
 
 // NewMultTable precomputes the table for q: on the default backend the
 // signed comb T[j] = 2^{3d}·Q + Σ_{b<3} (2·j_b − 1)·2^{bd}·Q, j = 0..7
-// (j_b the bits of j), and on the oracle backend the odd multiples
-// [Q, 3Q, ..., 15Q]; both in affine form. An infinity q yields a table
-// whose multiplications all return infinity (CombinedMult degenerates
-// to the base term).
+// (j_b the bits of j), in affine form. The oracle backend and an
+// infinity q build no comb, and the table's CombinedMult is then
+// Curve.CombinedMult.
 func (c *Curve) NewMultTable(q Point) *MultTable {
 	t := &MultTable{c: c, q: q.Clone()}
-	if q.IsInfinity() {
-		return t
-	}
-	if c.useFP() {
+	if c.useFP() && !q.IsInfinity() {
 		t.fpTab = c.fpCombTable(q)
-	} else {
-		t.bigTab = c.batchToAffine(c.oddMultiples(q, wnafWindow))
 	}
 	return t
 }
@@ -81,12 +74,6 @@ func (c *Curve) fpCombTable(q Point) []fpAffine {
 	c.fpBatchToAffine(jacs[:], tab)
 	return tab
 }
-
-// Point returns the table's base point Q.
-func (t *MultTable) Point() Point { return t.q.Clone() }
-
-// Curve returns the curve the table was built on.
-func (t *MultTable) Curve() *Curve { return t.c }
 
 // combDigits recodes a reduced nonzero scalar k for the signed comb
 // of spacing d, writing one digit per column into a caller buffer
@@ -149,57 +136,28 @@ func (t *MultTable) fpMult(acc *fpJac, k *[4]uint64, s *fpScratch) {
 	}
 }
 
-// ScalarMult returns k·Q using the cached table.
+// CombinedMult returns u1·G + u2·Q, walking the comb for the Q term
+// and skipping the base term when u1 ≡ 0 — the steady-state ECDSA
+// verification against a known signer. A table without a comb runs
+// Curve.CombinedMult.
 //
-//detlint:allow hotpath scalar reduction mod N at the public big.Int boundary before the limb-pure table walk
-func (t *MultTable) ScalarMult(k *big.Int) Point {
-	c := t.c
-	if t.q.IsInfinity() {
-		return Point{}
-	}
-	kr := c.reduceScalar(k)
-	if kr == nil {
-		return Point{}
-	}
-	if t.fpTab != nil {
-		var s fpScratch
-		var acc fpJac
-		var kl [4]uint64
-		scalarLimbs(kr, &kl)
-		t.fpMult(&acc, &kl, &s)
-		return c.fpToPoint(&acc)
-	}
-	return c.fromJacobian(c.scalarMultWNAFAffine(t.bigTab, kr))
-}
-
-// CombinedMult returns u1·G + u2·Q using the cached table for the Q
-// term — the steady-state ECDSA-verify path against a known signer.
-//
-//detlint:allow hotpath scalar reduction mod N at the public big.Int boundary: two O(1) allocs before the limb-pure loop
+//detlint:allow hotpath scalar reduction mod N at the public big.Int boundary, allocation-free for a reduced scalar, before the limb-pure comb walk
 func (t *MultTable) CombinedMult(u1, u2 *big.Int) Point {
 	c := t.c
-	u1r := new(big.Int).Mod(u1, c.N)
-	u2r := new(big.Int).Mod(u2, c.N)
-	if t.q.IsInfinity() || u2r.Sign() == 0 {
-		return c.ScalarBaseMult(u1r)
+	if t.fpTab == nil {
+		return c.CombinedMult(t.q, u1, u2)
 	}
-	if u1r.Sign() == 0 {
-		return t.ScalarMult(u2r)
-	}
-	if t.fpTab != nil {
-		var s fpScratch
-		var acc fpJac
+	var s fpScratch
+	var acc fpJac
+	if k := c.modN(u2); k.Sign() != 0 {
 		var kl [4]uint64
-		scalarLimbs(u2r, &kl)
+		scalarLimbs(k, &kl)
 		t.fpMult(&acc, &kl, &s)
-		c.combAccumulate(&acc, u1r, &s)
-		return c.fpToPoint(&acc)
+	} else {
+		c.fpSetInfinity(&acc)
 	}
-	// Oracle backend: Strauss–Shamir with the cached affine Q table.
-	return c.fromJacobian(c.straussInterleave(u1r, u2r, func(acc *jacobianPoint, d int8) *jacobianPoint {
-		if d > 0 {
-			return c.jacAddAffine(acc, t.bigTab[(d-1)/2])
-		}
-		return c.jacAddAffine(acc, c.Neg(t.bigTab[(-d-1)/2]))
-	}))
+	if k := c.modN(u1); k.Sign() != 0 {
+		c.combAccumulate(&acc, k, &s)
+	}
+	return c.fpToPoint(&acc)
 }

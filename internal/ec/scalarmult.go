@@ -2,22 +2,28 @@ package ec
 
 import "math/big"
 
-// Scalar multiplication. Three strategies are provided:
+// Scalar multiplication, by the kind of scalar:
 //
-//   - ScalarMult: 5-bit wNAF with an on-the-fly odd-multiples table,
-//     used for arbitrary points (ECDH premaster, ECQV reconstruction).
-//   - ScalarBaseMult: fixed-base comb over a cached per-curve table
-//     (no doublings at all on the default backend).
-//   - CombinedMult: u1·G + u2·Q, the hot path of ECDSA verification.
-//   - CombinedMultN: u1·G + Σ k_i·P_i on one doubling chain, for ECDSA
-//     verification under an ECQV key Q_U = e·P_U + Q_CA that was never
-//     reconstructed, and for the batched ECQV reconstruction check.
+//   - ScalarMult: k·P by a 5-bit wNAF over an on-the-fly odd-multiples
+//     table. Its callers in the protocol stack pass secret scalars: the
+//     Diffie–Hellman premasters, SCIANC's d·Q_CA and combined DH, and
+//     the attacks that recompute them.
+//   - ScalarBaseMult: k·G through a fixed-base comb over a cached
+//     per-curve table (no doublings at all on the default backend).
+//     Its callers pass secret scalars too: keys, nonces, ephemerals
+//     and the left side of the ECQV reconstruction check.
+//   - CombinedMultN: u1·G + Σ k_i·P_i on one doubling chain, the one
+//     path for public scalars: ECQV extraction, the ECQV
+//     reconstruction check and ECDSA verification. CombinedMult is its
+//     one-point case, and MultTable.CombinedMult walks a precomputed
+//     comb of Q instead of Q's chain.
 //
-// Each strategy has two implementations: the default fixed-limb
-// Montgomery backend (backend_fp.go, O(1) allocations per call) and
-// the original math/big path below, retained as a differential oracle
-// and selectable with -tags ec_purebig. All strategies are variable
-// time; see the package comment.
+// Each has two implementations: the default fixed-limb Montgomery
+// backend (backend_fp.go, O(1) allocations per call) and the original
+// math/big path below, retained as a differential oracle and
+// selectable with -tags ec_purebig, where CombinedMultN sums
+// independent multiplications. All are variable time; see the package
+// comment.
 
 const wnafWindow = 5 // window width; table holds 2^(w-2) odd multiples
 
@@ -233,23 +239,11 @@ func (c *Curve) scalarBaseMultBig(k *big.Int) Point {
 	return c.fromJacobian(c.scalarMultWNAFAffine(c.baseMultiples(), kr))
 }
 
-// CombinedMult returns u1·G + u2·Q — the ECDSA verification hot path.
-// The default backend runs the u2 chain in fixed-limb wNAF and folds
-// the base term in through the comb table; the oracle path uses
-// Strauss–Shamir interleaving.
+// CombinedMult returns u1·G + u2·Q, the ECDSA verification of a key
+// without a MultTable: CombinedMultN over the one point Q.
 func (c *Curve) CombinedMult(q Point, u1, u2 *big.Int) Point {
-	u1r := new(big.Int).Mod(u1, c.N)
-	u2r := new(big.Int).Mod(u2, c.N)
-	if q.IsInfinity() || u2r.Sign() == 0 {
-		return c.ScalarBaseMult(u1r)
-	}
-	if u1r.Sign() == 0 {
-		return c.ScalarMult(q, u2r)
-	}
-	if c.useFP() {
-		return c.combinedMultFP(q, u1r, u2r)
-	}
-	return c.combinedMultBigReduced(q, u1r, u2r)
+	p, _ := c.CombinedMultN(u1, []Point{q}, []*big.Int{u2})
+	return p
 }
 
 // CombinedMultN returns u1·G + Σ k_i·P_i, pairing points[i] with
@@ -262,14 +256,18 @@ func (c *Curve) CombinedMult(q Point, u1, u2 *big.Int) Point {
 // through the comb, and one inversion ends it; the oracle path sums
 // independent multiplications.
 //
-// It serves two callers, both with public scalars. ecdsa.VerifyImplicit
-// verifies a signature under an implicit-certificate key
-// Q_U = e·P_U + Q_CA (the paper's equation (1)) without reconstructing
-// Q_U, since u2·Q_U = (u2·e)·P_U + u2·Q_CA; its infinity report keeps
-// the identity check, because on these prime-order curves u2·Q_U is
-// infinity for a nonzero u2 exactly when Q_U is. The ECQV
-// reconstruction check (ecqv.ReconstructBatch) puts one point per
-// certificate and Q_CA on the chain.
+// It is the chain of every public-scalar product. CombinedMult and a
+// MultTable without a comb run through it over one point, and it has
+// three callers of its own. ecdsa.VerifyImplicit verifies a signature
+// under an implicit-certificate key Q_U = e·P_U + Q_CA (the paper's
+// equation (1)) without reconstructing Q_U, since
+// u2·Q_U = (u2·e)·P_U + u2·Q_CA; its infinity report keeps the
+// identity check, because on these prime-order curves u2·Q_U is
+// infinity for a nonzero u2 exactly when Q_U is. ecqv.ExtractPublicKey
+// computes Q_U itself with u1 = 0 over P_U and Q_CA, and rejects the
+// identity on the same report. The ECQV reconstruction check
+// (ecqv.ReconstructBatch) puts one point per certificate and Q_CA on
+// the chain.
 func (c *Curve) CombinedMultN(u1 *big.Int, points []Point, scalars []*big.Int) (Point, bool) {
 	if len(points) != len(scalars) {
 		panic("ec: CombinedMultN: points and scalars differ in length")
@@ -298,70 +296,4 @@ func (c *Curve) combinedMultNBig(u1 *big.Int, points []Point, scalars []*big.Int
 		sum = c.addBig(sum, c.scalarMultBig(p, scalars[i]))
 	}
 	return c.addBig(c.scalarBaseMultBig(u1), sum), sum.IsInfinity()
-}
-
-// combinedMultBig is the math/big Strauss–Shamir path (differential
-// oracle).
-func (c *Curve) combinedMultBig(q Point, u1, u2 *big.Int) Point {
-	u1r := new(big.Int).Mod(u1, c.N)
-	u2r := new(big.Int).Mod(u2, c.N)
-	if q.IsInfinity() || u2r.Sign() == 0 {
-		return c.scalarBaseMultBig(u1r)
-	}
-	if u1r.Sign() == 0 {
-		return c.scalarMultBig(q, u2r)
-	}
-	return c.combinedMultBigReduced(q, u1r, u2r)
-}
-
-// straussInterleave is the shared doubling chain of Strauss–Shamir
-// interleaving over reduced nonzero scalars: base-table mixed
-// additions for u1's digits, with qAdd folding in each nonzero digit
-// of u2's Q term. Both CombinedMult oracle paths (fresh Jacobian
-// table and cached affine MultTable) share this loop.
-func (c *Curve) straussInterleave(u1r, u2r *big.Int, qAdd func(*jacobianPoint, int8) *jacobianPoint) *jacobianPoint {
-	gTable := c.baseMultiples() // affine: mixed additions
-	d1 := wnaf(u1r, wnafWindow)
-	d2 := wnaf(u2r, wnafWindow)
-
-	n := len(d1)
-	if len(d2) > n {
-		n = len(d2)
-	}
-	acc := c.jacInfinity()
-	for i := n - 1; i >= 0; i-- {
-		acc = c.jacDouble(acc)
-		if i < len(d1) {
-			if d := d1[i]; d > 0 {
-				acc = c.jacAddAffine(acc, gTable[(d-1)/2])
-			} else if d < 0 {
-				acc = c.jacAddAffine(acc, c.Neg(gTable[(-d-1)/2]))
-			}
-		}
-		if i < len(d2) {
-			if d := d2[i]; d != 0 {
-				acc = qAdd(acc, d)
-			}
-		}
-	}
-	return acc
-}
-
-// combinedMultBigReduced interleaves against an on-the-fly Jacobian
-// odd-multiples table of Q, nearly halving the doublings of two
-// independent multiplications.
-func (c *Curve) combinedMultBigReduced(q Point, u1r, u2r *big.Int) Point {
-	qAdd := c.qTableAdd(c.oddMultiples(q, wnafWindow))
-	return c.fromJacobian(c.straussInterleave(u1r, u2r, qAdd))
-}
-
-// qTableAdd adapts a Jacobian odd-multiples table of Q into the digit
-// callback straussInterleave expects.
-func (c *Curve) qTableAdd(qTable []*jacobianPoint) func(*jacobianPoint, int8) *jacobianPoint {
-	return func(acc *jacobianPoint, d int8) *jacobianPoint {
-		if d > 0 {
-			return c.jacAdd(acc, qTable[(d-1)/2])
-		}
-		return c.jacAdd(acc, c.jacNeg(qTable[(-d-1)/2]))
-	}
 }

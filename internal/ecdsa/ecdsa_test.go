@@ -320,9 +320,10 @@ func TestQuickSignVerify(t *testing.T) {
 // VerifyDigest against a Precompute'd P-256 key — the KeyCache-served
 // verification of every rekey against a static peer — enforced by CI
 // next to the ScalarMult gate. The point arithmetic is allocation-free;
-// what remains is big.Int boundary work (digest, w, u1, u2, scalar
-// reduction, coordinate conversion), the same for even and odd u2.
-const verifyDigestAllocBudget = 40
+// what remains is big.Int boundary work (digest, w, u1, u2 and the
+// coordinate conversion), the same for even and odd u2. Measured: 26
+// on amd64, 28 on 386; the budget is the larger plus 10%.
+const verifyDigestAllocBudget = 31
 
 func TestVerifyDigestAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -379,7 +380,8 @@ func TestVerifyDigestAllocBudget(t *testing.T) {
 // two per-call odd-multiple tables included, is allocation-free; what
 // remains is big.Int boundary work (digest, w, u1, u2, u2·e and its
 // reduction, and the affine conversion), the same for even and odd u2.
-const verifyImplicitAllocBudget = 52
+// Measured: 28 on amd64, 30 on 386; the budget is the larger plus 10%.
+const verifyImplicitAllocBudget = 33
 
 // implicitKey returns an implicit key Q_U = e·P_U + Q_CA on P-256 with
 // its private key d_U = e·k + d_CA for P_U = k·G, as ECQV issuance

@@ -54,12 +54,15 @@ func checkDecodeRaw(t *testing.T, c *ec.Curve, data []byte) {
 // followed by VerifyDigest. The certificate, the CA key and the
 // signature come through the decoders a handshake peer's bytes reach
 // (ecqv.Decode, ec.Curve.DecodePoint and DecodeRaw, all on the
-// certificate's curve); inputs a decoder rejects are skipped. With e
-// empty, e = H(Cert) and the reference is ecqv.ExtractPublicKey; a
-// non-empty e replaces H(Cert), so that scalars no certificate hashes
-// to stay reachable, and the reference is equation (1) with that e
-// through ec.Curve.ScalarMult and Add. Either way an extraction that
-// fails or yields the identity counts as a reject.
+// certificate's curve); inputs a decoder rejects are skipped. The
+// reference key is equation (1) through ec.Curve.ScalarMult and Add,
+// independent of the CombinedMultN chain that VerifyImplicit and
+// ecqv.ExtractPublicKey share. With e empty, e = H(Cert), and
+// ExtractPublicKey must return exactly that key, or its identity error
+// when the key is the point at infinity (an infinity CA key is
+// rejected before any sum); a non-empty e replaces H(Cert), so that
+// scalars no certificate hashes to stay reachable. Either way an
+// infinity CA key or an identity key counts as a reject.
 //
 // The committed corpus (testdata/fuzz/FuzzVerifyImplicit) holds an
 // honest P-256 certificate and signature, r ± 1, s ± 1, a wrong
@@ -81,16 +84,27 @@ func FuzzVerifyImplicit(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var want bool
 		e := cert.HashToScalar()
-		if len(eBytes) == 0 {
-			q, err := ecqv.ExtractPublicKey(cert, ca)
-			want = err == nil && (&PublicKey{Curve: c, Q: q}).VerifyDigest(digest, sig)
-		} else {
+		if len(eBytes) != 0 {
 			e = new(big.Int).SetBytes(eBytes)
-			q := c.Add(c.ScalarMult(cert.PubRecon, e), ca)
-			want = !ca.IsInfinity() && !q.IsInfinity() && (&PublicKey{Curve: c, Q: q}).VerifyDigest(digest, sig)
 		}
+		q := c.Add(c.ScalarMult(cert.PubRecon, e), ca)
+		if len(eBytes) == 0 {
+			got, err := ecqv.ExtractPublicKey(cert, ca)
+			switch {
+			case ca.IsInfinity():
+				if err == nil {
+					t.Fatalf("%s: ExtractPublicKey(cert %x, CA ∞) = %v, want an error", c.Name, certBytes, got)
+				}
+			case q.IsInfinity():
+				if err == nil || err.Error() != "ecqv: extracted public key is the identity" {
+					t.Fatalf("%s: ExtractPublicKey(cert %x, CA %x) = %v, %v; want the identity error", c.Name, certBytes, caBytes, got, err)
+				}
+			case err != nil || !got.Equal(q):
+				t.Fatalf("%s: ExtractPublicKey(cert %x, CA %x) = %v, %v; e·P_U + Q_CA = %v", c.Name, certBytes, caBytes, got, err, q)
+			}
+		}
+		want := !ca.IsInfinity() && !q.IsInfinity() && (&PublicKey{Curve: c, Q: q}).VerifyDigest(digest, sig)
 		if got := VerifyImplicit(c, cert.PubRecon, e, ca, digest, sig); got != want {
 			t.Fatalf("%s: VerifyImplicit(cert %x, CA %x, sig %x, digest %x, e %x) = %v, explicit extraction and VerifyDigest say %v",
 				c.Name, certBytes, caBytes, sigBytes, digest, eBytes, got, want)

@@ -442,12 +442,16 @@ func transcript(chunk []pending, caPub ec.Point) [sha256.Size]byte {
 	return t
 }
 
+// errIdentity rejects a certificate whose key e·P_U + Q_CA is the point
+// at infinity, in ExtractPublicKey and in the reconstruction check.
+var errIdentity = errors.New("ecqv: extracted public key is the identity")
+
 // mismatch is the error of a response whose key fails the check,
 // given the check's right side e·P_U + Q_CA for it alone: an identity
 // key, which no nonzero d_U matches, or another point.
 func mismatch(rhs ec.Point) error {
 	if rhs.IsInfinity() {
-		return errors.New("ecqv: extracted public key is the identity")
+		return errIdentity
 	}
 	return errors.New("ecqv: reconstructed key does not match certificate")
 }
@@ -459,7 +463,9 @@ func mismatch(rhs ec.Point) error {
 //
 // No signature check occurs here; authenticity is implicit and is only
 // established once the subject proves possession of d_X (e.g. by the
-// STS signature exchange).
+// STS signature exchange). Both scalars are public, so the sum runs on
+// ec.Curve.CombinedMultN, the call ReconstructPrivateKey's one-item
+// check makes, whose infinity report rejects an identity key.
 func ExtractPublicKey(cert *Certificate, caPub ec.Point) (ec.Point, error) {
 	if cert == nil {
 		return ec.Point{}, errors.New("ecqv: nil certificate")
@@ -472,9 +478,9 @@ func ExtractPublicKey(cert *Certificate, caPub ec.Point) (ec.Point, error) {
 		return ec.Point{}, errors.New("ecqv: CA public key invalid")
 	}
 	e := cert.HashToScalar()
-	q := curve.Add(curve.ScalarMult(cert.PubRecon, e), caPub)
-	if q.IsInfinity() {
-		return ec.Point{}, errors.New("ecqv: extracted public key is the identity")
+	q, identity := curve.CombinedMultN(new(big.Int), []ec.Point{cert.PubRecon, caPub}, []*big.Int{e, big.NewInt(1)})
+	if identity {
+		return ec.Point{}, errIdentity
 	}
 	return q, nil
 }

@@ -1,6 +1,7 @@
 package ecqv
 
 import (
+	"errors"
 	"io"
 	"math/big"
 	"testing"
@@ -338,6 +339,70 @@ func TestExtractRejectsBadInputs(t *testing.T) {
 	offCurve := ec.Point{X: big.NewInt(2), Y: big.NewInt(3)}
 	if _, err := ExtractPublicKey(cert, offCurve); err == nil {
 		t.Error("off-curve CA key accepted")
+	}
+}
+
+// TestExtractRejectsIdentityKey gives ExtractPublicKey and
+// ReconstructPrivateKey, on every curve, a CA key of −e·P_U, for which
+// Q_U = e·P_U + Q_CA is the point at infinity: both reject it with the
+// one identity error.
+func TestExtractRejectsIdentityKey(t *testing.T) {
+	rng := newDetRand(12)
+	for _, curve := range ec.Curves() {
+		ca, err := NewCA(curve, NewID("ca"), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, sec, err := NewRequest(curve, NewID("dev"), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ca.Issue(req, defaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert := resp.Cert
+		identityCA := curve.Neg(curve.ScalarMult(cert.PubRecon, cert.HashToScalar()))
+		if q, err := ExtractPublicKey(cert, identityCA); !errors.Is(err, errIdentity) {
+			t.Errorf("%s: ExtractPublicKey under a CA key of −e·P_U = %v, %v; want %v", curve.Name, q, err, errIdentity)
+		}
+		if _, _, err := ReconstructPrivateKey(sec, resp, identityCA); !errors.Is(err, errIdentity) {
+			t.Errorf("%s: ReconstructPrivateKey under a CA key of −e·P_U: %v; want %v", curve.Name, err, errIdentity)
+		}
+	}
+}
+
+// extractPublicKeyAllocBudget is the heap-allocation ceiling of one
+// ExtractPublicKey on P-256, enforced by CI beside the verification
+// gates: the measurement (8 on amd64 and on GOARCH=386) plus 10%.
+// What allocates is the certificate's encoding, e = H_n(Cert) and the
+// affine conversion of Q_U; the on-curve checks and the CombinedMultN
+// chain allocate nothing. ScalarMult followed by Add, which copies e
+// to reduce it and converts to affine twice, measured 14.
+const extractPublicKeyAllocBudget = 9
+
+func TestExtractPublicKeyAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget needs steady-state measurement")
+	}
+	if !ec.UsesFPBackend() {
+		t.Skip("built with -tags ec_purebig: the math/big oracle allocates freely by design")
+	}
+	if raceEnabled {
+		t.Skip("built with -race: sync.Pool drops math/big's scratch at random, so counts vary")
+	}
+	ca, cert, _, q := issueOne(t, ec.P256(), newDetRand(45), "device-alloc")
+	caPub := ca.PublicKey()
+	extract := func() {
+		if got, err := ExtractPublicKey(cert, caPub); err != nil || !got.Equal(q) {
+			t.Fatalf("ExtractPublicKey = %v, %v; want %v", got, err, q)
+		}
+	}
+	extract()
+	got := testing.AllocsPerRun(20, extract)
+	t.Logf("ExtractPublicKey: %.0f allocs/op (budget %d)", got, extractPublicKeyAllocBudget)
+	if got > extractPublicKeyAllocBudget {
+		t.Errorf("ExtractPublicKey: %.0f allocs/op, budget %d", got, extractPublicKeyAllocBudget)
 	}
 }
 
